@@ -24,8 +24,8 @@ from .cyclotomic import (AdditionRule, CyclotomicError, CyclotomicSystem,
                          taylor_eval_cyclo)
 from .series import (AssociatedMatrix, DegenerateMatrixError, IntegerRootError,
                      SeriesError, SeriesResult, associated_matrix,
-                     brute_force_sum, eval_R, evaluate_sums,
+                     brute_force_sum, brute_force_sums, eval_R, evaluate_sums,
                      fourier_coefficient)
 from . import verify
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -351,8 +351,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "oracle_n", 100_000) is not None and getattr(args, "oracle_n", 100_000) < 1000:
-        print("error: --oracle-n must be at least 1000", file=sys.stderr)
+    if getattr(args, "oracle_n", None) is not None and args.oracle_n < series.MIN_ORACLE_N:
+        print(f"error: --oracle-n must be at least {series.MIN_ORACLE_N}", file=sys.stderr)
         return EXIT_INPUT
     if args.tol is not None and args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)

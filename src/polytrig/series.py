@@ -20,6 +20,13 @@ from .poly import Polynomial, synthetic_divide
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
 
+#: smallest oracle size: below it the extrapolation reports a false error bar
+#: (for x^2+1, N = 1 would give B_0 = 0 with error bar 1e-12; the true value is 0.272)
+MIN_ORACLE_N = 1000
+
+#: alternating sums average this many levels of tail partial sums
+TAIL_DEPTH = 40
+
 TWO_PI_I = 2j * math.pi
 
 
@@ -113,50 +120,86 @@ def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
     return AssociatedMatrix(m, C, linalg.condition_number(C))
 
 
-def brute_force_sum(p: Polynomial, k: int, alternating: bool, n_terms: int = 100_000):
-    """Oracle: symmetric partial sums with (n, -n) pairing, then extrapolation.
+def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.polyval(desc, x)`` updated in place, without a temporary per coefficient."""
+    y = np.full(x.shape, desc[0], dtype=np.result_type(desc, x))
+    for c in desc[1:]:
+        y *= x
+        y += c
+    return y
 
-    Non-alternating sums use three-level Richardson over N, 2N, 4N; alternating
-    sums use iterated averaging of the tail partial sums.  Returns
-    ``(estimate, error_bar)``.
+
+def brute_force_sums(p: Polynomial, n_terms: int = 100_000):
+    """Oracle for all 2m sums at once: symmetric (n, -n) pairing, then extrapolation.
+
+    P(n) and P(-n) are evaluated once for n = 1..4N (N = ``n_terms``), in four
+    blocks of N points, and shared by every power k and both signs: the pair
+    term is n**k (1/P(n) + 1/P(-n)) for even k and n**k (1/P(n) - 1/P(-n))
+    for odd k.  Non-alternating sums use three-level Richardson over the
+    partial sums at N, 2N, 4N; alternating sums use iterated averaging of the
+    last ``TAIL_DEPTH + 1`` partial sums of the first N terms.  Returns
+    ``(oracle_A, oracle_B)``, each a tuple of ``(estimate, error_bar)`` pairs
+    indexed by k.
     """
-    m = p.degree
-    if not 0 <= k <= m - 1:
-        raise SeriesError(f"power {k} out of range 0..{m - 1}")
+    if n_terms < MIN_ORACLE_N:
+        raise SeriesError(
+            f"oracle size {n_terms} is below {MIN_ORACLE_N}; "
+            f"its extrapolation would report a false error bar"
+        )
     _check_roots(make_system(p))
+    m = p.degree
     desc = np.array(p.coeffs[::-1], dtype=complex)
+    if not desc.imag.any():
+        desc = desc.real  # real arithmetic for real coefficients: same values up to rounding
 
-    def paired_terms(limit: int) -> np.ndarray:
-        n = np.arange(1.0, limit + 1.0)
-        t = n ** k / np.polyval(desc, n) + (-n) ** k / np.polyval(desc, -n)
-        if alternating:
-            t = t * np.where(np.arange(1, limit + 1) % 2 == 0, 1.0, -1.0)
-        return t
+    sign = np.resize([-1.0, 1.0], n_terms)  # (-1)**n for n = 1..N
+    block_sums = np.zeros((4, m), dtype=complex)  # blocks end at N, 2N, 3N, 4N
+    tails = np.zeros((m, TAIL_DEPTH + 1), dtype=complex)
+    for block in range(4):
+        n = np.arange(block * n_terms + 1.0, (block + 1) * n_terms + 1.0)
+        inv_pos = 1.0 / _horner(desc, n)
+        inv_neg = 1.0 / _horner(desc, -n)
+        pairs = (inv_pos + inv_neg, inv_pos - inv_neg)  # by parity of k
+        power = np.ones_like(n)
+        for k in range(m):
+            t = power * pairs[k % 2]
+            block_sums[block, k] = t.sum()
+            if block == 0:
+                # the last TAIL_DEPTH + 1 partial sums of the first N terms
+                t *= sign
+                tails[k, 0] = t[:-TAIL_DEPTH].sum()
+                tails[k, 1:] = tails[k, 0] + np.cumsum(t[-TAIL_DEPTH:])
+            power *= n
 
-    center = 1.0 / p(0) if k == 0 else 0j  # n = 0 term; 0**0 == 1
+    center = np.zeros(m, dtype=complex)  # n = 0 term; 0**0 == 1
+    center[0] = 1.0 / p(0)
 
-    if not alternating:
-        t = paired_terms(4 * n_terms)
-        s1 = center + np.sum(t[:n_terms])
-        s2 = center + np.sum(t[:2 * n_terms])
-        s4 = center + np.sum(t)
-        r1a = 2 * s2 - s1
-        r1b = 2 * s4 - s2
-        estimate = (4 * r1b - r1a) / 3
-        error_bar = max(abs(estimate - r1b), 1e-12)
-        return complex(estimate), float(error_bar)
+    s1 = center + block_sums[0]
+    s2 = center + (block_sums[0] + block_sums[1])
+    s4 = center + ((block_sums[0] + block_sums[1]) + (block_sums[2] + block_sums[3]))
+    r1a = 2 * s2 - s1
+    r1b = 2 * s4 - s2
+    estimate_a = (4 * r1b - r1a) / 3
+    error_a = np.maximum(np.abs(estimate_a - r1b), 1e-12)
 
-    t = paired_terms(n_terms)
-    partial = center + np.cumsum(t)
-    depth = min(40, len(partial) - 1)
-    tail = partial[-(depth + 1):]
-    previous = tail[-1]
-    while len(tail) > 1:
-        previous = tail[-1]
-        tail = 0.5 * (tail[1:] + tail[:-1])
-    estimate = tail[0]
-    error_bar = max(abs(estimate - previous), 1e-12)
-    return complex(estimate), float(error_bar)
+    tails += center[:, None]
+    for _ in range(TAIL_DEPTH):
+        previous = tails[:, -1]
+        tails = 0.5 * (tails[:, 1:] + tails[:, :-1])
+    estimate_b = tails[:, 0]
+    error_b = np.maximum(np.abs(estimate_b - previous), 1e-12)
+
+    def as_tuples(estimate, error):
+        return tuple((complex(e), float(b)) for e, b in zip(estimate, error))
+
+    return as_tuples(estimate_a, error_a), as_tuples(estimate_b, error_b)
+
+
+def brute_force_sum(p: Polynomial, k: int, alternating: bool, n_terms: int = 100_000):
+    """One ``(estimate, error_bar)`` pair of :func:`brute_force_sums`: power k, one sign."""
+    if not 0 <= k <= p.degree - 1:
+        raise SeriesError(f"power {k} out of range 0..{p.degree - 1}")
+    return brute_force_sums(p, n_terms)[1 if alternating else 0][k]
 
 
 @dataclass(frozen=True)
@@ -175,7 +218,10 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
 
     The top-degree sum (terms decaying like 1/n) is the symmetric
     principal-value limit; that is the limit the Fourier boundary data
-    represents.
+    represents.  With ``run_oracle`` every sum is paired with its
+    :func:`brute_force_sums` estimate, one oracle pass of ``oracle_n``
+    (at least ``MIN_ORACLE_N``) for all 2m sums; without it the oracle
+    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.
     """
     if p.degree < 2:
         raise SeriesError("degree must be at least 2 for the sums to converge")
@@ -198,8 +244,7 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
     B = B / lead
 
     if run_oracle:
-        oracle_a = tuple(brute_force_sum(p, k, False, oracle_n) for k in range(m))
-        oracle_b = tuple(brute_force_sum(p, k, True, oracle_n) for k in range(m))
+        oracle_a, oracle_b = brute_force_sums(p, oracle_n)
     else:
         nan = complex(math.nan, math.nan)
         oracle_a = tuple((nan, math.inf) for _ in range(m))

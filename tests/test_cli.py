@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polytrig import cli
+from polytrig import cli, series
 
 
 def run(capsys, *argv):
@@ -131,3 +131,10 @@ class TestExitCodes:
     def test_bad_oracle_n(self, capsys):
         code, _, _ = run(capsys, "sum", "--poly", "x^2+1", "--oracle-n", "10")
         assert code == 2
+
+    def test_oracle_n_limit_is_the_library_constant(self, capsys):
+        limit = series.MIN_ORACLE_N
+        code, _, err = run(capsys, "sum", "--poly", "x^2+1", "--oracle-n", str(limit - 1))
+        assert code == 2 and str(limit) in err
+        code, _, _ = run(capsys, "sum", "--poly", "x^2+1", "--oracle-n", str(limit))
+        assert code == 0

@@ -6,8 +6,9 @@ import pytest
 
 from polytrig import gentrig, series
 from polytrig.poly import Polynomial, parse_polynomial
-from polytrig.series import (IntegerRootError, SeriesError, associated_matrix,
-                             brute_force_sum, eval_R, evaluate_sums,
+from polytrig.series import (MIN_ORACLE_N, IntegerRootError, SeriesError,
+                             associated_matrix, brute_force_sum,
+                             brute_force_sums, eval_R, evaluate_sums,
                              fourier_coefficient)
 
 
@@ -16,6 +17,18 @@ def _random_system(rng, degree):
         roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
         if np.min(np.abs(roots.imag)) > 0.05:  # comfortably off the integers
             return gentrig.from_roots(roots)
+
+
+def _random_poly(rng, degree, real):
+    """Monic P with roots in the unit square, off the integers; conjugate pairs if real."""
+    while True:
+        half = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+        roots = (np.concatenate([half[:degree // 2], half[:degree // 2].conj(),
+                                 half.real[:degree % 2]]) if real else half)
+        if (np.min(np.abs(roots)) > 0.1
+                and np.min(np.abs(roots - np.round(roots.real))) > 0.05):
+            desc = np.poly(roots)
+            return Polynomial(tuple(complex(c) for c in (desc.real if real else desc)[::-1]))
 
 
 class TestBoundaryFunctions:
@@ -85,6 +98,45 @@ class TestOracle:
         with pytest.raises(SeriesError):
             brute_force_sum(parse_polynomial("x^2+1"), 2, alternating=False)
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_all_sums_against_residue_formula(self, degree, real):
+        # sum n^k/P(n) = -pi sum_j r_j^k cot(pi r_j)/P'(r_j), 1/sin for the
+        # alternating sum, at np.roots roots: independent of the closed form
+        p = _random_poly(np.random.default_rng(100 + degree), degree, real)
+        desc = np.array(p.coeffs[::-1])
+        roots = np.roots(desc)
+        dp = np.polyval(np.polyder(desc), roots)
+        oracle_a, oracle_b = brute_force_sums(p)
+        for k in range(degree):
+            base = -math.pi * roots ** k / dp
+            for terms, (est, _) in ((base / np.tan(math.pi * roots), oracle_a[k]),
+                                    (base / np.sin(math.pi * roots), oracle_b[k])):
+                assert abs(est - terms.sum()) <= 1e-6 * (1 + np.abs(terms).sum())
+
+    def test_single_sum_is_an_entry_of_all_sums(self):
+        p = parse_polynomial("x^3+x^2+1")
+        oracle_a, oracle_b = brute_force_sums(p, MIN_ORACLE_N)
+        for k in range(3):
+            assert brute_force_sum(p, k, False, MIN_ORACLE_N) == oracle_a[k]
+            assert brute_force_sum(p, k, True, MIN_ORACLE_N) == oracle_b[k]
+
+    @pytest.mark.parametrize("n_terms", [0, 1, MIN_ORACLE_N - 1])
+    def test_small_oracle_rejected(self, n_terms):
+        # at N = 1, x^2+1 gave B_0 = 0 with error bar 1e-12 (true value 0.272)
+        p = parse_polynomial("x^2+1")
+        with pytest.raises(SeriesError, match="oracle size"):
+            brute_force_sums(p, n_terms)
+        with pytest.raises(SeriesError, match="oracle size"):
+            evaluate_sums(p, oracle_n=n_terms)
+
+    def test_smallest_oracle_is_honest(self):
+        oracle_a, oracle_b = brute_force_sums(parse_polynomial("x^2+1"), MIN_ORACLE_N)
+        est, err = oracle_a[0]
+        assert abs(est - math.pi / math.tanh(math.pi)) <= err
+        est, err = oracle_b[0]
+        assert abs(est - math.pi / math.sinh(math.pi)) <= err
+
 
 class TestEvaluateSums:
     def test_quadratic(self):
@@ -135,6 +187,17 @@ class TestEvaluateSums:
     def test_integer_root_rejected(self):
         with pytest.raises(IntegerRootError):
             evaluate_sums(parse_polynomial("x^2-4"))
+
+    def test_one_root_system_for_the_oracle(self, monkeypatch):
+        builds = []
+
+        def counting(p):
+            builds.append(p)
+            return gentrig.make_system(p)
+
+        monkeypatch.setattr(series, "make_system", counting)
+        evaluate_sums(parse_polynomial("x^8+1"), oracle_n=MIN_ORACLE_N)
+        assert len(builds) <= 2  # closed form and oracle, not one per sum
 
     def test_oracle_skippable(self):
         res = evaluate_sums(parse_polynomial("x^2+1"), run_oracle=False)
