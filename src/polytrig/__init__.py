@@ -10,8 +10,7 @@ from .poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
                    format_polynomial, parse_polynomial, power_sums,
                    synthetic_divide)
 from .linalg import (Eigenpair, LinalgError, SingularMatrixError,
-                     characteristic_polynomial, condition_number, determinant,
-                     eigenpairs, solve)
+                     condition_number, determinant, eigenpairs, solve)
 from .gentrig import (ArgumentOverflowError, CertificateUnavailableError,
                       GenTrigError, GenTrigSystem, IdentityCertificate,
                       derivative_matrix, eval_S, eval_S_vector, eval_det_M,

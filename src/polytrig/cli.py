@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RootFindingError, gentrig.GenTrigError, series.SeriesError,
-            linalg.SingularMatrixError, ArithmeticError) as exc:
+            linalg.LinalgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PolynomialError as exc:

@@ -192,7 +192,11 @@ def _f_values(sys: GenTrigSystem, L: np.ndarray, S: np.ndarray) -> list:
 
 
 def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
-    """Pick the largest-modulus nonzero eigenvalue of K^m and certify the identity."""
+    """Pick the largest-modulus nonzero eigenvalue of K^m and certify the identity.
+
+    Eigenvalues whose moduli agree with the largest to 1e-12 relative (a
+    conjugate pair, say) count as tied; the tie goes to the smallest phase.
+    """
     if sys.m < 2:
         raise GenTrigError("certificates need degree at least 2")
     M = np.linalg.matrix_power(sys.K, sys.m)
@@ -201,8 +205,8 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     live = [p for p in pairs if abs(p.value) > 1e-12 * (scale + 1.0)]
     if not live:
         raise CertificateUnavailableError("no nonzero eigenvalue; certificate unavailable")
-    live.sort(key=lambda p: (-abs(p.value), cmath.phase(p.value)))
-    chosen = live[0]
+    chosen = min((p for p in live if abs(p.value) >= (1 - 1e-12) * scale),
+                 key=lambda p: cmath.phase(p.value))
     residual = float(np.max(np.abs(chosen.left_vector @ M - chosen.value * chosen.left_vector)))
     S0 = np.array(sys.T.sum(axis=1))
     f0 = _f_values(sys, chosen.left_vector, S0)

@@ -1,14 +1,15 @@
-"""Small dense complex matrix kernel: LU determinant/solve and left eigenpairs.
+"""Small dense complex linear algebra: determinant, solve and left eigenpairs.
 
 Sized for dimensions up to 24; matrices are numpy arrays of dtype complex.
+Eigenpairs, determinants, solutions and inverses come from ``numpy.linalg``
+(LAPACK); a LAPACK failure surfaces as :class:`LinalgError`.  A partial-pivot
+LU is kept only as the pivot check behind :class:`SingularMatrixError`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .poly import Polynomial, find_roots
 
 MAX_DIM = 24
 
@@ -34,98 +35,68 @@ def _as_matrix(M) -> np.ndarray:
     return A
 
 
+def _lapack(fn, *args):
+    """Call a ``numpy.linalg`` routine, re-raising its failure as LinalgError."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"LAPACK {fn.__name__} failed: {exc}") from exc
+
+
 def norm1(M) -> float:
     """Maximum absolute column sum."""
     A = np.asarray(M, dtype=complex)
     return float(np.max(np.sum(np.abs(A), axis=0)))
 
 
-def _lu(M: np.ndarray):
-    """In-place LU with partial pivoting by modulus; returns (LU, perm, sign)."""
-    A = M.copy()
-    n = A.shape[0]
-    perm = list(range(n))
-    sign = 1
-    for k in range(n):
-        p = int(np.argmax(np.abs(A[k:, k]))) + k
+def _check_pivots(A: np.ndarray, pivot_rtol: float):
+    """LU with partial pivoting by modulus; raise on the first pivot below
+    ``pivot_rtol * norm1(A)``."""
+    U = A.copy()
+    threshold = pivot_rtol * max(norm1(A), np.finfo(float).tiny)
+    for k in range(U.shape[0]):
+        p = int(np.argmax(np.abs(U[k:, k]))) + k
         if p != k:
-            A[[k, p]] = A[[p, k]]
-            perm[k], perm[p] = perm[p], perm[k]
-            sign = -sign
-        pivot = A[k, k]
-        if pivot == 0:
-            continue
-        A[k + 1:, k] /= pivot
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, perm, sign
+            U[[k, p]] = U[[p, k]]
+        pivot = U[k, k]
+        if abs(pivot) < threshold:
+            raise SingularMatrixError(k)
+        U[k + 1:, k + 1:] -= np.outer(U[k + 1:, k] / pivot, U[k, k + 1:])
+
+
+def _condition(A: np.ndarray) -> float:
+    return norm1(A) * norm1(_lapack(np.linalg.inv, A))
 
 
 def determinant(M) -> complex:
-    """Determinant via LU with partial pivoting; singular matrices give ~0."""
-    A = _as_matrix(M)
-    lu, _, sign = _lu(A)
-    return complex(sign * np.prod(np.diag(lu)))
-
-
-def _lu_solve(lu: np.ndarray, perm, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=complex)[perm].copy()
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+    """Determinant via LAPACK LU; singular matrices give ~0."""
+    return complex(_lapack(np.linalg.det, _as_matrix(M)))
 
 
 def solve(M, b, pivot_rtol: float = 1e-13):
-    """Solve ``M x = b``; returns ``(x, condition_estimate)``.
+    """Solve ``M x = b`` for one right-hand side (shape ``(n,)``) or several
+    (columns of shape ``(n, k)``); returns ``(x, condition_estimate)``.
 
-    The condition estimate is ``norm1(M) * norm1(inv(M))`` with the inverse
-    recovered column by column from the same factorization.  Raises
+    The condition estimate is ``norm1(M) * norm1(inv(M))``.  Raises
     :class:`SingularMatrixError` when a pivot falls below
     ``pivot_rtol * norm1(M)``.
     """
     A = _as_matrix(M)
-    vec = np.asarray(b, dtype=complex)
-    if vec.shape != (A.shape[0],):
+    rhs = np.asarray(b, dtype=complex)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != A.shape[0]:
         raise LinalgError("right-hand side length does not match the matrix")
-    lu, perm, _ = _lu(A)
-    threshold = pivot_rtol * max(norm1(A), np.finfo(float).tiny)
-    for k in range(A.shape[0]):
-        if abs(lu[k, k]) < threshold:
-            raise SingularMatrixError(k)
-    x = _lu_solve(lu, perm, vec)
-    inv_norm = 0.0
-    eye = np.eye(A.shape[0], dtype=complex)
-    for j in range(A.shape[0]):
-        col = _lu_solve(lu, perm, eye[:, j])
-        inv_norm = max(inv_norm, float(np.sum(np.abs(col))))
-    return x, norm1(A) * inv_norm
+    _check_pivots(A, pivot_rtol)
+    return _lapack(np.linalg.solve, A, rhs), _condition(A)
 
 
 def condition_number(M, pivot_rtol: float = 1e-13) -> float:
     """One-norm condition estimate; infinity when the solve refuses the matrix."""
     A = _as_matrix(M)
     try:
-        _, cond = solve(A, np.zeros(A.shape[0], dtype=complex), pivot_rtol)
+        _check_pivots(A, pivot_rtol)
     except SingularMatrixError:
         return float("inf")
-    return cond
-
-
-def characteristic_polynomial(M) -> Polynomial:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier trace recursion."""
-    A = _as_matrix(M)
-    n = A.shape[0]
-    coeffs = [0j] * (n + 1)
-    coeffs[n] = 1 + 0j
-    Mk = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        N = A @ Mk
-        ck = -np.trace(N) / k
-        coeffs[n - k] = complex(ck)
-        Mk = N + ck * np.eye(n, dtype=complex)
-    return Polynomial(tuple(coeffs))
+    return _condition(A)
 
 
 @dataclass(frozen=True)
@@ -140,31 +111,11 @@ def _normalize_left(v: np.ndarray) -> np.ndarray:
     return v / v[idx]
 
 
-def _inverse_iteration(A: np.ndarray, lam: complex) -> np.ndarray:
-    """Left null-ish vector of ``A - lam I`` via shifted inverse iteration."""
-    n = A.shape[0]
-    scale = norm1(A) + abs(lam) + 1.0
-    x = np.array([1.0 + 0.01 * j for j in range(n)], dtype=complex)
-    shift = 1e-13 * scale
-    for _ in range(8):
-        B = A.T - (lam + shift) * np.eye(n, dtype=complex)
-        lu, perm, _ = _lu(B)
-        if np.min(np.abs(np.diag(lu))) == 0:
-            shift = shift * 100 if shift else 1e-13 * scale
-            continue
-        y = x
-        for _ in range(4):
-            y = _lu_solve(lu, perm, y)
-            y = y / np.max(np.abs(y))
-        return _normalize_left(y)
-    return _normalize_left(x)
-
-
 def eigenpairs(M) -> list:
     """Eigenvalues with left eigenvectors, in lexicographic eigenvalue order.
 
-    Eigenvalues come from the characteristic polynomial and the shared root
-    finder; each left eigenvector is normalized so its maximum-modulus entry
+    The left eigenvectors of M are the right eigenvectors of M^T, taken from
+    ``numpy.linalg.eig``; each is normalized so its maximum-modulus entry
     equals 1.  Defective matrices are not special-cased: the reported residual
     ``max|L M - lam L|`` is the quality statement.
     """
@@ -174,20 +125,16 @@ def eigenpairs(M) -> list:
         raise LinalgError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
 
     mean = complex(np.trace(A) / n)
-    if norm1(A - mean * np.eye(n, dtype=complex)) <= 1e-12 * (norm1(A) + 1.0):
+    spread = norm1(A - mean * np.eye(n, dtype=complex))
+    if spread <= 1e-12 * (norm1(A) + 1.0):
         # scalar matrix: every vector is an eigenvector; use the canonical basis
-        out = []
-        for j in range(n):
-            v = np.zeros(n, dtype=complex)
-            v[j] = 1.0
-            out.append(Eigenpair(mean, v, float(norm1(A - mean * np.eye(n, dtype=complex)))))
-        return out
+        return [Eigenpair(mean, v, spread) for v in np.eye(n, dtype=complex)]
 
-    charpoly = characteristic_polynomial(A)
-    roots = find_roots(charpoly)
+    values, vectors = _lapack(np.linalg.eig, A.T)
     out = []
-    for lam in roots:
-        v = _inverse_iteration(A, lam)
+    for lam, v in zip(values, vectors.T):
+        v = _normalize_left(v)
         residual = float(np.max(np.abs(v @ A - lam * v)))
         out.append(Eigenpair(complex(lam), v, residual))
+    out.sort(key=lambda p: (p.value.real, p.value.imag))
     return out

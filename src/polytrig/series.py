@@ -233,15 +233,13 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
     rhs_a = np.array([(eval_R(sys, l, math.pi) + eval_R(sys, l, -math.pi)) / 2 for l in range(m)])
     rhs_b = np.array([eval_R(sys, l, 0.0) for l in range(m)])
     try:
-        A, cond = linalg.solve(am.C, rhs_a)
-        B, _ = linalg.solve(am.C, rhs_b)
+        AB, cond = linalg.solve(am.C, np.column_stack([rhs_a, rhs_b]))
     except linalg.SingularMatrixError as exc:
         raise DegenerateMatrixError(
             "associated matrix C(P) is singular; the non-degeneracy hypothesis "
             "of the closed-form solve fails for this polynomial"
         ) from exc
-    A = A / lead
-    B = B / lead
+    A, B = AB.T / lead
 
     if run_oracle:
         oracle_a, oracle_b = brute_force_sums(p, oracle_n)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from polytrig import cli, series
@@ -123,6 +124,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "--poly", "x^2+1", "--l", "0",
                          "--x", "10000")
         assert code == 3
+
+    def test_even_polynomial_identity(self, capsys):
+        code, doc = run_json(capsys, "identity", "--poly", "x^6+2x^2+1")
+        assert code == 0
+
+    def test_lapack_failure_is_numerical(self, capsys, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        code, out, err = run(capsys, "identity", "--poly", "x^3+x^2+1")
+        assert code == 3
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert out == ""
 
     def test_bad_tol(self, capsys):
         code, _, _ = run(capsys, "roots", "--poly", "x^2+1", "--tol", "-1")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polytrig import gentrig
+from polytrig import gentrig, linalg, poly
 from polytrig.gentrig import (ArgumentOverflowError, GenTrigError,
                               derivative_matrix, eval_S, eval_S_vector,
                               eval_det_M, from_roots, identity_certificate,
@@ -195,3 +195,56 @@ class TestIdentityCertificate:
     def test_degree_one_rejected(self):
         with pytest.raises(GenTrigError):
             identity_certificate(from_roots([2.0]))
+
+    @staticmethod
+    def assert_certified(sys, cert):
+        # L K^m = lam L up to roundoff on the scale of K^m
+        M = np.linalg.matrix_power(sys.K, sys.m)
+        bound = 100 * sys.m * np.finfo(float).eps * linalg.norm1(M)
+        assert cert.eigen_residual <= bound
+        assert np.max(np.abs(cert.L @ M - cert.lam * cert.L)) <= bound
+        assert np.max(np.abs(cert.L)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text", ["x^4+3x^2+1", "x^6+2x^2+1",
+                                      "x^8+3x^4+1", "x^10+x^2+1"])
+    def test_even_polynomials(self, text):
+        # P(-x) = P(x) pairs the roots r, -r, so K^m has double eigenvalues
+        sys = make_system(parse_polynomial(text))
+        self.assert_certified(sys, identity_certificate(sys))
+
+    def test_degree_24_from_roots(self):
+        rng = np.random.default_rng(24)
+        roots = rng.uniform(0.5, 1.2, 24) * np.exp(2j * np.pi * rng.uniform(size=24))
+        sys = from_roots(roots)
+        cert = identity_certificate(sys)
+        self.assert_certified(sys, cert)
+        # eigenvalues of K^24 are (-i r_j)^24 = r_j^24
+        assert abs(cert.lam) == pytest.approx(np.max(np.abs(roots)) ** 24, rel=1e-9)
+
+    @pytest.mark.parametrize("text,lam", [
+        ("x^2+1", 1.0),
+        ("x^3+x^2+1", -3.1478990357047874j),
+        ("x^4+1", -1.0),
+        ("x^5-x+3", 4.341293531690693j),
+        ("x^8+1", -1.0),
+        # conjugate pairs of equal modulus: the smaller phase wins
+        ("x^4+2x^3-x+5", -4.371564914510812 - 13.688956103802742j),
+        ("x^6+x+1", 1.94540233331126 - 0.6118366937810062j),
+    ])
+    def test_chosen_eigenvalue(self, text, lam):
+        cert = identity_certificate(make_system(parse_polynomial(text)))
+        assert abs(cert.lam - lam) <= 1e-12 * abs(lam)
+
+    def test_no_root_finding(self, monkeypatch):
+        sys = make_system(parse_polynomial("x^5-x+3"))
+        calls = []
+        original = poly.find_roots
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (poly, gentrig, linalg):
+            monkeypatch.setattr(module, "find_roots", counting, raising=False)
+        identity_certificate(sys)
+        assert calls == []

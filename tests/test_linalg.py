@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from polytrig import linalg
-from polytrig.linalg import (LinalgError, SingularMatrixError,
-                             characteristic_polynomial, determinant,
+from polytrig.linalg import (LinalgError, SingularMatrixError, determinant,
                              eigenpairs, solve)
 
 
@@ -63,16 +62,18 @@ def test_shape_validation():
         determinant([[np.inf, 0], [0, 1]])
 
 
-def test_characteristic_polynomial_companion():
+def test_eigenpairs_companion():
     # companion matrix of x^3 + x^2 + 1
     C = np.array([[0, 0, -1], [1, 0, 0], [0, 1, -1]], dtype=complex)
-    cp = characteristic_polynomial(C)
-    assert cp.coeffs == pytest.approx((1, 0, 1, 1))
+    vals = [p.value for p in eigenpairs(C)]
+    expect = sorted(np.roots([1, 1, 0, 1]), key=lambda z: (z.real, z.imag))
+    assert vals == pytest.approx(expect, abs=1e-12)
 
 
-def test_characteristic_polynomial_diagonal():
-    cp = characteristic_polynomial(np.diag([1.0, 2.0, 3.0]))
-    assert cp.coeffs == pytest.approx((-6, 11, -6, 1))
+def test_eigenpairs_diagonal():
+    pairs = eigenpairs(np.diag([1.0, 2.0, 3.0]))
+    assert [p.value for p in pairs] == pytest.approx([1, 2, 3], abs=1e-14)
+    assert np.allclose([p.left_vector for p in pairs], np.eye(3))
 
 
 def test_eigenpairs_residuals():
@@ -105,3 +106,29 @@ def test_eigenpairs_scalar_matrix():
 def test_dimension_cap():
     with pytest.raises(LinalgError):
         eigenpairs(np.eye(linalg.MAX_DIM + 1) + np.ones((linalg.MAX_DIM + 1,) * 2))
+
+
+@pytest.mark.parametrize("name,call", [
+    ("eig", lambda: eigenpairs([[1, 2], [3, 4]])),
+    ("det", lambda: determinant([[1, 2], [3, 4]])),
+    ("solve", lambda: solve([[1, 2], [3, 4]], [1, 1])),
+    ("inv", lambda: linalg.condition_number([[1, 2], [3, 4]])),
+])
+def test_lapack_failure_is_linalg_error(monkeypatch, name, call):
+    def failing(*args):
+        raise np.linalg.LinAlgError("LAPACK failure")
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    with pytest.raises(LinalgError, match="LAPACK failure"):
+        call()
+
+
+def test_solve_several_right_hand_sides():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    B = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    X, cond = solve(A, B)
+    for j in range(2):
+        x, c = solve(A, B[:, j])
+        assert np.max(np.abs(X[:, j] - x)) <= 1e-12 * cond * np.max(np.abs(x))
+        assert c == cond
