@@ -44,7 +44,7 @@ def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
     acc = 0j
     for j in range(sys.m):
         w = sys.eta * sys.zeta ** j
-        if abs(w.real * x.real) + abs(w.imag * x.imag) > EXP_GUARD:
+        if abs((w * x).real) > EXP_GUARD:
             raise ArgumentOverflowError(w, x)
         acc += sys.zeta ** (l * j) * cmath.exp(w * x)
     return acc / (sys.m * sys.eta ** l)
@@ -132,7 +132,8 @@ def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
     Constant in x; equals :func:`det_M_constant` of the order.
     """
     fs = [sys.zeta ** l * eval_S_cyclo(sys, l, x) for l in range(sys.m)]
-    return linalg.determinant(gentrig._assemble_shift_matrix(fs, -1.0))
+    index, twist = gentrig._shift_fold(sys.m, -1.0)
+    return linalg.determinant(np.array(fs)[index] * twist)
 
 
 def factorial_identity_check(n: int):

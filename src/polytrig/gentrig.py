@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .poly import Polynomial, RootSet, find_roots, synthetic_divide
+from .poly import Polynomial, RootSet, find_roots
 
-#: per-term bound on the real part of the exponent in eval_S
+#: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
 
 
@@ -29,7 +30,7 @@ class ArgumentOverflowError(GenTrigError):
     def __init__(self, root: complex, x: complex):
         super().__init__(
             f"argument {x} overflows the exponential for root {root} "
-            f"(|Im r * Re x| + |Re r * Im x| > {EXP_GUARD:g})"
+            f"(real part of the exponent beyond +-{EXP_GUARD:g})"
         )
         self.root = root
 
@@ -38,26 +39,31 @@ class CertificateUnavailableError(GenTrigError):
     pass
 
 
+def deflation_matrix(p: Polynomial, roots) -> np.ndarray:
+    """Q[j, k]: coefficient of x^k in P(x) / (x - r_j), one Horner sweep for all roots."""
+    r = np.asarray(roots, dtype=complex)
+    Q = np.empty((len(r), p.degree), dtype=complex)
+    Q[:, -1] = p.coeffs[-1]
+    for k in range(p.degree - 1, 0, -1):
+        Q[:, k - 1] = Q[:, k] * r + p.coeffs[k]
+    return Q
+
+
 def tuple_coefficients(roots: RootSet, leading: complex = 1.0) -> np.ndarray:
     """The m-by-m grid T[l][j].
 
     Row 0 is the leading coefficient; row l >= 1 holds r_j times the
     elementary symmetric function of order l-1 of the other roots, read off
-    the deflated quotient of P by (x - r_j).
+    the deflated quotient of P by (x - r_j): its coefficient of x^(m-1-k) is
+    (-1)^k e_k(other roots).
     """
-    rs = tuple(roots)
-    m = len(rs)
-    T = np.zeros((m, m), dtype=complex)
-    T[0, :] = leading
-    if m == 1:
-        return T
-    P = Polynomial.from_roots(rs)
-    for j, r in enumerate(rs):
-        quotient, _ = synthetic_divide(P, r)
-        # quotient coeff of x^(m-1-k) is (-1)^k e_k(other roots)
-        for l in range(1, m):
-            e = ((-1) ** (l - 1)) * quotient.coeffs[m - l]
-            T[l, j] = r * e
+    r = np.array(tuple(roots), dtype=complex)
+    m = len(r)
+    T = np.full((m, m), leading, dtype=complex)
+    if m > 1:
+        Q = deflation_matrix(Polynomial.from_roots(r), r)
+        signs = (-1.0) ** np.arange(m - 1)
+        T[1:] = signs[:, None] * Q[:, :0:-1].T * r
     return T
 
 
@@ -90,6 +96,25 @@ class GenTrigSystem:
     def m(self) -> int:
         return self.poly.degree
 
+    @cached_property
+    def r(self) -> np.ndarray:
+        """The roots as an array, in the column order of T."""
+        return np.array(self.roots.roots, dtype=complex)
+
+    def exponentials(self, x) -> np.ndarray:
+        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+
+        Every exponent is checked against ``EXP_GUARD`` first; the worst one
+        past it raises :class:`ArgumentOverflowError` naming its root and argument.
+        """
+        x = np.asarray(x, dtype=complex)
+        z = np.multiply.outer(x, -1j * self.r)
+        size = np.abs(z.real)
+        if size.max() > EXP_GUARD:
+            *at, j = np.unravel_index(np.argmax(size), size.shape)
+            raise ArgumentOverflowError(complex(self.r[j]), complex(x[tuple(at)]))
+        return np.exp(z)
+
 
 def make_system(p: Polynomial, tol: float = 1e-13, max_iter: int = 500) -> GenTrigSystem:
     mon = p.monic()
@@ -112,39 +137,30 @@ def from_roots(roots) -> GenTrigSystem:
 
 
 def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
-    """S_l(x) as the direct exponential sum."""
+    """S_l(x) as the direct exponential sum; an array of x gives an array."""
     if not 0 <= l < sys.m:
         raise GenTrigError(f"function index {l} out of range 0..{sys.m - 1}")
-    x = complex(x)
-    acc = 0j
-    for j, r in enumerate(sys.roots):
-        if abs(r.imag * x.real) + abs(r.real * x.imag) > EXP_GUARD:
-            raise ArgumentOverflowError(r, x)
-        acc += sys.T[l, j] * cmath.exp(-1j * r * x)
-    return acc
+    value = sys.exponentials(x) @ sys.T[l]
+    return complex(value) if np.isscalar(value) else value
 
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
-    return np.array([eval_S(sys, l, x) for l in range(sys.m)])
+    return sys.exponentials(x) @ sys.T.T
 
 
 def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
     """Taylor coefficients b_0..b_order of S_l about 0.
 
-    b_k = sum_j (-i)^k T[l][j] r_j^k / k!, accumulated with incremental
-    per-root weights for stability.
+    b_k = sum_j T[l][j] (-i r_j)^k / k!, with the per-root weights
+    (-i r_j)^k / k! built as one running product for stability.
     """
     if not 0 <= l < sys.m:
         raise GenTrigError(f"function index {l} out of range 0..{sys.m - 1}")
     if order > 170:
         raise GenTrigError("order above 170 overflows double-precision factorials")
-    w = np.array(sys.T[l, :], dtype=complex)
-    rs = np.array(sys.roots.roots, dtype=complex)
-    out = [complex(np.sum(w))]
-    for k in range(1, order + 1):
-        w *= (-1j * rs) / k
-        out.append(complex(np.sum(w)))
-    return out
+    steps = np.ones((order + 1, sys.m), dtype=complex)
+    steps[1:] = -1j * sys.r / np.arange(1.0, order + 1)[:, None]
+    return (np.cumprod(steps, axis=0) @ sys.T[l]).tolist()
 
 
 def taylor_eval(sys: GenTrigSystem, l: int, x: complex, order: int) -> complex:
@@ -172,23 +188,27 @@ class IdentityCertificate:
     eigen_residual: float
 
 
-def _assemble_shift_matrix(f, lam: complex) -> np.ndarray:
-    m = len(f)
-    M = np.empty((m, m), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            s = p + q
-            M[p, q] = f[s] if s < m else lam * f[s - m]
-    return M
+def _shift_fold(m: int, lam: complex) -> tuple:
+    """Index and twist with M[p, q] = twist * f[index]: f[p+q], or lam * f[p+q-m]
+    past the anti-diagonal."""
+    s = np.add.outer(np.arange(m), np.arange(m))
+    return s % m, np.where(s < m, 1, lam)
 
 
-def _f_values(sys: GenTrigSystem, L: np.ndarray, S: np.ndarray) -> list:
-    v = np.array(L, dtype=complex)
-    fs = []
-    for _ in range(sys.m):
-        fs.append(complex(v @ S))
-        v = v @ sys.K
-    return fs
+def _shift_parts(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> tuple:
+    """The rows F = (L K^l) T with f = F E(x), and the fold of f into M(x)."""
+    V = np.empty((sys.m, sys.m), dtype=complex)
+    V[0] = L
+    for l in range(1, sys.m):
+        V[l] = V[l - 1] @ sys.K
+    return (V @ sys.T, *_shift_fold(sys.m, lam))
+
+
+def _cached(obj, key: str, compute):
+    """``compute()`` once per frozen ``obj``, kept in its instance dict like a cached_property."""
+    if key not in obj.__dict__:
+        obj.__dict__[key] = compute()
+    return obj.__dict__[key]
 
 
 def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
@@ -208,14 +228,14 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     chosen = min((p for p in live if abs(p.value) >= (1 - 1e-12) * scale),
                  key=lambda p: cmath.phase(p.value))
     residual = float(np.max(np.abs(chosen.left_vector @ M - chosen.value * chosen.left_vector)))
-    S0 = np.array(sys.T.sum(axis=1))
-    f0 = _f_values(sys, chosen.left_vector, S0)
-    det_ref = linalg.determinant(_assemble_shift_matrix(f0, chosen.value))
-    return IdentityCertificate(chosen.left_vector, chosen.value, det_ref, residual)
+    F, index, twist = parts = _shift_parts(sys, chosen.left_vector, chosen.value)
+    det_ref = linalg.determinant(F.sum(axis=1)[index] * twist)  # E(0) is all ones
+    cert = IdentityCertificate(chosen.left_vector, chosen.value, det_ref, residual)
+    _cached(cert, "shift_parts", lambda: parts)
+    return cert
 
 
 def eval_det_M(cert: IdentityCertificate, sys: GenTrigSystem, x: complex) -> complex:
     """det M(x) for the certified function family; constant in x up to roundoff."""
-    S = eval_S_vector(sys, x)
-    fs = _f_values(sys, cert.L, S)
-    return linalg.determinant(_assemble_shift_matrix(fs, cert.lam))
+    F, index, twist = _cached(cert, "shift_parts", lambda: _shift_parts(sys, cert.L, cert.lam))
+    return linalg.determinant((sys.exponentials(x) @ F.T)[index] * twist)

@@ -7,15 +7,14 @@ summation oracle with extrapolation.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .gentrig import GenTrigSystem, make_system
-from .poly import Polynomial, synthetic_divide
+from .gentrig import GenTrigSystem, _cached, deflation_matrix, make_system
+from .poly import Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
@@ -51,29 +50,36 @@ class DegenerateMatrixError(SeriesError):
 
 
 def _check_roots(sys: GenTrigSystem):
-    for r in sys.roots:
-        nearest = round(r.real)
-        distance = abs(r - nearest)
-        if distance < INTEGER_ROOT_TOL:
-            raise IntegerRootError(r, distance)
+    distance = np.abs(sys.r - np.round(sys.r.real))
+    j = int(np.argmin(distance))
+    if distance[j] < INTEGER_ROOT_TOL:
+        raise IntegerRootError(complex(sys.r[j]), float(distance[j]))
+
+
+def _boundary_weights(sys: GenTrigSystem) -> np.ndarray:
+    """T / (exp(-i r pi) - exp(i r pi)), the R_l weights, once per system."""
+
+    def compute():
+        _check_roots(sys)
+        E = sys.exponentials(np.array([math.pi, -math.pi]))
+        return sys.T / (E[0] - E[1])
+
+    return _cached(sys, "boundary_weights", compute)
 
 
 def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
-    """R_l(x) = sum_j T[l][j] exp(-i r_j x) / (exp(-i r_j pi) - exp(i r_j pi))."""
-    _check_roots(sys)
-    x = complex(x)
-    acc = 0j
-    for j, r in enumerate(sys.roots):
-        denom = cmath.exp(-1j * r * math.pi) - cmath.exp(1j * r * math.pi)
-        acc += sys.T[l, j] * cmath.exp(-1j * r * x) / denom
-    return acc
+    """R_l(x) = sum_j T[l][j] exp(-i r_j x) / (exp(-i r_j pi) - exp(i r_j pi)).
+
+    An array of x gives an array.
+    """
+    value = sys.exponentials(x) @ _boundary_weights(sys)[l]
+    return complex(value) if np.isscalar(value) else value
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
     """Closed-form Fourier coefficient of R_l: (-1)^n/(2 pi i) sum_j T[l][j]/(n - r_j)."""
     _check_roots(sys)
-    acc = sum(sys.T[l, j] / (n - r) for j, r in enumerate(sys.roots))
-    return ((-1) ** n) * acc / TWO_PI_I
+    return ((-1) ** n) * (sys.T[l] @ (1 / (n - sys.r))) / TWO_PI_I
 
 
 @dataclass(frozen=True)
@@ -85,39 +91,32 @@ class AssociatedMatrix:
     condition_estimate: float
 
 
-def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
+def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
     """C(P) by two independent routes, cross-checked entrywise.
 
-    Route 1 expands sum_j T[l][j] * quotient_j(n) for the deflated quotients
-    of P; route 2 uses the Vieta substitution directly on the T grid.
-    Disagreement beyond 1e-9 means the inputs are inconsistent and is an error.
+    Route 1 is T Q for the deflated quotients Q of P; route 2 uses the Vieta
+    substitution directly on the T grid.  A gap beyond 1e3 m eps max|C| means
+    the inputs are inconsistent and is an error.
     """
     _check_roots(sys)
-    m = sys.m
-    C1 = np.zeros((m, m), dtype=complex)
-    for j, r in enumerate(sys.roots):
-        quotient, _ = synthetic_divide(sys.poly, r)
-        for l in range(m):
-            for k in range(m):
-                C1[l, k] += sys.T[l, j] * quotient.coeffs[k]
-
-    a = sys.poly.coeffs
-    C2 = np.zeros((m, m), dtype=complex)
-    for l in range(m):
-        for k in range(m - 1):
-            sign = (-1) ** (m - k - 1)
-            C2[l, k] = sum(
-                sys.T[l, j] * (a[k + 1] - sign * sys.T[m - k - 1, j]) for j in range(m)
-            )
-        C2[l, m - 1] = sys.T[l, :].sum()
-
+    m, T = sys.m, sys.T
+    C1 = T @ deflation_matrix(sys.poly, sys.r)
+    signs = np.append((-1.0) ** np.arange(m - 1, 0, -1), 0.0)  # (-1)^(m-k-1), none at k = m-1
+    C2 = np.outer(T.sum(axis=1), sys.poly.coeffs[1:]) - (T @ T[::-1].T) * signs
     mismatch = float(np.max(np.abs(C1 - C2)))
-    if mismatch > 1e-9:
+    bound = 1e3 * m * np.finfo(float).eps * float(np.max(np.abs(C1)))
+    if not mismatch <= bound:
         raise ArithmeticError(
-            f"associated-matrix cross-check failed (entrywise gap {mismatch:.3e})"
+            f"associated-matrix cross-check failed (entrywise gap {mismatch:.3e} "
+            f"> {bound:.3e})"
         )
-    C = C1 / TWO_PI_I
-    return AssociatedMatrix(m, C, linalg.condition_number(C))
+    return C1 / TWO_PI_I
+
+
+def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
+    """C(P), cross-checked by two routes, with its condition estimate."""
+    C = _cross_checked_C(sys)
+    return AssociatedMatrix(sys.m, C, linalg.condition_number(C))
 
 
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -226,14 +225,11 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
     if p.degree < 2:
         raise SeriesError("degree must be at least 2 for the sums to converge")
     sys = make_system(p)
-    _check_roots(sys)
     lead = p.coeffs[-1]  # solve against the monic system, then undo the scaling
-    am = associated_matrix(sys)
-    m = sys.m
-    rhs_a = np.array([(eval_R(sys, l, math.pi) + eval_R(sys, l, -math.pi)) / 2 for l in range(m)])
-    rhs_b = np.array([eval_R(sys, l, 0.0) for l in range(m)])
+    C = _cross_checked_C(sys)
+    R = sys.exponentials(np.array([math.pi, -math.pi, 0.0])) @ _boundary_weights(sys).T
     try:
-        AB, cond = linalg.solve(am.C, np.column_stack([rhs_a, rhs_b]))
+        AB, cond = linalg.solve(C, np.column_stack([(R[0] + R[1]) / 2, R[2]]))
     except linalg.SingularMatrixError as exc:
         raise DegenerateMatrixError(
             "associated matrix C(P) is singular; the non-degeneracy hypothesis "
@@ -245,6 +241,6 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
         oracle_a, oracle_b = brute_force_sums(p, oracle_n)
     else:
         nan = complex(math.nan, math.nan)
-        oracle_a = tuple((nan, math.inf) for _ in range(m))
-        oracle_b = tuple((nan, math.inf) for _ in range(m))
+        oracle_a = tuple((nan, math.inf) for _ in range(sys.m))
+        oracle_b = tuple((nan, math.inf) for _ in range(sys.m))
     return SeriesResult(tuple(map(complex, A)), tuple(map(complex, B)), oracle_a, oracle_b, cond)

@@ -260,15 +260,15 @@ def matrix_A_nondegenerate(m: int) -> CheckResult:
 def _quadrature_fourier(sys, l, ns, panels=32, order=8):
     """Fourier coefficients of R_l for every n in ``ns`` by composite Gauss-Legendre.
 
-    R_l is evaluated once at the panels * order nodes; each coefficient is then
-    a weighted sum of those values against exp(i n x).
+    R_l is evaluated at all panels * order nodes in one product; each coefficient
+    is then a weighted sum of those values against exp(i n x).
     """
     nodes, weights = leggauss(order)
     edges = np.linspace(-math.pi, math.pi, panels + 1)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * nodes).ravel()
     ws = (half[:, None] * weights).ravel()
-    values = ws * np.array([series.eval_R(sys, l, x) for x in xs])
+    values = ws * series.eval_R(sys, l, xs)
     return np.exp(1j * np.outer(ns, xs)) @ values / (2 * math.pi)
 
 

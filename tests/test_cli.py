@@ -125,6 +125,11 @@ class TestExitCodes:
                          "--x", "10000")
         assert code == 3
 
+    def test_overflowing_sum_names_the_root(self, capsys):
+        code, _, err = run(capsys, "sum", "--poly", "x^2+90000")
+        assert code == 3
+        assert "overflows the exponential for root" in err and "300j" in err
+
     def test_even_polynomial_identity(self, capsys):
         code, doc = run_json(capsys, "identity", "--poly", "x^6+2x^2+1")
         assert code == 0

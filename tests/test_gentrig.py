@@ -25,6 +25,17 @@ def brute_tuple(roots, l, j):
     return total
 
 
+def test_deflation_matrix_matches_synthetic_division():
+    rng = np.random.default_rng(24)
+    roots = rng.uniform(-1, 1, 24) + 1j * rng.uniform(-1, 1, 24)
+    p = Polynomial.from_roots(tuple(roots))
+    Q = gentrig.deflation_matrix(p, roots)
+    for r, row in zip(roots, Q):
+        quotient, _ = poly.synthetic_divide(p, r)
+        # same Horner steps in the same order
+        assert np.max(np.abs(row - quotient.coeffs)) <= 4 * np.finfo(float).eps * np.max(np.abs(row))
+
+
 class TestTupleCoefficients:
     def test_integer_roots_oracle(self):
         roots = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -115,6 +126,35 @@ class TestEvaluation:
         sys = make_system(parse_polynomial("x^2+1"))
         with pytest.raises(ArgumentOverflowError):
             eval_S(sys, 0, 1e4)
+
+    def test_overflow_guard_edge(self):
+        # roots +-i: the exponent's real part is +-Re x, bounded by EXP_GUARD
+        sys = make_system(parse_polynomial("x^2+1"))
+        edge = gentrig.EXP_GUARD
+        assert np.all(np.isfinite(eval_S_vector(sys, edge).view(float)))
+        with pytest.raises(ArgumentOverflowError):
+            eval_S_vector(sys, edge * (1 + 1e-12))
+
+    def test_overflow_guard_names_the_argument_in_an_array(self):
+        sys = make_system(parse_polynomial("x^2+4"))
+        xs = np.array([0.5, 1j, 400 + 1j, -3.0])
+        with pytest.raises(ArgumentOverflowError) as exc:
+            eval_S(sys, 1, xs)
+        assert "(400+1j)" in str(exc.value)
+        assert abs(abs(exc.value.root) - 2) < 1e-12
+
+    def test_array_argument(self):
+        sys = from_roots([0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j])
+        xs = np.array([[0.0, 1.5], [-2j, 0.3 - 0.4j]])
+        S = eval_S_vector(sys, xs)
+        assert S.shape == xs.shape + (3,)
+        assert type(eval_S(sys, 1, 0.5)) is complex
+        for l in range(3):
+            values = eval_S(sys, l, xs)
+            assert values.shape == xs.shape
+            for x, v, s in zip(xs.ravel(), values.ravel(), S[..., l].ravel()):
+                assert v == pytest.approx(eval_S(sys, l, x), rel=1e-14, abs=1e-14)
+                assert s == pytest.approx(v, rel=1e-14, abs=1e-14)
 
     def test_value_at_zero(self):
         # S_l(0) is the row sum of T: each l-tuple counted once per member, l*e_l

@@ -1,11 +1,13 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from polytrig import gentrig, series
-from polytrig.poly import Polynomial, parse_polynomial
+from polytrig import gentrig, linalg, series
+from polytrig.gentrig import ArgumentOverflowError
+from polytrig.poly import Polynomial, RootSet, parse_polynomial
 from polytrig.series import (MIN_ORACLE_N, IntegerRootError, SeriesError,
                              associated_matrix, brute_force_sum,
                              brute_force_sums, eval_R, evaluate_sums,
@@ -41,6 +43,24 @@ class TestBoundaryFunctions:
             assert eval_R(sys, 1, x) == pytest.approx(
                 1j * math.cosh(x) / math.sinh(math.pi), abs=1e-13)
 
+    def test_overflowing_denominator_is_typed(self):
+        # sin(pi r) for r = 300i needs exp(300 pi), past EXP_GUARD
+        sys = gentrig.make_system(parse_polynomial("x^2+90000"))
+        for x in (0.0, np.linspace(-1, 1, 5)):
+            with pytest.raises(ArgumentOverflowError) as exc:
+                eval_R(sys, 0, x)
+            assert abs(abs(exc.value.root) - 300) < 1e-9
+            assert "300j" in str(exc.value)
+
+    def test_array_argument(self):
+        sys = _random_system(np.random.default_rng(43), 5)
+        xs = np.array([[-2.0, 0.5j], [1 - 1j, 3.0]])
+        values = eval_R(sys, 2, xs)
+        assert values.shape == xs.shape
+        assert type(eval_R(sys, 2, 0.5)) is complex
+        for x, v in zip(xs.ravel(), values.ravel()):
+            assert v == pytest.approx(eval_R(sys, 2, x), rel=1e-14, abs=1e-14)
+
     def test_integer_root_rejected(self):
         sys = gentrig.make_system(parse_polynomial("x^2-1"))
         with pytest.raises(IntegerRootError) as exc:
@@ -70,6 +90,23 @@ class TestAssociatedMatrix:
         expected_desc = np.array([[3, 2, 0], [-1, 0, -3], [0, 3, 2]])
         assert np.max(np.abs(got[:, ::-1] - expected_desc)) < 1e-10
         assert am.condition_estimate < 100
+
+    def test_cross_check_passes_at_degree_24(self):
+        rng = np.random.default_rng(44)
+        sys = _random_system(rng, 24)
+        assert np.all(np.isfinite(associated_matrix(sys).C.view(float)))
+
+    def test_cross_check_catches_a_moved_root(self):
+        # T and the roots say one polynomial, P another: the routes must disagree
+        rng = np.random.default_rng(44)
+        for degree in (3, 8, 24):
+            sys = _random_system(rng, degree)
+            moved = list(sys.roots.roots)
+            moved[0] *= 1 + 1e-9
+            bad = dataclasses.replace(sys, roots=RootSet(tuple(moved), 0.0),
+                                      T=gentrig.tuple_coefficients(moved))
+            with pytest.raises(ArithmeticError, match="cross-check"):
+                associated_matrix(bad)
 
     def test_two_routes_on_random_polys(self):
         # associated_matrix itself raises if its two internal routes disagree
@@ -198,6 +235,30 @@ class TestEvaluateSums:
         monkeypatch.setattr(series, "make_system", counting)
         evaluate_sums(parse_polynomial("x^8+1"), oracle_n=MIN_ORACLE_N)
         assert len(builds) <= 2  # closed form and oracle, not one per sum
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(ArgumentOverflowError, match="300j"):
+            evaluate_sums(parse_polynomial("x^2+90000"), run_oracle=False)
+
+    def test_one_pivot_check_and_inverse(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(linalg, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_check_pivots", "_condition"):
+            monkeypatch.setattr(linalg, name, counted(name))
+        p = parse_polynomial("x^3+x^2+1")
+        res = evaluate_sums(p, run_oracle=False)
+        assert sorted(calls) == ["_check_pivots", "_condition"]
+        monkeypatch.undo()
+        am = associated_matrix(gentrig.make_system(p))
+        assert res.condition_estimate == am.condition_estimate
 
     def test_oracle_skippable(self):
         res = evaluate_sums(parse_polynomial("x^2+1"), run_oracle=False)
