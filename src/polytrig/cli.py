@@ -116,18 +116,19 @@ def _matrix_rows(M: np.ndarray):
 
 def cmd_roots(args) -> dict:
     p = _get_poly(args)
-    rs = find_roots(p, tol=args.tol)
+    rs = find_roots(p)
     return {
         "command": "roots",
-        "inputs": {"poly": format_polynomial(p), "tol": args.tol},
+        "inputs": {"poly": format_polynomial(p)},
         "results": {"roots": list(rs.roots)},
-        "diagnostics": {"residual": rs.residual},
+        "diagnostics": {"residual": rs.residual, "backward_error": rs.backward_error,
+                        "sweeps": rs.sweeps},
     }
 
 
 def cmd_eval(args) -> dict:
     p = _get_poly(args)
-    sys_ = gentrig.make_system(p, tol=args.tol)
+    sys_ = gentrig.make_system(p)
     x = parse_complex(args.x)
     value = gentrig.eval_S(sys_, args.l, x)
     return {
@@ -140,7 +141,7 @@ def cmd_eval(args) -> dict:
 
 def cmd_taylor(args) -> dict:
     p = _get_poly(args)
-    sys_ = gentrig.make_system(p, tol=args.tol)
+    sys_ = gentrig.make_system(p)
     coeffs = gentrig.taylor_coeffs(sys_, args.l, args.order)
     return {
         "command": "taylor",
@@ -152,7 +153,7 @@ def cmd_taylor(args) -> dict:
 
 def cmd_identity(args) -> dict:
     p = _get_poly(args)
-    sys_ = gentrig.make_system(p, tol=args.tol)
+    sys_ = gentrig.make_system(p)
     cert = gentrig.identity_certificate(sys_)
     rng = np.random.default_rng(args.seed)
     deviation = 0.0
@@ -222,7 +223,7 @@ def cmd_cyclo(args) -> dict:
 
 def cmd_matrix_c(args) -> dict:
     p = _get_poly(args)
-    sys_ = gentrig.make_system(p, tol=args.tol)
+    sys_ = gentrig.make_system(p)
     am = series.associated_matrix(sys_)
     C = am.C[:, ::-1] if args.descending_columns else am.C
     scaled = C * series.TWO_PI_I
@@ -291,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--coeffs", help="comma-separated ascending coefficients")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--text", action="store_true", help="force aligned text output")
-        p.add_argument("--tol", type=float, default=1e-13, help="root-finder tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p = sub.add_parser("roots", help="all roots of the polynomial")
@@ -353,9 +353,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "oracle_n", None) is not None and args.oracle_n < series.MIN_ORACLE_N:
         print(f"error: --oracle-n must be at least {series.MIN_ORACLE_N}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:
         if args.subcommand == "verify":

@@ -116,9 +116,9 @@ class GenTrigSystem:
         return np.exp(z)
 
 
-def make_system(p: Polynomial, tol: float = 1e-13, max_iter: int = 500) -> GenTrigSystem:
+def make_system(p: Polynomial, max_iter: int = 500) -> GenTrigSystem:
     mon = p.monic()
-    roots = find_roots(mon, tol=tol, max_iter=max_iter)
+    roots = find_roots(mon, max_iter=max_iter)
     T = tuple_coefficients(roots)
     if mon.degree >= 2:
         K = derivative_matrix(mon)
@@ -136,10 +136,14 @@ def from_roots(roots) -> GenTrigSystem:
     return GenTrigSystem(mon, RootSet(rs, max(abs(mon(r)) for r in rs)), T, K)
 
 
-def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
-    """S_l(x) as the direct exponential sum; an array of x gives an array."""
+def _check_index(sys: GenTrigSystem, l: int):
     if not 0 <= l < sys.m:
         raise GenTrigError(f"function index {l} out of range 0..{sys.m - 1}")
+
+
+def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
+    """S_l(x) as the direct exponential sum; an array of x gives an array."""
+    _check_index(sys, l)
     value = sys.exponentials(x) @ sys.T[l]
     return complex(value) if np.isscalar(value) else value
 
@@ -154,8 +158,7 @@ def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
     b_k = sum_j T[l][j] (-i r_j)^k / k!, with the per-root weights
     (-i r_j)^k / k! built as one running product for stability.
     """
-    if not 0 <= l < sys.m:
-        raise GenTrigError(f"function index {l} out of range 0..{sys.m - 1}")
+    _check_index(sys, l)
     if order > 170:
         raise GenTrigError("order above 170 overflows double-precision factorials")
     steps = np.ones((order + 1, sys.m), dtype=complex)

@@ -1,12 +1,12 @@
 """Complex polynomials: parsing, printing, root finding and symmetric functions."""
 from __future__ import annotations
 
-import cmath
 import math
-import random
 import re
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 MAX_DEGREE = 24
 
@@ -24,10 +24,7 @@ class ParseError(PolynomialError):
 
 
 class RootFindingError(PolynomialError):
-    """Non-convergence of the simultaneous root iteration.
-
-    Carries the best iterate seen so far and its residual.
-    """
+    """Failure of the root finder; carries its last iterate and residual."""
 
     def __init__(self, message: str, best_roots: Sequence[complex], residual: float):
         super().__init__(message)
@@ -267,10 +264,13 @@ def format_polynomial(p: Polynomial) -> str:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of a polynomial (with multiplicity), lexicographically sorted."""
+    """All roots of a polynomial (with multiplicity), lexicographically sorted, with
+    max |P(z)|, max |P(z)| / sum |a_k| |z|^k and the number of polishing sweeps."""
 
     roots: tuple
     residual: float
+    backward_error: float = 0.0
+    sweeps: int = 0
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -279,69 +279,68 @@ class RootSet:
         return iter(self.roots)
 
 
-def find_roots(p: Polynomial, tol: float = 1e-13, max_iter: int = 500) -> RootSet:
-    """All roots simultaneously by Aberth-Ehrlich iteration.
+def find_roots(p: Polynomial, max_iter: int = 500) -> RootSet:
+    """All roots: companion eigenvalues (backward stable) polished by Aberth sweeps.
 
-    Raises :class:`RootFindingError` after ``max_iter`` sweeps without
-    convergence; the error carries the best iterate and its residual.
+    Each sweep is one Horner pass for P(z), P'(z) and the scale sum |a_k| |z|^k
+    at every iterate, then one Aberth correction of them all.  The polish stops
+    when every iterate has |P(z)| <= 4 m eps scale and the largest correction no
+    longer halves (or is zero); that correction is not applied, and the seed
+    always gets at least one.  Raises :class:`RootFindingError` when LAPACK
+    returns no eigenvalues or after ``max_iter`` sweeps.
     """
     m = p.degree
-    if m < 1:
-        raise PolynomialError("degree must be at least 1")
-    mon = p.monic()
-    if m == 1:
-        root = -mon.coeffs[0]
-        return RootSet((root,), abs(p(root)))
+    if m < 1 or max_iter < 1:
+        raise PolynomialError(f"degree {m} and max_iter {max_iter} must be at least 1")
+    a = np.array(p.monic().coeffs, dtype=complex)  # monic() refuses an overflowing quotient
+    last_column = -a[:-1]
+    if not last_column.imag.any():
+        last_column = last_column.real  # conjugate pairs come out exact
+    companion = np.eye(m, k=-1, dtype=last_column.dtype)
+    companion[:, -1] = last_column
+    try:
+        z = np.linalg.eigvals(companion).astype(complex, copy=False)
+    except np.linalg.LinAlgError as exc:  # non-finite companion, or no QR convergence
+        raise RootFindingError(f"roots: no companion eigenvalues ({exc})", (), math.inf) from exc
 
-    dmon = mon.derivative()
-    radius = 1.0 + max(abs(c) for c in mon.coeffs[:-1])
-    z = [0.6 * radius * cmath.exp(2j * math.pi * (j + 0.35) / m) for j in range(m)]
-    rng = random.Random(0x5EED)
-
-    best: list[complex] = list(z)
-    best_residual = math.inf
-    stall = 0
-    prev_step = math.inf
-    for _ in range(max_iter):
-        step_max = 0.0
-        for j in range(m):
-            pv = mon(z[j])
-            dv = dmon(z[j])
-            if dv == 0:
-                z[j] += (tol + 1e-8) * (1 + abs(z[j])) * cmath.exp(2j * math.pi * rng.random())
-                step_max = math.inf
-                continue
-            w = pv / dv
-            s = sum(1.0 / (z[j] - z[k]) for k in range(m) if k != j)
-            denom = 1.0 - w * s
-            corr = w if denom == 0 else w / denom
-            z[j] -= corr
-            step_max = max(step_max, abs(corr))
-
-        residual = max(abs(mon(zj)) for zj in z)
-        if residual < best_residual:
-            best_residual = residual
-            best = list(z)
-        scale = 1.0 + max(abs(zj) for zj in z)
-        if step_max < tol * scale:
-            break
-        # random kick on stagnation; only worthwhile while the residual is poor
-        stall = stall + 1 if step_max > 0.25 * prev_step else 0
-        prev_step = step_max
-        if stall > 30 and residual > 1e-10:
-            for j in range(m):
-                z[j] += 1e-6 * radius * cmath.exp(2j * math.pi * rng.random())
-            stall = 0
-    else:
-        raise RootFindingError(
-            f"root iteration did not converge within {max_iter} sweeps "
-            f"(residual {best_residual:.3e})",
-            sorted(best, key=lambda r: (r.real, r.imag)),
-            max(abs(p(r)) for r in best),
-        )
-
-    roots = tuple(sorted(z, key=lambda r: (r.real, r.imag)))
-    return RootSet(roots, max(abs(p(r)) for r in roots))
+    # falling-power coefficients of P, P' and the scale, one copy per root
+    desc = a[::-1]
+    rows = np.array([desc, np.concatenate(([0], desc[:-1] * np.arange(m, 0, -1))), np.abs(desc)])
+    head, *columns = np.repeat(rows.T[:, :, None], m, axis=2)
+    points = np.empty((3, m), dtype=complex)  # z, z, |z|
+    bound = 4 * m * float(np.finfo(float).eps)
+    half_step = np.inf
+    converged = False
+    with np.errstate(all="ignore"):  # 0 * inf at coincident iterates, 0 / 0 at a zero root
+        for sweep in range(1, max_iter + 1):
+            points[:2] = z
+            points[2] = np.abs(z)
+            H = head.copy()
+            for column in columns:
+                H *= points
+                H += column
+            value, slope, scale = H[0], H[1], H[2].real
+            gap = z[:, None] - z
+            gap.flat[::m + 1] = np.inf  # drops k = j from the Aberth sum
+            corr = value / (slope - value * np.add.reduce(np.reciprocal(gap), 1))
+            step = np.maximum.reduce(np.abs(corr))
+            if math.isnan(step):  # 0 * inf or 0 / 0: such an iterate stays put
+                corr[np.isnan(corr)] = 0
+                step = np.maximum.reduce(np.abs(corr))
+            if step > half_step or step == 0:
+                converged = (np.abs(value) <= bound * scale).all()
+                if converged:
+                    break
+            z -= corr
+            half_step = 0.5 * step
+        size = np.abs(value)
+        backward = float(np.maximum.reduce(size / scale, where=scale > 0, initial=0.0))
+    residual = abs(p.coeffs[-1]) * float(np.maximum.reduce(size))
+    roots = tuple((np.sort(z) + 0).tolist())  # + 0 turns -0.0 into 0.0
+    if not (converged and math.isfinite(residual)):  # inf <= bound * inf holds
+        raise RootFindingError(f"roots: no convergence after {sweep} sweeps, backward "
+                               f"error {backward:.3e} (bound {bound:.3e})", roots, residual)
+    return RootSet(roots, residual, backward, sweep)
 
 
 def synthetic_divide(p: Polynomial, r: complex):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gentrig import GenTrigSystem, _cached, deflation_matrix, make_system
+from .gentrig import GenTrigSystem, _cached, _check_index, deflation_matrix, make_system
 from .poly import Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
@@ -72,12 +72,14 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
 
     An array of x gives an array.
     """
+    _check_index(sys, l)
     value = sys.exponentials(x) @ _boundary_weights(sys)[l]
     return complex(value) if np.isscalar(value) else value
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
     """Closed-form Fourier coefficient of R_l: (-1)^n/(2 pi i) sum_j T[l][j]/(n - r_j)."""
+    _check_index(sys, l)
     _check_roots(sys)
     return ((-1) ** n) * (sys.T[l] @ (1 / (n - sys.r))) / TWO_PI_I
 
@@ -220,7 +222,9 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
     represents.  With ``run_oracle`` every sum is paired with its
     :func:`brute_force_sums` estimate, one oracle pass of ``oracle_n``
     (at least ``MIN_ORACLE_N``) for all 2m sums; without it the oracle
-    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.
+    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.  A C(P) that the
+    pivot check rejects, or whose condition estimate times eps reaches 1
+    (singular to working precision), raises :class:`DegenerateMatrixError`.
     """
     if p.degree < 2:
         raise SeriesError("degree must be at least 2 for the sums to converge")
@@ -235,6 +239,11 @@ def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = Tru
             "associated matrix C(P) is singular; the non-degeneracy hypothesis "
             "of the closed-form solve fails for this polynomial"
         ) from exc
+    if cond * np.finfo(float).eps >= 1:
+        raise DegenerateMatrixError(
+            f"associated matrix C(P) is singular to working precision (condition "
+            f"estimate {cond:.3e}); the closed-form solve would return no correct digits"
+        )
     A, B = AB.T / lead
 
     if run_oracle:

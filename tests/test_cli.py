@@ -28,6 +28,15 @@ def test_roots_json_schema(capsys):
     assert doc["results"]["roots"] == [{"re": 0.0, "im": -1.0}, {"re": 0.0, "im": 1.0}]
 
 
+def test_roots_diagnostics(capsys):
+    code, doc = run_json(capsys, "roots", "--poly", "x^4-4x^3+6x^2-4x+1")  # (x-1)^4
+    assert code == 0
+    diagnostics = doc["diagnostics"]
+    assert list(diagnostics) == ["residual", "backward_error", "sweeps"]
+    assert diagnostics["backward_error"] <= 4 * 4 * np.finfo(float).eps
+    assert diagnostics["sweeps"] >= 1
+
+
 def test_coeffs_input(capsys):
     code, doc = run_json(capsys, "roots", "--coeffs", "1,0,1")
     assert code == 0
@@ -120,6 +129,11 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_double_roots_in_a_sum_are_numerical(self, capsys):
+        code, out, err = run(capsys, "sum", "--poly", "x^4+2x^2+1")  # (x^2+1)^2
+        assert code == 3
+        assert err.startswith("numerical failure") and out == ""
+
     def test_overflow_is_numerical(self, capsys):
         code, _, _ = run(capsys, "eval", "--poly", "x^2+1", "--l", "0",
                          "--x", "10000")
@@ -143,10 +157,6 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical failure") and "Traceback" not in err
         assert out == ""
-
-    def test_bad_tol(self, capsys):
-        code, _, _ = run(capsys, "roots", "--poly", "x^2+1", "--tol", "-1")
-        assert code == 2
 
     def test_bad_oracle_n(self, capsys):
         code, _, _ = run(capsys, "sum", "--poly", "x^2+1", "--oracle-n", "10")

@@ -1,13 +1,32 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrig.poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
-                           elementary_symmetric, find_roots, format_polynomial,
-                           parse_polynomial, power_sums, synthetic_divide)
+                           RootFindingError, elementary_symmetric, find_roots,
+                           format_polynomial, parse_polynomial, power_sums,
+                           synthetic_divide)
+
+EPS = float(np.finfo(float).eps)
+
+
+def backward_errors(p, roots):
+    """|P(z)| / sum |a_k| |z|^k for each root, by direct summation."""
+    return [abs(p(z)) / sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+            for z in roots]
+
+
+def in_domain_poly(rng, degree):
+    """P from roots in the unit square, |r| >= 0.1 and at least 0.05 off the integers."""
+    while True:
+        roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+        if (np.min(np.abs(roots)) >= 0.1
+                and np.min(np.abs(roots - np.round(roots.real))) >= 0.05):
+            return Polynomial(tuple(complex(c) for c in np.poly(roots)[::-1]))
 
 
 class TestParsing:
@@ -133,9 +152,49 @@ class TestRoots:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_repeated_root(self):
-        rs = find_roots(Polynomial.from_roots([2, 2, 2]), tol=1e-10)
+        rs = find_roots(Polynomial.from_roots([2, 2, 2]))
         for r in rs:
             assert abs(r - 2) < 1e-3  # multiplicity-3 clusters lose digits
+
+    @pytest.mark.parametrize("p", [Polynomial.from_roots([1, 1, 1, 1]),
+                                   Polynomial((1, 0, 2, 0, 1))], ids=["(x-1)^4", "(x^2+1)^2"])
+    def test_clusters_converge(self, p):
+        rs = find_roots(p)
+        bound = 4 * p.degree * EPS
+        assert len(rs) == p.degree and rs.sweeps >= 1
+        assert rs.backward_error <= bound
+        assert max(backward_errors(p, rs)) <= 2 * bound  # reevaluated, own rounding
+        centers = (1,) if p.coeffs[1] else (1j, -1j)
+        for r in rs:  # a cluster of multiplicity k spreads to about eps^(1/k)
+            assert min(abs(r - c) for c in centers) < 1e-3
+
+    def test_in_domain_random_polys_converge(self):
+        rng = np.random.default_rng(2016)
+        for _ in range(120):
+            p = in_domain_poly(rng, int(rng.integers(12, 25)))
+            rs = find_roots(p)
+            bound = 4 * p.degree * EPS
+            assert len(rs) == p.degree
+            assert rs.backward_error <= bound
+            assert max(backward_errors(p, rs)) <= 2 * bound  # reevaluated, own rounding
+
+    def test_roots_at_zero(self):
+        # coincident iterates at 0, where P and the scale both vanish
+        rs = find_roots(parse_polynomial("x^3+x^2"))
+        assert rs.roots == (-1, 0, 0) and rs.backward_error == 0
+        assert find_roots(parse_polynomial("x^2")).roots == (0, 0)
+
+    def test_polish_reaches_exact_roots(self):
+        # complex coefficients: the eigenvalue seed is off by ~1e-16, the polish is not
+        assert find_roots(Polynomial((-2, -3j, 1))).roots == (1j, 2j)
+
+    def test_sweep_cap_names_the_stage(self):
+        with pytest.raises(RootFindingError, match=r"^roots: no convergence after 1 sweeps, "
+                                                   r"backward error") as exc:
+            find_roots(Polynomial((-2, -3j, 1)), max_iter=1)
+        assert len(exc.value.best_roots) == 2
+        with pytest.raises(PolynomialError, match="max_iter 0 must be at least 1"):
+            find_roots(Polynomial((-2, -3j, 1)), max_iter=0)
 
     def test_nonmonic_and_linear(self):
         assert find_roots(Polynomial((6, 3))).roots == (-2,)

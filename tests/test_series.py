@@ -8,7 +8,8 @@ import pytest
 from polytrig import gentrig, linalg, series
 from polytrig.gentrig import ArgumentOverflowError
 from polytrig.poly import Polynomial, RootSet, parse_polynomial
-from polytrig.series import (MIN_ORACLE_N, IntegerRootError, SeriesError,
+from polytrig.series import (MIN_ORACLE_N, DegenerateMatrixError, IntegerRootError,
+                             SeriesError,
                              associated_matrix, brute_force_sum,
                              brute_force_sums, eval_R, evaluate_sums,
                              fourier_coefficient)
@@ -60,6 +61,15 @@ class TestBoundaryFunctions:
         assert type(eval_R(sys, 2, 0.5)) is complex
         for x, v in zip(xs.ravel(), values.ravel()):
             assert v == pytest.approx(eval_R(sys, 2, x), rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("l", [-1, -3, 3])
+    def test_index_out_of_range(self, l):
+        # a negative index used to wrap: eval_R(sys, -1, x) returned R_2
+        sys = gentrig.make_system(parse_polynomial("x^3+x^2+1"))
+        with pytest.raises(gentrig.GenTrigError, match="out of range 0..2"):
+            eval_R(sys, l, 0.3)
+        with pytest.raises(gentrig.GenTrigError, match="out of range 0..2"):
+            fourier_coefficient(sys, l, 1)
 
     def test_integer_root_rejected(self):
         sys = gentrig.make_system(parse_polynomial("x^2-1"))
@@ -259,6 +269,22 @@ class TestEvaluateSums:
         monkeypatch.undo()
         am = associated_matrix(gentrig.make_system(p))
         assert res.condition_estimate == am.condition_estimate
+
+    @pytest.mark.parametrize("factor, singular", [(0.5, False), (1.0, True), (4.0, True)])
+    def test_singular_to_working_precision(self, monkeypatch, factor, singular):
+        original = linalg.solve
+
+        def conditioned(M, b):
+            x, _ = original(M, b)
+            return x, factor / np.finfo(float).eps
+
+        monkeypatch.setattr(linalg, "solve", conditioned)
+        p = parse_polynomial("x^3+x^2+1")
+        if singular:
+            with pytest.raises(DegenerateMatrixError, match="working precision"):
+                evaluate_sums(p, run_oracle=False)
+        else:
+            assert evaluate_sums(p, run_oracle=False).condition_estimate == factor / np.finfo(float).eps
 
     def test_oracle_skippable(self):
         res = evaluate_sums(parse_polynomial("x^2+1"), run_oracle=False)
