@@ -6,16 +6,15 @@ identities among them, specializes to x^m - 1, and evaluates the two-sided
 series sum(n^k / P(n)) and sum((-1)^n n^k / P(n)) in closed form.
 """
 from .poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
-                   RootFindingError, RootSet, elementary_symmetric, find_roots,
-                   format_polynomial, parse_polynomial, power_sums,
-                   synthetic_divide)
+                   RootFindingError, RootSet, find_roots, format_polynomial,
+                   parse_polynomial, synthetic_divide)
 from .linalg import (Eigenpair, LinalgError, SingularMatrixError,
                      condition_number, determinant, eigenpairs, solve)
 from .gentrig import (ArgumentOverflowError, CertificateUnavailableError,
                       GenTrigError, GenTrigSystem, IdentityCertificate,
                       derivative_matrix, eval_S, eval_S_vector, eval_det_M,
                       from_roots, identity_certificate, make_system,
-                      taylor_coeffs, taylor_eval, tuple_coefficients)
+                      taylor_coeffs, tuple_coefficients)
 from .cyclotomic import (AdditionRule, CyclotomicError, CyclotomicSystem,
                          addition_rule, apply_addition, det_M_constant,
                          det_M_cyclo, eval_S_cyclo, factorial_identity_check,
@@ -23,7 +22,7 @@ from .cyclotomic import (AdditionRule, CyclotomicError, CyclotomicSystem,
                          taylor_eval_cyclo)
 from .series import (AssociatedMatrix, DegenerateMatrixError, IntegerRootError,
                      SeriesError, SeriesResult, associated_matrix,
-                     brute_force_sum, brute_force_sums, eval_R, evaluate_sums,
+                     brute_force_sums, eval_R, evaluate_sums,
                      fourier_coefficient)
 from . import verify
 

@@ -155,11 +155,7 @@ def cmd_identity(args) -> dict:
     p = _get_poly(args)
     sys_ = gentrig.make_system(p)
     cert = gentrig.identity_certificate(sys_)
-    rng = np.random.default_rng(args.seed)
-    deviation = 0.0
-    for _ in range(20):
-        x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        deviation = max(deviation, abs(gentrig.eval_det_M(cert, sys_, x) - cert.det_ref))
+    deviation = verify.certificate_deviation(sys_, cert, np.random.default_rng(args.seed))
     return {
         "command": "identity",
         "inputs": {"poly": format_polynomial(p), "seed": args.seed},
@@ -181,30 +177,18 @@ def cmd_cyclo(args) -> dict:
     results: dict = {}
     diagnostics: dict = {}
     if args.check == "identity":
-        rng = np.random.default_rng(args.seed)
         constant = cyclotomic.det_M_constant(args.m)
-        worst = max(
-            abs(cyclotomic.det_M_cyclo(sys_, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-                - constant)
-            for _ in range(20)
-        )
+        worst = verify.cyclotomic_det_deviation(args.m, np.random.default_rng(args.seed))
         inputs["check"] = "identity"
         results = {"constant": constant, "max_deviation": worst}
-        diagnostics = {"samples": 20, "tolerance": 1e-8, "within_tolerance": bool(worst <= 1e-8)}
+        diagnostics = {"samples": verify.SAMPLES, "tolerance": verify.CYCLOTOMIC_DET_TOL,
+                       "within_tolerance": bool(worst <= verify.CYCLOTOMIC_DET_TOL)}
     elif args.check == "addition":
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(20):
-            x1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            x2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for l in range(args.m):
-                rule = cyclotomic.addition_rule(args.m, l)
-                worst = max(worst, abs(
-                    cyclotomic.eval_S_cyclo(sys_, l, x1 + x2)
-                    - cyclotomic.apply_addition(sys_, rule, x1, x2)))
+        worst = verify.addition_deviation(args.m, np.random.default_rng(args.seed))
         inputs["check"] = "addition"
         results = {"max_deviation": worst}
-        diagnostics = {"samples": 20, "tolerance": 1e-9, "within_tolerance": bool(worst <= 1e-9)}
+        diagnostics = {"samples": verify.SAMPLES, "tolerance": verify.ADDITION_TOL,
+                       "within_tolerance": bool(worst <= verify.ADDITION_TOL)}
     elif args.check == "matrix-a":
         _, det, fact = cyclotomic.matrix_A(sys_)
         inputs["check"] = "matrix-a"
@@ -261,12 +245,12 @@ def cmd_sum(args) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    checks = verify.run_all(seed=args.seed, oracle_n=args.oracle_n, sum_tol=args.sum_tol)
+    checks = verify.run_all(seed=args.seed, oracle_n=args.oracle_n)
     for c in checks:
         print(c.line(), file=sys.stderr)
     doc = {
         "command": "verify",
-        "inputs": {"seed": args.seed, "oracle_n": args.oracle_n, "sum_tol": args.sum_tol},
+        "inputs": {"seed": args.seed, "oracle_n": args.oracle_n},
         "results": {
             "passed": sum(c.passed for c in checks),
             "failed": sum(not c.passed for c in checks),
@@ -292,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--coeffs", help="comma-separated ascending coefficients")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--text", action="store_true", help="force aligned text output")
+
+    def sampled(p):
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p = sub.add_parser("roots", help="all roots of the polynomial")
@@ -306,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=20)
     p = sub.add_parser("identity", help="constant-determinant identity certificate")
     common(p)
+    sampled(p)
     p = sub.add_parser("cyclo", help="x^m-1 special case: evaluate or run a check")
     common(p, poly=False)
+    sampled(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int)
     p.add_argument("--x")
@@ -323,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-n", type=int, default=100_000)
     p = sub.add_parser("verify", help="run every reproducibility check")
     common(p, poly=False)
+    sampled(p)
     p.add_argument("--oracle-n", type=int, default=100_000)
-    p.add_argument("--sum-tol", type=float, default=None,
-                   help="override the series-check tolerances")
     return parser
 
 

@@ -10,13 +10,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import gentrig, linalg
-from .gentrig import EXP_GUARD, ArgumentOverflowError
-from .poly import Polynomial
 
 
 class CyclotomicError(ValueError):
@@ -25,9 +23,22 @@ class CyclotomicError(ValueError):
 
 @dataclass(frozen=True)
 class CyclotomicSystem:
+    """S_l(x) = sum_j weights[l][j] exp(-i roots[j] x), for l = 0..m-1."""
+
     m: int
     zeta: complex
     eta: complex
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """i eta zeta^j for j = 0..m-1, so that exp(-i roots[j] x) = exp(eta zeta^j x)."""
+        return 1j * (self.eta * self.zeta ** np.arange(self.m))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """zeta^(l j) / (m eta^l), with l on the rows."""
+        l = np.arange(self.m)
+        return self.zeta ** (np.outer(l, l) % self.m) / (self.m * self.eta ** l)[:, None]
 
 
 def make_cyclotomic(m: int) -> CyclotomicSystem:
@@ -36,24 +47,27 @@ def make_cyclotomic(m: int) -> CyclotomicSystem:
     return CyclotomicSystem(m, cmath.exp(2j * math.pi / m), cmath.exp(1j * math.pi / m))
 
 
+def _check_index(m: int, l: int):
+    if not 0 <= l < m:
+        raise CyclotomicError(f"function index {l} out of range 0..{m - 1}")
+
+
+def _eval_all(sys: CyclotomicSystem, x) -> np.ndarray:
+    """S[..., l] = S_l(x) for every l at once."""
+    return gentrig._guarded_exp(x, sys.roots) @ sys.weights.T
+
+
 def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
-    """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x)."""
-    if not 0 <= l < sys.m:
-        raise CyclotomicError(f"function index {l} out of range 0..{sys.m - 1}")
-    x = complex(x)
-    acc = 0j
-    for j in range(sys.m):
-        w = sys.eta * sys.zeta ** j
-        if abs((w * x).real) > EXP_GUARD:
-            raise ArgumentOverflowError(w, x)
-        acc += sys.zeta ** (l * j) * cmath.exp(w * x)
-    return acc / (sys.m * sys.eta ** l)
+    """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
+    _check_index(sys.m, l)
+    value = gentrig._guarded_exp(x, sys.roots) @ sys.weights[l]
+    return complex(value) if np.isscalar(value) else value
 
 
 @lru_cache(maxsize=32)
 def _unit_system(m: int) -> gentrig.GenTrigSystem:
     # exact roots of unity; avoids re-running the root finder per call
-    return gentrig.from_roots([cmath.exp(2j * math.pi * j / m) for j in range(m)])
+    return gentrig.from_roots(np.exp(2j * np.pi * np.arange(m) / m))
 
 
 def rescale_consistency(sys: CyclotomicSystem, l: int, x: complex):
@@ -71,22 +85,21 @@ def rescale_consistency(sys: CyclotomicSystem, l: int, x: complex):
 
 
 def taylor_eval_cyclo(sys: CyclotomicSystem, l: int, x: complex, terms: int) -> complex:
-    """Truncated power series: only the exponents congruent to -l mod m survive."""
-    if not 0 <= l < sys.m:
-        raise CyclotomicError(f"function index {l} out of range 0..{sys.m - 1}")
+    """Truncated power series: only the exponents congruent to -l mod m survive.
+
+    The terms (-1)^k x^p / p! with p = k m - l (k from 0 for l = 0, else from
+    1) are read off one running product of x / n; an array of x gives an array.
+    """
+    _check_index(sys.m, l)
     if terms * sys.m > 170:
         raise CyclotomicError("terms * m above 170 overflows double-precision factorials")
-    x = complex(x)
-    acc = 0j
-    if l == 0:
-        for k in range(terms):
-            p = k * sys.m
-            acc += ((-1) ** k) * x ** p / math.factorial(p)
-        return acc
-    for k in range(1, terms + 1):
-        p = k * sys.m - l
-        acc += ((-1) ** k) * x ** p / math.factorial(p)
-    return acc / sys.zeta ** l
+    k = np.arange(terms) + (l > 0)
+    p = k * sys.m - l
+    x = np.asarray(x, dtype=complex)
+    steps = np.ones(x.shape + (p.max(initial=0) + 1,), dtype=complex)
+    steps[..., 1:] = x[..., None] / np.arange(1.0, steps.shape[-1])
+    value = np.cumprod(steps, axis=-1)[..., p] @ (-1.0) ** k / sys.zeta ** l
+    return complex(value) if np.isscalar(value) else value
 
 
 @dataclass(frozen=True)
@@ -100,20 +113,18 @@ class AdditionRule:
 
 
 def addition_rule(m: int, l: int) -> AdditionRule:
-    if not 0 <= l < m:
-        raise CyclotomicError(f"function index {l} out of range 0..{m - 1}")
+    _check_index(m, l)
     signs = tuple(1 if r <= l else -1 for r in range(m))
     partners = tuple((l - r) % m for r in range(m))
     return AdditionRule(m, l, signs, partners)
 
 
 def apply_addition(sys: CyclotomicSystem, rule: AdditionRule, x1: complex, x2: complex) -> complex:
+    """The right-hand side of ``rule`` at (x1, x2); arrays of points give an array."""
     if rule.m != sys.m:
         raise CyclotomicError("rule and system orders differ")
-    acc = 0j
-    for r in range(sys.m):
-        acc += rule.signs[r] * eval_S_cyclo(sys, rule.partners[r], x1) * eval_S_cyclo(sys, r, x2)
-    return acc
+    value = (_eval_all(sys, x1)[..., list(rule.partners)] * _eval_all(sys, x2)) @ rule.signs
+    return complex(value) if np.isscalar(value) else value
 
 
 def det_M_constant(m: int) -> int:
@@ -131,9 +142,9 @@ def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
 
     Constant in x; equals :func:`det_M_constant` of the order.
     """
-    fs = [sys.zeta ** l * eval_S_cyclo(sys, l, x) for l in range(sys.m)]
+    f = sys.zeta ** np.arange(sys.m) * _eval_all(sys, x)
     index, twist = gentrig._shift_fold(sys.m, -1.0)
-    return linalg.determinant(np.array(fs)[index] * twist)
+    return linalg.determinant(f[index] * twist)
 
 
 def factorial_identity_check(n: int):
@@ -165,7 +176,8 @@ def factorial_identity_check(n: int):
 
 def delta(sys: CyclotomicSystem, l: int) -> complex:
     """Jump of S_l across the period endpoints: S_l(pi) - S_l(-pi)."""
-    return eval_S_cyclo(sys, l, math.pi) - eval_S_cyclo(sys, l, -math.pi)
+    ends = eval_S_cyclo(sys, l, np.array([math.pi, -math.pi]))
+    return complex(ends[0] - ends[1])
 
 
 def matrix_A(sys: CyclotomicSystem):
@@ -184,17 +196,17 @@ def matrix_A(sys: CyclotomicSystem):
     m, eta, zeta = sys.m, sys.eta, sys.zeta
     if m > 12:
         raise CyclotomicError("m above 12 is not supported here")
-    d = [delta(sys, l) for l in range(m)]
-    A = np.empty((m, m), dtype=complex)
-    for l in range(m):
-        for k in range(m):
-            idx = (m - 1 - k + l) % m
-            J_lk = eta ** (m - 1 - k - l + idx) * d[idx]
-            A[l, k] = ((-1) ** (k + 1)) * J_lk * (1j) ** (k + m * (k % 2))
+    E = gentrig._guarded_exp(np.array([math.pi, -math.pi]), sys.roots)
+    S = E @ sys.weights.T
+    d = S[0] - S[1]  # every delta(sys, l)
+    l, k = np.ogrid[:m, :m]
+    idx = (m - 1 - k + l) % m
+    J = eta ** (m - 1 - k - l + idx) * d[idx]
+    A = (-1.0) ** (k + 1) * J * np.array([1, 1j, -1, -1j])[(k + m * (k % 2)) % 4]
     det = linalg.determinant(A)
 
-    a = [cmath.exp(eta * zeta ** j * math.pi) - cmath.exp(-eta * zeta ** j * math.pi)
-         for j in range(m)]
-    V = np.array([[zeta ** (i * j) for j in range(m)] for i in range(m)], dtype=complex)
+    a = E[0] - E[1]
+    j = np.arange(m)
+    V = zeta ** (np.outer(j, j) % m)
     det_fact = abs(np.prod(a)) * abs(linalg.determinant(V)) ** 2 / m ** m
     return A, det, float(det_fact)

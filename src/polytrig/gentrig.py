@@ -102,38 +102,45 @@ class GenTrigSystem:
         return np.array(self.roots.roots, dtype=complex)
 
     def exponentials(self, x) -> np.ndarray:
-        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
-
-        Every exponent is checked against ``EXP_GUARD`` first; the worst one
-        past it raises :class:`ArgumentOverflowError` naming its root and argument.
-        """
-        x = np.asarray(x, dtype=complex)
-        z = np.multiply.outer(x, -1j * self.r)
-        size = np.abs(z.real)
-        if size.max() > EXP_GUARD:
-            *at, j = np.unravel_index(np.argmax(size), size.shape)
-            raise ArgumentOverflowError(complex(self.r[j]), complex(x[tuple(at)]))
-        return np.exp(z)
+        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes)."""
+        return _guarded_exp(x, self.r)
 
 
-def make_system(p: Polynomial, max_iter: int = 500) -> GenTrigSystem:
-    mon = p.monic()
-    roots = find_roots(mon, max_iter=max_iter)
-    T = tuple_coefficients(roots)
+def _guarded_exp(x, roots) -> np.ndarray:
+    """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+
+    The one exponential kernel of the package.  Every exponent is checked
+    against ``EXP_GUARD`` first; the worst one past it raises
+    :class:`ArgumentOverflowError` naming its root and argument.
+    """
+    x = np.asarray(x, dtype=complex)
+    z = np.multiply.outer(x, -1j * roots)
+    size = np.abs(z.real)
+    if size.max() > EXP_GUARD:
+        *at, j = np.unravel_index(np.argmax(size), size.shape)
+        raise ArgumentOverflowError(complex(roots[j]), complex(x[tuple(at)]))
+    return np.exp(z)
+
+
+def _system(mon: Polynomial, roots: RootSet) -> GenTrigSystem:
+    """The T grid and K of monic ``mon`` with the given roots; K = [-i r] at degree 1."""
     if mon.degree >= 2:
         K = derivative_matrix(mon)
     else:
         K = np.array([[-1j * roots.roots[0]]], dtype=complex)
-    return GenTrigSystem(mon, roots, T, K)
+    return GenTrigSystem(mon, roots, tuple_coefficients(roots), K)
+
+
+def make_system(p: Polynomial) -> GenTrigSystem:
+    mon = p.monic()
+    return _system(mon, find_roots(mon))
 
 
 def from_roots(roots) -> GenTrigSystem:
     """System from explicitly known roots, bypassing the root finder."""
     rs = tuple(sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag)))
     mon = Polynomial.from_roots(rs)
-    T = tuple_coefficients(RootSet(rs, 0.0), 1.0)
-    K = derivative_matrix(mon) if mon.degree >= 2 else np.array([[-1j * rs[0]]])
-    return GenTrigSystem(mon, RootSet(rs, max(abs(mon(r)) for r in rs)), T, K)
+    return _system(mon, RootSet(rs, max(abs(mon(r)) for r in rs)))
 
 
 def _check_index(sys: GenTrigSystem, l: int):
@@ -164,16 +171,6 @@ def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
     steps = np.ones((order + 1, sys.m), dtype=complex)
     steps[1:] = -1j * sys.r / np.arange(1.0, order + 1)[:, None]
     return (np.cumprod(steps, axis=0) @ sys.T[l]).tolist()
-
-
-def taylor_eval(sys: GenTrigSystem, l: int, x: complex, order: int) -> complex:
-    bs = taylor_coeffs(sys, l, order)
-    acc = 0j
-    xp = 1 + 0j
-    for b in bs:
-        acc += b * xp
-        xp *= x
-    return acc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Complex polynomials: parsing, printing, root finding and symmetric functions."""
+"""Complex polynomials: parsing, printing, root finding and deflation."""
 from __future__ import annotations
 
 import math
@@ -344,7 +344,11 @@ def find_roots(p: Polynomial, max_iter: int = 500) -> RootSet:
 
 
 def synthetic_divide(p: Polynomial, r: complex):
-    """Divide by ``(x - r)``: returns ``(quotient, remainder)`` with ``remainder == p(r)``."""
+    """Divide by ``(x - r)``: returns ``(quotient, remainder)`` with ``remainder == p(r)``.
+
+    A scalar Horner loop, kept as the independent reference that the
+    all-roots-at-once ``gentrig.deflation_matrix`` is tested against.
+    """
     if p.degree < 1:
         raise PolynomialError("degree must be at least 1")
     r = _require_finite(r)
@@ -354,32 +358,3 @@ def synthetic_divide(p: Polynomial, r: complex):
         quotient[k] = acc
         acc = acc * r + p.coeffs[k]
     return Polynomial(tuple(quotient)), acc
-
-
-def elementary_symmetric(roots) -> list:
-    """``[e_0, ..., e_m]`` by incremental product expansion; ``e_0 == 1``."""
-    rs = tuple(getattr(roots, "roots", roots))
-    e = [1 + 0j]
-    for r in rs:
-        e.append(0j)
-        for k in range(len(e) - 1, 0, -1):
-            e[k] = e[k] + r * e[k - 1]
-    return e
-
-
-def power_sums(roots, K: int) -> list:
-    """``[p_1, ..., p_K]`` with ``p_k = sum(r**k)`` via Newton's identities."""
-    if K < 1:
-        raise PolynomialError("K must be at least 1")
-    rs = tuple(getattr(roots, "roots", roots))
-    m = len(rs)
-    e = elementary_symmetric(rs)
-    p: list[complex] = []
-    for k in range(1, K + 1):
-        acc = 0j
-        for j in range(1, min(k - 1, m) + 1):
-            acc += ((-1) ** (j - 1)) * e[j] * p[k - j - 1]
-        if k <= m:
-            acc += ((-1) ** (k - 1)) * k * e[k]
-        p.append(acc)
-    return p

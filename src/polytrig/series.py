@@ -196,13 +196,6 @@ def brute_force_sums(p: Polynomial, n_terms: int = 100_000):
     return as_tuples(estimate_a, error_a), as_tuples(estimate_b, error_b)
 
 
-def brute_force_sum(p: Polynomial, k: int, alternating: bool, n_terms: int = 100_000):
-    """One ``(estimate, error_bar)`` pair of :func:`brute_force_sums`: power k, one sign."""
-    if not 0 <= k <= p.degree - 1:
-        raise SeriesError(f"power {k} out of range 0..{p.degree - 1}")
-    return brute_force_sums(p, n_terms)[1 if alternating else 0][k]
-
-
 @dataclass(frozen=True)
 class SeriesResult:
     """Closed-form sums with oracle estimates; index k matches the power of n."""

@@ -36,6 +36,53 @@ class CheckResult:
                 f"vs threshold {self.threshold:.3e} ({self.seconds:.2f}s){extra}")
 
 
+#: points drawn per sampled identity check
+SAMPLES = 20
+
+#: |det M(x) - constant| allowed for the x^m - 1 shifted matrix
+CYCLOTOMIC_DET_TOL = 1e-8
+
+#: |S_l(x1 + x2) - sign-rule combination| allowed in the addition theorem
+ADDITION_TOL = 1e-9
+
+
+def sample_points(rng, n: int, half_width: float) -> np.ndarray:
+    """n complex points uniform on the square |Re x|, |Im x| <= half_width.
+
+    Drawn as (real, imaginary) pairs, the order in which
+    ``complex(rng.uniform(), rng.uniform())`` draws them one at a time.
+    """
+    re, im = rng.uniform(-half_width, half_width, (n, 2)).T
+    return re + 1j * im
+
+
+def certificate_deviation(sys, cert, rng) -> float:
+    """max |det M(x) - det_ref| over ``SAMPLES`` points of the unit square."""
+    return max(abs(gentrig.eval_det_M(cert, sys, x) - cert.det_ref)
+               for x in sample_points(rng, SAMPLES, 1.0))
+
+
+def cyclotomic_det_deviation(m: int, rng) -> float:
+    """max |det M(x) - det_M_constant(m)| over ``SAMPLES`` points of the square of half-width 2."""
+    sys = cyclotomic.make_cyclotomic(m)
+    constant = cyclotomic.det_M_constant(m)
+    return max(abs(cyclotomic.det_M_cyclo(sys, x) - constant)
+               for x in sample_points(rng, SAMPLES, 2.0))
+
+
+def addition_deviation(m: int, rng) -> float:
+    """max |S_l(x1 + x2) - sign-rule combination| over every l and ``SAMPLES``
+    pairs (x1, x2) of the unit square."""
+    sys = cyclotomic.make_cyclotomic(m)
+    x1, x2 = sample_points(rng, 2 * SAMPLES, 1.0).reshape(SAMPLES, 2).T
+    worst = 0.0
+    for l in range(m):
+        combined = cyclotomic.apply_addition(sys, cyclotomic.addition_rule(m, l), x1, x2)
+        gap = np.abs(cyclotomic.eval_S_cyclo(sys, l, x1 + x2) - combined)
+        worst = max(worst, float(np.max(gap)))
+    return worst
+
+
 def _timed(fn):
     start = time.perf_counter()
     out = fn()
@@ -66,8 +113,7 @@ def associated_matrix_reproduction(time_limit: float = 0.1) -> CheckResult:
                        dev, 1e-10, secs)
 
 
-def cubic_closed_forms(oracle_n: int = 100_000, tol: float = 1e-10,
-                       oracle_tol: float = 1e-6) -> CheckResult:
+def cubic_closed_forms(oracle_n: int = 100_000) -> CheckResult:
     """The six known closed forms for x^3+x^2+1, plus oracle agreement."""
     weights = {
         2: lambda r: 9 - 4 * r - 6 / r,
@@ -94,12 +140,12 @@ def cubic_closed_forms(oracle_n: int = 100_000, tol: float = 1e-10,
         return worst, oracle_gap
 
     (worst, oracle_gap), secs = _timed(body)
-    ok = worst <= tol and oracle_gap <= oracle_tol and secs < 5.0
-    return CheckResult("cubic closed forms", ok, worst, tol, secs,
+    ok = worst <= 1e-10 and oracle_gap <= 1e-6 and secs < 5.0
+    return CheckResult("cubic closed forms", ok, worst, 1e-10, secs,
                        detail=f"oracle gap {oracle_gap:.1e}")
 
 
-def known_quadratic_sums(oracle_n: int = 100_000, tol: float = 1e-9) -> CheckResult:
+def known_quadratic_sums(oracle_n: int = 100_000) -> CheckResult:
     """x^2+1: A0 = pi*coth(pi), B0 = pi/sinh(pi), A1 = B1 = 0."""
 
     def body():
@@ -114,11 +160,11 @@ def known_quadratic_sums(oracle_n: int = 100_000, tol: float = 1e-9) -> CheckRes
         return dev, odd
 
     (dev, odd), secs = _timed(body)
-    return CheckResult("known quadratic sums", dev <= tol and odd <= 1e-10, dev, tol, secs,
+    return CheckResult("known quadratic sums", dev <= 1e-9 and odd <= 1e-10, dev, 1e-9, secs,
                        detail=f"odd-power residue {odd:.1e}")
 
 
-def certificate_constancy(seed: int = 0, tol_scale: float = 1e-7) -> CheckResult:
+def certificate_constancy(seed: int = 0) -> CheckResult:
     """det M(x) constant over 25 random monic polynomials, degree 2..6."""
 
     def body():
@@ -128,10 +174,8 @@ def certificate_constancy(seed: int = 0, tol_scale: float = 1e-7) -> CheckResult
             degree = int(rng.integers(2, 7))
             sys = _random_system(rng, degree)
             cert = gentrig.identity_certificate(sys)
-            tol = tol_scale * (1 + abs(cert.det_ref))
-            for _ in range(20):
-                x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                worst = max(worst, abs(gentrig.eval_det_M(cert, sys, x) - cert.det_ref) / tol)
+            tol = 1e-7 * (1 + abs(cert.det_ref))
+            worst = max(worst, certificate_deviation(sys, cert, rng) / tol)
         return worst
 
     worst, secs = _timed(body)
@@ -139,64 +183,44 @@ def certificate_constancy(seed: int = 0, tol_scale: float = 1e-7) -> CheckResult
                        detail="normalized by 1e-7*(1+|det_ref|)")
 
 
-def cyclotomic_determinant_identity(seed: int = 0, tol: float = 1e-8) -> CheckResult:
+def cyclotomic_determinant_identity(seed: int = 0) -> CheckResult:
     """det of the shifted S_l matrix equals its order-dependent sign constant, m = 2..7."""
 
     def body():
         rng = np.random.default_rng(seed + 1)
-        worst = 0.0
-        for m in range(2, 8):
-            sys = cyclotomic.make_cyclotomic(m)
-            constant = cyclotomic.det_M_constant(m)
-            for _ in range(20):
-                x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                worst = max(worst, abs(cyclotomic.det_M_cyclo(sys, x) - constant))
-        return worst
+        return max(cyclotomic_det_deviation(m, rng) for m in range(2, 8))
 
     worst, secs = _timed(body)
-    return CheckResult("cyclotomic determinant identity", worst <= tol, worst, tol, secs)
+    return CheckResult("cyclotomic determinant identity", worst <= CYCLOTOMIC_DET_TOL, worst,
+                       CYCLOTOMIC_DET_TOL, secs)
 
 
-def order3_explicit_identity(seed: int = 0, tol: float = 1e-9) -> CheckResult:
+def order3_explicit_identity(seed: int = 0) -> CheckResult:
     """-S0^3 + S1^3 - S2^3 - 3 S0 S1 S2 == -1 at 100 random real points."""
 
     def body():
         rng = np.random.default_rng(seed + 2)
         sys = cyclotomic.make_cyclotomic(3)
-        worst = 0.0
-        for _ in range(100):
-            x = rng.uniform(-3, 3)
-            s0, s1, s2 = (cyclotomic.eval_S_cyclo(sys, l, x) for l in range(3))
-            worst = max(worst, abs(-s0 ** 3 + s1 ** 3 - s2 ** 3 - 3 * s0 * s1 * s2 + 1))
-        return worst
+        x = rng.uniform(-3, 3, 100)
+        s0, s1, s2 = (cyclotomic.eval_S_cyclo(sys, l, x) for l in range(3))
+        return float(np.max(np.abs(-s0 ** 3 + s1 ** 3 - s2 ** 3 - 3 * s0 * s1 * s2 + 1)))
 
     worst, secs = _timed(body)
-    return CheckResult("order-3 explicit identity", worst <= tol, worst, tol, secs)
+    return CheckResult("order-3 explicit identity", worst <= 1e-9, worst, 1e-9, secs)
 
 
-def addition_theorem(seed: int = 0, tol: float = 1e-9) -> CheckResult:
+def addition_theorem(seed: int = 0) -> CheckResult:
     """S_l(x1+x2) against the sign-rule bilinear combination, m = 2..6."""
 
     def body():
         rng = np.random.default_rng(seed + 3)
-        worst = 0.0
-        for m in range(2, 7):
-            sys = cyclotomic.make_cyclotomic(m)
-            rules = [cyclotomic.addition_rule(m, l) for l in range(m)]
-            for _ in range(20):
-                x1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                x2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for l in range(m):
-                    direct = cyclotomic.eval_S_cyclo(sys, l, x1 + x2)
-                    combined = cyclotomic.apply_addition(sys, rules[l], x1, x2)
-                    worst = max(worst, abs(direct - combined))
-        return worst
+        return max(addition_deviation(m, rng) for m in range(2, 7))
 
     worst, secs = _timed(body)
-    return CheckResult("addition theorem", worst <= tol, worst, tol, secs)
+    return CheckResult("addition theorem", worst <= ADDITION_TOL, worst, ADDITION_TOL, secs)
 
 
-def evaluation_route_agreement(seed: int = 0, tol: float = 1e-10) -> CheckResult:
+def evaluation_route_agreement(seed: int = 0) -> CheckResult:
     """Direct sum, truncated power series and the rescale route, pairwise, m <= 6."""
 
     def body():
@@ -205,19 +229,18 @@ def evaluation_route_agreement(seed: int = 0, tol: float = 1e-10) -> CheckResult
         for m in range(1, 7):
             sys = cyclotomic.make_cyclotomic(m)
             terms = min(170 // m, 60)
-            for _ in range(10):
-                x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                if abs(x) > 2:
-                    x = x / abs(x) * 2
-                for l in range(m):
-                    direct = cyclotomic.eval_S_cyclo(sys, l, x)
-                    taylor = cyclotomic.taylor_eval_cyclo(sys, l, x, terms)
-                    lhs, rhs = cyclotomic.rescale_consistency(sys, l, x)
-                    worst = max(worst, abs(direct - taylor), abs(lhs - rhs))
+            x = sample_points(rng, 10, 2.0)
+            x = np.where(np.abs(x) > 2, x / np.abs(x) * 2, x)
+            for l in range(m):
+                direct = cyclotomic.eval_S_cyclo(sys, l, x)
+                taylor = cyclotomic.taylor_eval_cyclo(sys, l, x, terms)
+                lhs, rhs = cyclotomic.rescale_consistency(sys, l, x)
+                worst = max(worst, float(np.max(np.abs(direct - taylor))),
+                            float(np.max(np.abs(lhs - rhs))))
         return worst
 
     worst, secs = _timed(body)
-    return CheckResult("evaluation route agreement", worst <= tol, worst, tol, secs)
+    return CheckResult("evaluation route agreement", worst <= 1e-10, worst, 1e-10, secs)
 
 
 def factorial_identity(limit: int = 60) -> CheckResult:
@@ -272,7 +295,7 @@ def _quadrature_fourier(sys, l, ns, panels=32, order=8):
     return np.exp(1j * np.outer(ns, xs)) @ values / (2 * math.pi)
 
 
-def fourier_quadrature(seed: int = 0, tol: float = 1e-8) -> CheckResult:
+def fourier_quadrature(seed: int = 0) -> CheckResult:
     """Closed-form Fourier coefficients against 256-node composite quadrature."""
 
     def body():
@@ -290,10 +313,10 @@ def fourier_quadrature(seed: int = 0, tol: float = 1e-8) -> CheckResult:
         return worst
 
     worst, secs = _timed(body)
-    return CheckResult("fourier closed form vs quadrature", worst <= tol, worst, tol, secs)
+    return CheckResult("fourier closed form vs quadrature", worst <= 1e-8, worst, 1e-8, secs)
 
 
-def derivative_system(seed: int = 0, tol: float = 1e-6) -> CheckResult:
+def derivative_system(seed: int = 0) -> CheckResult:
     """Central finite differences of the S vector against K.S for random systems."""
 
     def body():
@@ -310,10 +333,10 @@ def derivative_system(seed: int = 0, tol: float = 1e-6) -> CheckResult:
         return worst
 
     worst, secs = _timed(body)
-    return CheckResult("derivative system", worst <= tol, worst, tol, secs)
+    return CheckResult("derivative system", worst <= 1e-6, worst, 1e-6, secs)
 
 
-def even_power_family(oracle_n: int = 50_000, tol: float = 1e-6) -> CheckResult:
+def even_power_family(oracle_n: int = 50_000) -> CheckResult:
     """evaluate_sums against the oracle for P(n) = n^(2m) + 1, m = 1..4."""
 
     def body():
@@ -328,16 +351,15 @@ def even_power_family(oracle_n: int = 50_000, tol: float = 1e-6) -> CheckResult:
         return worst
 
     worst, secs = _timed(body)
-    return CheckResult("even-power family sums", worst <= tol, worst, tol, secs)
+    return CheckResult("even-power family sums", worst <= 1e-6, worst, 1e-6, secs)
 
 
-def run_all(seed: int = 0, oracle_n: int = 100_000, sum_tol: float | None = None) -> list:
-    """All acceptance checks in order; ``sum_tol`` tightens/loosens the series checks."""
+def run_all(seed: int = 0, oracle_n: int = 100_000) -> list:
+    """All acceptance checks in order."""
     checks: list[CheckResult] = [
         associated_matrix_reproduction(),
-        cubic_closed_forms(oracle_n=oracle_n, tol=sum_tol or 1e-10,
-                           oracle_tol=sum_tol or 1e-6),
-        known_quadratic_sums(oracle_n=oracle_n, tol=sum_tol or 1e-9),
+        cubic_closed_forms(oracle_n=oracle_n),
+        known_quadratic_sums(oracle_n=oracle_n),
         certificate_constancy(seed=seed),
         cyclotomic_determinant_identity(seed=seed),
         order3_explicit_identity(seed=seed),
@@ -349,6 +371,6 @@ def run_all(seed: int = 0, oracle_n: int = 100_000, sum_tol: float | None = None
     checks.extend([
         fourier_quadrature(seed=seed),
         derivative_system(seed=seed),
-        even_power_family(oracle_n=min(oracle_n, 50_000), tol=sum_tol or 1e-6),
+        even_power_family(oracle_n=min(oracle_n, 50_000)),
     ])
     return checks

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from polytrig import cli, series
+from polytrig import cli, gentrig, series, verify
+from polytrig.poly import parse_polynomial
 
 
 def run(capsys, *argv):
@@ -79,6 +80,34 @@ def test_cyclo_eval_and_checks(capsys):
     for check in ("identity", "addition", "matrix-a"):
         code, doc = run_json(capsys, "cyclo", "--m", "3", "--check", check)
         assert code == 0
+
+
+def test_sample_points_are_the_sequential_draws():
+    rng = np.random.default_rng(5)
+    sequential = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(7)]
+    assert list(verify.sample_points(np.random.default_rng(5), 7, 2.0)) == sequential
+
+
+def test_identity_deviation_is_the_verify_helper(capsys):
+    code, doc = run_json(capsys, "identity", "--poly", "x^3+x^2+1", "--seed", "5")
+    assert code == 0 and doc["inputs"]["seed"] == 5
+    sys_ = gentrig.make_system(parse_polynomial("x^3+x^2+1"))
+    cert = gentrig.identity_certificate(sys_)
+    want = verify.certificate_deviation(sys_, cert, np.random.default_rng(5))
+    assert doc["diagnostics"]["max_constancy_deviation"] == want
+
+
+@pytest.mark.parametrize("check, helper, tolerance", [
+    ("identity", verify.cyclotomic_det_deviation, verify.CYCLOTOMIC_DET_TOL),
+    ("addition", verify.addition_deviation, verify.ADDITION_TOL),
+])
+def test_cyclo_checks_are_the_verify_helpers(capsys, check, helper, tolerance):
+    code, doc = run_json(capsys, "cyclo", "--m", "3", "--check", check, "--seed", "5")
+    assert code == 0
+    assert doc["results"]["max_deviation"] == helper(3, np.random.default_rng(5))
+    assert doc["diagnostics"]["samples"] == verify.SAMPLES
+    assert doc["diagnostics"]["tolerance"] == tolerance
+    assert doc["diagnostics"]["within_tolerance"] is True
 
 
 def test_matrix_c_descending(capsys):
@@ -157,6 +186,17 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical failure") and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sum-tol", "1"],
+        ["roots", "--poly", "x^2+1", "--seed", "1"],
+        ["sum", "--poly", "x^2+1", "--seed", "1"],
+    ])
+    def test_removed_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_oracle_n(self, capsys):
         code, _, _ = run(capsys, "sum", "--poly", "x^2+1", "--oracle-n", "10")

@@ -12,6 +12,7 @@ from polytrig.cyclotomic import (CyclotomicError, addition_rule,
                                  factorial_identity_check, make_cyclotomic,
                                  matrix_A, rescale_consistency,
                                  taylor_eval_cyclo)
+from polytrig.gentrig import ArgumentOverflowError
 
 
 def test_m2_is_cos_sin():
@@ -41,6 +42,28 @@ def test_real_up_to_phase_on_real_arguments():
         for x in (-1.7, 0.3, 2.4):
             for l in range(m):
                 assert abs((sys.zeta ** l * eval_S_cyclo(sys, l, x)).imag) < 1e-12
+
+
+def test_array_argument_matches_scalar_calls():
+    sys = make_cyclotomic(5)
+    xs = np.array([[0.3, -1.2 + 0.4j], [2j, 0.0]])
+    for l in range(5):
+        rule = addition_rule(5, l)
+        routes = ((lambda x: eval_S_cyclo(sys, l, x)),
+                  (lambda x: taylor_eval_cyclo(sys, l, x, 30)),
+                  (lambda x: apply_addition(sys, rule, x, 0.5 - x)))
+        for route in routes:
+            values = route(xs)
+            assert values.shape == xs.shape
+            for x, v in zip(xs.ravel(), values.ravel()):
+                scalar = route(x)
+                assert isinstance(scalar, complex)
+                assert v == pytest.approx(scalar, abs=1e-14)
+
+
+def test_overflow_uses_the_shared_guard():
+    with pytest.raises(ArgumentOverflowError, match=r"beyond \+-700\)$"):
+        eval_S_cyclo(make_cyclotomic(2), 0, 701j)
 
 
 def test_index_validation():
@@ -155,6 +178,20 @@ class TestBoundaryJump:
         sys = make_cyclotomic(2)
         assert delta(sys, 0) == pytest.approx(0.0, abs=1e-13)  # cos is periodic
         assert delta(sys, 1) == pytest.approx(2 * math.sin(math.pi), abs=1e-13)
+
+    def test_matrix_matches_the_defining_loop(self):
+        for m in range(1, 9):
+            sys = make_cyclotomic(m)
+            eta = sys.eta
+            d = [delta(sys, l) for l in range(m)]
+            A = np.empty((m, m), dtype=complex)
+            for l in range(m):
+                for k in range(m):
+                    idx = (m - 1 - k + l) % m
+                    J_lk = eta ** (m - 1 - k - l + idx) * d[idx]
+                    A[l, k] = ((-1) ** (k + 1)) * J_lk * (1j) ** (k + m * (k % 2))
+            got, _, _ = matrix_A(sys)
+            assert np.max(np.abs(got - A)) <= 1e-12 * np.max(np.abs(A))
 
     def test_determinant_routes_agree(self):
         for m in (1, 3, 4, 5, 7, 8):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrig.poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
-                           RootFindingError, elementary_symmetric, find_roots,
-                           format_polynomial, parse_polynomial, power_sums,
-                           synthetic_divide)
+                           RootFindingError, find_roots, format_polynomial,
+                           parse_polynomial, synthetic_divide)
 
 EPS = float(np.finfo(float).eps)
 
@@ -226,21 +225,3 @@ class TestSymmetricFunctions:
         q, rem = synthetic_divide(p, 2.0)
         assert rem == p(2.0)
         assert q.coeffs == (6, 3, 1)
-
-    def test_elementary_symmetric_vieta(self):
-        roots = [1 + 1j, 2, -0.5j]
-        e = elementary_symmetric(roots)
-        p = Polynomial.from_roots(roots)
-        m = 3
-        for k in range(m + 1):
-            # coeff of x^(m-k) is (-1)^k e_k
-            assert p.coeffs[m - k] == pytest.approx(((-1) ** k) * e[k])
-
-    def test_power_sums_vs_direct(self):
-        roots = [0.3 + 0.7j, -1.2, 2.5 - 0.1j, 0.9j]
-        ps = power_sums(roots, 9)
-        for k in range(1, 10):
-            assert ps[k - 1] == pytest.approx(sum(r ** k for r in roots), abs=1e-10)
-
-    def test_power_sums_known(self):
-        assert power_sums([1, 2, 3], 4) == pytest.approx([6, 14, 36, 98])

@@ -10,8 +10,7 @@ from polytrig.gentrig import ArgumentOverflowError
 from polytrig.poly import Polynomial, RootSet, parse_polynomial
 from polytrig.series import (MIN_ORACLE_N, DegenerateMatrixError, IntegerRootError,
                              SeriesError,
-                             associated_matrix, brute_force_sum,
-                             brute_force_sums, eval_R, evaluate_sums,
+                             associated_matrix, brute_force_sums, eval_R, evaluate_sums,
                              fourier_coefficient)
 
 
@@ -130,20 +129,17 @@ class TestAssociatedMatrix:
 
 class TestOracle:
     def test_quadratic_reference_values(self):
-        p = parse_polynomial("x^2+1")
-        est, err = brute_force_sum(p, 0, alternating=False)
+        oracle_a, oracle_b = brute_force_sums(parse_polynomial("x^2+1"))
+        est, err = oracle_a[0]
         assert abs(est - math.pi / math.tanh(math.pi)) < 1e-9
         assert abs(est - math.pi / math.tanh(math.pi)) < 10 * err + 1e-11
-        est, err = brute_force_sum(p, 0, alternating=True)
+        est, err = oracle_b[0]
         assert abs(est - math.pi / math.sinh(math.pi)) < 1e-9
 
     def test_odd_powers_cancel(self):
-        est, _ = brute_force_sum(parse_polynomial("x^2+1"), 1, alternating=False)
+        oracle_a, _ = brute_force_sums(parse_polynomial("x^2+1"))
+        est, _ = oracle_a[1]
         assert abs(est) < 1e-12
-
-    def test_power_out_of_range(self):
-        with pytest.raises(SeriesError):
-            brute_force_sum(parse_polynomial("x^2+1"), 2, alternating=False)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("degree", range(2, 9))
@@ -160,13 +156,6 @@ class TestOracle:
             for terms, (est, _) in ((base / np.tan(math.pi * roots), oracle_a[k]),
                                     (base / np.sin(math.pi * roots), oracle_b[k])):
                 assert abs(est - terms.sum()) <= 1e-6 * (1 + np.abs(terms).sum())
-
-    def test_single_sum_is_an_entry_of_all_sums(self):
-        p = parse_polynomial("x^3+x^2+1")
-        oracle_a, oracle_b = brute_force_sums(p, MIN_ORACLE_N)
-        for k in range(3):
-            assert brute_force_sum(p, k, False, MIN_ORACLE_N) == oracle_a[k]
-            assert brute_force_sum(p, k, True, MIN_ORACLE_N) == oracle_b[k]
 
     @pytest.mark.parametrize("n_terms", [0, 1, MIN_ORACLE_N - 1])
     def test_small_oracle_rejected(self, n_terms):
