@@ -308,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--descending-columns", action="store_true",
                    help="report powers in descending order")
-    p.add_argument("--oracle-n", type=int, default=100_000)
+    p.add_argument("--oracle-n", type=int, default=series.MIN_ORACLE_N)
     p = sub.add_parser("verify", help="run every reproducibility check")
     common(p, poly=False)
     sampled(p)
-    p.add_argument("--oracle-n", type=int, default=100_000)
+    p.add_argument("--oracle-n", type=int, default=series.MIN_ORACLE_N)
     return parser
 
 

@@ -174,12 +174,6 @@ def factorial_identity_check(n: int):
     return sum_a, sum_b, sum_a == 3 * sum_b
 
 
-def delta(sys: CyclotomicSystem, l: int) -> complex:
-    """Jump of S_l across the period endpoints: S_l(pi) - S_l(-pi)."""
-    ends = eval_S_cyclo(sys, l, np.array([math.pi, -math.pi]))
-    return complex(ends[0] - ends[1])
-
-
 def matrix_A(sys: CyclotomicSystem):
     """The boundary-jump solvability matrix and two determinant routes.
 
@@ -198,7 +192,7 @@ def matrix_A(sys: CyclotomicSystem):
         raise CyclotomicError("m above 12 is not supported here")
     E = gentrig._guarded_exp(np.array([math.pi, -math.pi]), sys.roots)
     S = E @ sys.weights.T
-    d = S[0] - S[1]  # every delta(sys, l)
+    d = S[0] - S[1]  # every jump S_l(pi) - S_l(-pi)
     l, k = np.ogrid[:m, :m]
     idx = (m - 1 - k + l) % m
     J = eta ** (m - 1 - k - l + idx) * d[idx]

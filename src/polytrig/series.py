@@ -2,8 +2,10 @@
 
 Route: boundary functions R_l built from the exponential-sum system of P, their
 Fourier data packed into the associated matrix C(P), and a linear solve against
-the boundary values.  Every output is cross-checked by a brute-force symmetric
-summation oracle with extrapolation.
+the boundary values.  Every output is cross-checked by an oracle that needs no
+roots: the terms |n| <= N summed directly, the rest summed exactly as Hurwitz
+zeta values of the Laurent series of 1/P at infinity, with an error bar that
+bounds the Laurent remainder, the Euler-Maclaurin remainder and the roundoff.
 """
 from __future__ import annotations
 
@@ -19,12 +21,21 @@ from .poly import Polynomial
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
 
-#: smallest oracle size: below it the extrapolation reports a false error bar
-#: (for x^2+1, N = 1 would give B_0 = 0 with error bar 1e-12; the true value is 0.272)
+#: smallest oracle head N: the tail's zeta values come from Euler-Maclaurin
+#: with no direct terms, which needs a >= N/2 far above every exponent used
 MIN_ORACLE_N = 1000
 
-#: alternating sums average this many levels of tail partial sums
-TAIL_DEPTH = 40
+#: the oracle head reaches at least this many Fujiwara root radii, so the
+#: Laurent series of 1/P converges on the tail with ratio at most 1/2
+HEAD_RADII = 4
+
+#: the largest head a root radius may force; a larger oracle size is honoured
+_MAX_AUTO_HEAD = 2 ** 20
+
+#: B_2 .. B_14; the last only bounds the Euler-Maclaurin remainder
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])
+
+_EPS = float(np.finfo(float).eps)
 
 TWO_PI_I = 2j * math.pi
 
@@ -130,70 +141,162 @@ def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def brute_force_sums(p: Polynomial, n_terms: int = 100_000):
-    """Oracle for all 2m sums at once: symmetric (n, -n) pairing, then extrapolation.
+def _hurwitz_zeta(s, a):
+    """``a**(s-1) * zeta(s, a)`` and a bound on its truncation error, for s >= 2.
 
-    P(n) and P(-n) are evaluated once for n = 1..4N (N = ``n_terms``), in four
-    blocks of N points, and shared by every power k and both signs: the pair
-    term is n**k (1/P(n) + 1/P(-n)) for even k and n**k (1/P(n) - 1/P(-n))
-    for odd k.  Non-alternating sums use three-level Richardson over the
-    partial sums at N, 2N, 4N; alternating sums use iterated averaging of the
-    last ``TAIL_DEPTH + 1`` partial sums of the first N terms.  Returns
-    ``(oracle_A, oracle_B)``, each a tuple of ``(estimate, error_bar)`` pairs
-    indexed by k.
+    Euler-Maclaurin with no direct terms: 1/(s-1) + 1/(2a) plus the corrections
+    B_2k/(2k)! (s)_(2k-1) a^-2k for k = 1..6.  Every derivative of (a+x)^-s has
+    one sign, so the remainder is at most the first omitted correction, which
+    is the bound.  ``s`` and ``a`` broadcast.
+    """
+    s, a = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
+    k = np.arange(1, len(_BERNOULLI) + 1)
+    # (s)_(2k-1) / ((2k)! a^2k) = (s-1)_2k / ((2k)! a^2k) / (s-1), one running product
+    ratio = ((s[..., None] + 2 * k - 3) * (s[..., None] + 2 * k - 2)
+             / ((2 * k - 1) * (2 * k) * a[..., None] ** 2))
+    terms = _BERNOULLI * np.cumprod(ratio, axis=-1) / (s[..., None] - 1)
+    return 1 / (s - 1) + 1 / (2 * a) + terms[..., :-1].sum(axis=-1), np.abs(terms[..., -1])
+
+
+def _fujiwara_radius(monic: np.ndarray) -> float:
+    """Fujiwara's root-free bound 2 max |b_(m-i)|^(1/i), b_0 halved, on every |root|."""
+    c = np.abs(monic[-2::-1])  # |b_(m-1)|, ..., |b_0|
+    c[-1] /= 2
+    return 2 * float(np.max(c ** (1 / np.arange(1, len(c) + 1))))
+
+
+def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
+    """Independent oracle for all 2m sums: an exact head and a summed asymptotic tail.
+
+    Head: the terms n = -N..N, from one Horner pass each for P(n) and P(-n),
+    where N is ``n_terms`` raised to ``HEAD_RADII`` Fujiwara root radii.  The
+    pair term n^k (1/P(n) + (-1)^k / P(-n)) serves every power k and both signs.
+
+    Tail: for n > N, 1/P(n) = n^-m sum_j d_j n^-j, with d the power-series
+    inverse of the reversed coefficients of P.  In a pair term only the even
+    exponents s = m + j - k >= 2 survive, each twice.  Summed over n > N,
+    n^-s gives the Hurwitz zeta value zeta(s, N+1), and (-1)^n n^-s gives
+    2^-s (zeta(s, e/2) - zeta(s, o/2)) for the first even e and odd o above N.
+
+    The error bar is a bound, the sum of: a Cauchy estimate of the Laurent
+    remainder, the Euler-Maclaurin remainder of the zeta values and the
+    roundoff of head and tail.  Returns ``(oracle_A, oracle_B)``, each a tuple
+    of ``(estimate, error_bar)`` pairs indexed by k.  An integer n with
+    |P(n)| <= ``INTEGER_ROOT_TOL`` |P'(n)| raises :class:`IntegerRootError`
+    naming the Newton estimate n - P(n)/P'(n) of the root.
     """
     if n_terms < MIN_ORACLE_N:
         raise SeriesError(
             f"oracle size {n_terms} is below {MIN_ORACLE_N}; "
-            f"its extrapolation would report a false error bar"
+            f"its zeta tail would lose precision"
         )
-    _check_roots(make_system(p))
-    m = p.degree
-    desc = np.array(p.coeffs[::-1], dtype=complex)
-    if not desc.imag.any():
-        desc = desc.real  # real arithmetic for real coefficients: same values up to rounding
+    m, lead = p.degree, p.coeffs[-1]
+    coeffs = np.array(p.monic().coeffs, dtype=complex)  # the sums are divided by lead at the end
+    if not coeffs.imag.any():
+        coeffs = coeffs.real  # real arithmetic for real coefficients: same values up to rounding
+    desc = coeffs[::-1]
+    radius = _fujiwara_radius(coeffs)
+    if not HEAD_RADII * radius <= max(n_terms, _MAX_AUTO_HEAD):
+        raise SeriesError(
+            f"roots of modulus up to {radius:.3e} need an oracle head of "
+            f"{HEAD_RADII * radius:.3e} terms; pass that many as the oracle size"
+        )
+    N = max(n_terms, math.ceil(HEAD_RADII * radius))
 
-    sign = np.resize([-1.0, 1.0], n_terms)  # (-1)**n for n = 1..N
-    block_sums = np.zeros((4, m), dtype=complex)  # blocks end at N, 2N, 3N, 4N
-    tails = np.zeros((m, TAIL_DEPTH + 1), dtype=complex)
-    for block in range(4):
-        n = np.arange(block * n_terms + 1.0, (block + 1) * n_terms + 1.0)
-        inv_pos = 1.0 / _horner(desc, n)
-        inv_neg = 1.0 / _horner(desc, -n)
-        pairs = (inv_pos + inv_neg, inv_pos - inv_neg)  # by parity of k
-        power = np.ones_like(n)
-        for k in range(m):
-            t = power * pairs[k % 2]
-            block_sums[block, k] = t.sum()
-            if block == 0:
-                # the last TAIL_DEPTH + 1 partial sums of the first N terms
-                t *= sign
-                tails[k, 0] = t[:-TAIL_DEPTH].sum()
-                tails[k, 1:] = tails[k, 0] + np.cumsum(t[-TAIL_DEPTH:])
-            power *= n
+    n = np.arange(1.0, N + 1)
+    values = _horner(desc, np.array([n, -n]))  # P(n), P(-n)
+    # An integer beyond radius + 1 is at least 1 from every root, so its
+    # Newton step |P/P'| is at least 1/m: only the nearer ones can be refused.
+    near = min(N, int(radius) + 1)
+    x = np.concatenate(([0.0], n[:near], -n[:near]))
+    at_x = np.concatenate(([coeffs[0]], values[0, :near], values[1, :near]))
+    slope = _horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
+    hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
+    if hit.any():
+        i = int(np.argmax(hit))
+        step = at_x[i] / slope[i] if at_x[i] != 0 else 0.0
+        raise IntegerRootError(complex(x[i] - step), float(abs(step)))
 
-    center = np.zeros(m, dtype=complex)  # n = 0 term; 0**0 == 1
-    center[0] = 1.0 / p(0)
+    inv = 1 / values
+    # P~(|n|) / |P(+-n)|^2 with P~(x) = sum |a_i| x^i: at least 1/|P|, and the
+    # Horner error of P is at most about 3m eps P~ (complex arithmetic)
+    weight = ((_horner(np.abs(desc), n) * np.abs(inv)) * np.abs(inv)).sum(axis=0)
+    pairs = (inv[0] + inv[1], inv[0] - inv[1])  # by parity of k
+    sign = np.ones(N)
+    sign[::2] = -1.0  # (-1)**n
+    head = np.zeros((m, 2), dtype=complex)
+    size = np.empty(m)
+    power = np.ones(N)
+    for k in range(m):
+        t = power * pairs[k % 2]
+        head[k] = t.sum(), (t * sign).sum()
+        size[k] = power @ weight
+        power *= n
+    head[0] += 1 / coeffs[0]  # n = 0; 0**0 == 1
+    size[0] += 1 / abs(coeffs[0])
+    k = np.arange(m)
+    # Horner, then the reciprocal, n^k, the pair and a pairwise sum of depth <= 20 + log2 N
+    head_error = _EPS * (3 * m + k + 31 + math.log2(N)) * size
 
-    s1 = center + block_sums[0]
-    s2 = center + (block_sums[0] + block_sums[1])
-    s4 = center + ((block_sums[0] + block_sums[1]) + (block_sums[2] + block_sums[3]))
-    r1a = 2 * s2 - s1
-    r1b = 2 * s4 - s2
-    estimate_a = (4 * r1b - r1a) / 3
-    error_a = np.maximum(np.abs(estimate_a - r1b), 1e-12)
+    # Tail.  P(n) = n^m q(sigma/n) with q(t) = sum_i beta_i t^i and
+    # sigma = N + 1, so t <= 1 on the tail, and 1/P has the Laurent
+    # coefficients d_j = sigma^j c_j for 1/q(t) = sum_j c_j t^j.
+    sigma = N + 1.0
+    beta = desc / sigma ** np.arange(m + 1)
+    unit = 2 * sigma ** (k + 1.0 - m)  # the pair's 2 times sigma^j / sigma^(s-1)
+    # Cauchy: on |t| = g with q~(g) = 1 - sum_(i>=1) |beta_i| g^i > 0,
+    # |1/q| <= 1/q~(g) =: cauchy, so |c_j| <= cauchy g^-j, and past J terms
+    # 1/q leaves at most factor (t/g)^J, factor = cauchy / (1 - 1/g).  With
+    # sum_(n>=sigma) n^-p <= sigma^-p (1 + sigma/(p-1)) the Laurent remainder
+    # of sum k is at most unit factor g^-J (1/sigma + 1/(m+J-k-1)).  g = 2
+    # always qualifies, as sigma >= HEAD_RADII radii.  J is the fewest terms
+    # that bring this below eps times the head size, at the g needing fewest.
+    # Every root is within sigma/4, so |P(n)| <= (1.5 n)^m for n >= N/2, the
+    # head size is at least unit / (4 1.5^m), and J <= 72 at degree 24.
+    g = 2.0 ** np.arange(1, 13)
+    q_low = 1 - g * _horner(np.abs(beta[:0:-1]), g)
+    g, cauchy = g[q_low > 0], 1 / q_low[q_low > 0]
+    factor = cauchy / (1 - 1 / g)
+    needed = np.log(2 * factor[:, None] * (unit / size / _EPS)) / np.log(g)[:, None]  # 2 >= 1/sigma + 1
+    best = int(np.argmin(needed.max(axis=1)))
+    J = max(1, math.ceil(needed[best].max()))
+    g, cauchy, factor = g[best], cauchy[best], factor[best]
 
-    tails += center[:, None]
-    for _ in range(TAIL_DEPTH):
-        previous = tails[:, -1]
-        tails = 0.5 * (tails[:, 1:] + tails[:, :-1])
-    estimate_b = tails[:, 0]
-    error_b = np.maximum(np.abs(estimate_b - previous), 1e-12)
+    c = np.zeros(J, dtype=beta.dtype)
+    c[0] = 1.0
+    for j in range(1, J):
+        i = min(j, m)
+        c[j] = -(beta[1:i + 1] @ c[j - 1::-1][:i])
 
-    def as_tuples(estimate, error):
-        return tuple((complex(e), float(b)) for e, b in zip(estimate, error))
+    # sigma^(s-1) zeta(s, N+1) and sigma^(s-1) 2^-s (zeta(s, e/2) - zeta(s, o/2))
+    # from a^(s-1) zeta(s, a) at a = N + 1, e/2 and o/2
+    e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
+    s = np.arange(2, m + J)[:, None]
+    z, z_error = _hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
+    rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
+    mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
+    pad = np.zeros((2, 2))  # s = 0 and 1 never survive
+    zeta = np.concatenate([pad, (z * rescale) @ mix])
+    zeta_size = np.concatenate([pad, (z * rescale) @ np.abs(mix)])
+    zeta_error = np.concatenate([pad, (z_error * rescale) @ np.abs(mix)])
 
-    return as_tuples(estimate_a, error_a), as_tuples(estimate_b, error_b)
+    exponent = m + np.arange(J) - k[:, None]  # s by k and j
+    surviving = exponent % 2 == 0
+    tail = unit[:, None] * (np.where(surviving, c, 0)[..., None] * zeta[exponent]).sum(axis=1)
+    # |c_j| <= cauchy g^-j, and its recurrence adds at most about m (j+1) cauchy^2 g^-j eps
+    majorant = np.where(surviving, cauchy * g ** -np.arange(J, dtype=float), 0)
+    rounding = _EPS * (m + 4) * (J + 4) * cauchy
+    tail_error = unit[:, None] * (
+        (factor * g ** -J * (1 / sigma + 1 / (m + J - k - 1)))[:, None]
+        + (majorant[..., None] * (zeta_error[exponent] + rounding * zeta_size[exponent])).sum(axis=1))
+
+    estimate = (head + tail) / lead
+    error = (head_error[:, None] + tail_error) / abs(lead)
+
+    def as_tuples(col):
+        return tuple((complex(v), float(b)) for v, b in zip(estimate[:, col], error[:, col]))
+
+    return as_tuples(0), as_tuples(1)
 
 
 @dataclass(frozen=True)
@@ -207,7 +310,7 @@ class SeriesResult:
     condition_estimate: float
 
 
-def evaluate_sums(p: Polynomial, oracle_n: int = 100_000, run_oracle: bool = True) -> SeriesResult:
+def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool = True) -> SeriesResult:
     """Solve C(P) . A = boundary averages and C(P) . B = midpoint values.
 
     The top-degree sum (terms decaying like 1/n) is the symmetric

@@ -113,7 +113,7 @@ def associated_matrix_reproduction(time_limit: float = 0.1) -> CheckResult:
                        dev, 1e-10, secs)
 
 
-def cubic_closed_forms(oracle_n: int = 100_000) -> CheckResult:
+def cubic_closed_forms(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
     """The six known closed forms for x^3+x^2+1, plus oracle agreement."""
     weights = {
         2: lambda r: 9 - 4 * r - 6 / r,
@@ -145,7 +145,7 @@ def cubic_closed_forms(oracle_n: int = 100_000) -> CheckResult:
                        detail=f"oracle gap {oracle_gap:.1e}")
 
 
-def known_quadratic_sums(oracle_n: int = 100_000) -> CheckResult:
+def known_quadratic_sums(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
     """x^2+1: A0 = pi*coth(pi), B0 = pi/sinh(pi), A1 = B1 = 0."""
 
     def body():
@@ -336,7 +336,7 @@ def derivative_system(seed: int = 0) -> CheckResult:
     return CheckResult("derivative system", worst <= 1e-6, worst, 1e-6, secs)
 
 
-def even_power_family(oracle_n: int = 50_000) -> CheckResult:
+def even_power_family(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
     """evaluate_sums against the oracle for P(n) = n^(2m) + 1, m = 1..4."""
 
     def body():
@@ -354,7 +354,7 @@ def even_power_family(oracle_n: int = 50_000) -> CheckResult:
     return CheckResult("even-power family sums", worst <= 1e-6, worst, 1e-6, secs)
 
 
-def run_all(seed: int = 0, oracle_n: int = 100_000) -> list:
+def run_all(seed: int = 0, oracle_n: int = series.MIN_ORACLE_N) -> list:
     """All acceptance checks in order."""
     checks: list[CheckResult] = [
         associated_matrix_reproduction(),
@@ -371,6 +371,6 @@ def run_all(seed: int = 0, oracle_n: int = 100_000) -> list:
     checks.extend([
         fourier_quadrature(seed=seed),
         derivative_system(seed=seed),
-        even_power_family(oracle_n=min(oracle_n, 50_000)),
+        even_power_family(oracle_n=oracle_n),
     ])
     return checks

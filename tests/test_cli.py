@@ -208,3 +208,8 @@ class TestExitCodes:
         assert code == 2 and str(limit) in err
         code, _, _ = run(capsys, "sum", "--poly", "x^2+1", "--oracle-n", str(limit))
         assert code == 0
+
+    def test_oracle_n_defaults_to_the_library_constant(self, capsys):
+        code, doc = run_json(capsys, "sum", "--poly", "x^2+1")
+        assert code == 0 and doc["inputs"]["oracle_n"] == series.MIN_ORACLE_N
+        assert cli.build_parser().parse_args(["verify"]).oracle_n == series.MIN_ORACLE_N

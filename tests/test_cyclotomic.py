@@ -7,7 +7,7 @@ import pytest
 
 from polytrig import cyclotomic
 from polytrig.cyclotomic import (CyclotomicError, addition_rule,
-                                 apply_addition, delta, det_M_constant,
+                                 apply_addition, det_M_constant,
                                  det_M_cyclo, eval_S_cyclo,
                                  factorial_identity_check, make_cyclotomic,
                                  matrix_A, rescale_consistency,
@@ -173,17 +173,22 @@ class TestFactorialIdentity:
             factorial_identity_check(123)
 
 
+def jump(sys, l):
+    """S_l(pi) - S_l(-pi), the boundary jump that matrix_A is built from."""
+    return eval_S_cyclo(sys, l, math.pi) - eval_S_cyclo(sys, l, -math.pi)
+
+
 class TestBoundaryJump:
     def test_delta_m2(self):
         sys = make_cyclotomic(2)
-        assert delta(sys, 0) == pytest.approx(0.0, abs=1e-13)  # cos is periodic
-        assert delta(sys, 1) == pytest.approx(2 * math.sin(math.pi), abs=1e-13)
+        assert jump(sys, 0) == pytest.approx(0.0, abs=1e-13)  # cos is periodic
+        assert jump(sys, 1) == pytest.approx(2 * math.sin(math.pi), abs=1e-13)
 
     def test_matrix_matches_the_defining_loop(self):
         for m in range(1, 9):
             sys = make_cyclotomic(m)
             eta = sys.eta
-            d = [delta(sys, l) for l in range(m)]
+            d = [jump(sys, l) for l in range(m)]
             A = np.empty((m, m), dtype=complex)
             for l in range(m):
                 for k in range(m):

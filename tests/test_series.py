@@ -7,11 +7,14 @@ import pytest
 
 from polytrig import gentrig, linalg, series
 from polytrig.gentrig import ArgumentOverflowError
-from polytrig.poly import Polynomial, RootSet, parse_polynomial
+from polytrig.poly import MAX_DEGREE, Polynomial, RootSet, parse_polynomial
 from polytrig.series import (MIN_ORACLE_N, DegenerateMatrixError, IntegerRootError,
                              SeriesError,
                              associated_matrix, brute_force_sums, eval_R, evaluate_sums,
                              fourier_coefficient)
+
+
+EPS = float(np.finfo(float).eps)
 
 
 def _random_system(rng, degree):
@@ -166,12 +169,78 @@ class TestOracle:
         with pytest.raises(SeriesError, match="oracle size"):
             evaluate_sums(p, oracle_n=n_terms)
 
+    @pytest.mark.parametrize("text, root", [("x^2-4", 2.0), ("x^4-6x^3+10x^2-6x+9", 3.0)])
+    def test_integer_root_refused(self, text, root):
+        # x^2 - 4 and (x-3)^2 (x^2+1): P(n) = 0 at a head integer, before any division
+        with pytest.raises(IntegerRootError) as exc:
+            brute_force_sums(parse_polynomial(text))
+        assert exc.value.root == root and exc.value.distance == 0.0
+
+    def test_near_integer_root_named_by_its_newton_step(self):
+        r = 2 + 1e-10
+        with pytest.raises(IntegerRootError) as exc:
+            brute_force_sums(Polynomial((-r * r, 0.0, 1.0)))
+        assert exc.value.root.real == pytest.approx(r, abs=1e-15)
+        assert exc.value.distance == pytest.approx(1e-10, rel=1e-5)
+
     def test_smallest_oracle_is_honest(self):
         oracle_a, oracle_b = brute_force_sums(parse_polynomial("x^2+1"), MIN_ORACLE_N)
         est, err = oracle_a[0]
         assert abs(est - math.pi / math.tanh(math.pi)) <= err
         est, err = oracle_b[0]
         assert abs(est - math.pi / math.sinh(math.pi)) <= err
+
+
+class TestOracleAgainstMpmath:
+    """The oracle's zeta helper and error bar against 40-digit references."""
+
+    @pytest.fixture(autouse=True)
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            yield mpmath
+
+    @pytest.mark.parametrize("a", [1001, 500.5, 501])
+    def test_hurwitz_zeta(self, mp, a):
+        # every even exponent the tail uses: s < m + J, with m <= 24 and J <= 72
+        s = np.arange(2, MAX_DEGREE + 72, 2)
+        got, bound = series._hurwitz_zeta(s, a)
+        for sj, value, b in zip(s, got, bound):
+            # mpmath's zeta(s, a) loses about s log10(a) of its working digits
+            with mp.workdps(40 + 4 * int(sj)):
+                ref = mp.zeta(int(sj), a) * mp.mpf(a) ** (int(sj) - 1)
+            assert abs(value - ref) <= b + 4 * EPS * ref, f"s = {sj}"
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_error_bar_holds(self, mp, degree, real):
+        # -pi sum_j r_j^k cot(pi r_j)/P'(r_j), 1/sin for the alternating sum,
+        # at 40-digit roots of the same double coefficients
+        p = _random_poly(np.random.default_rng(100 + degree), degree, real)
+        desc = [mp.mpc(c.real, c.imag) for c in p.coeffs[::-1]]
+        slope = [c * (degree - i) for i, c in enumerate(desc[:-1])]
+        roots = mp.polyroots(desc, maxsteps=200, extraprec=200)
+        weight = [-mp.pi / mp.polyval(slope, r) for r in roots]
+        oracle_a, oracle_b = brute_force_sums(p)
+        for k in range(degree):
+            ref_a = mp.fsum(w * r ** k * mp.cot(mp.pi * r) for w, r in zip(weight, roots))
+            ref_b = mp.fsum(w * r ** k / mp.sin(mp.pi * r) for w, r in zip(weight, roots))
+            for (est, err), ref in ((oracle_a[k], ref_a), (oracle_b[k], ref_b)):
+                assert abs(est - complex(ref)) <= err, f"k = {k}"
+                assert err <= 1e-10 * (1 + abs(est))
+
+    @pytest.mark.parametrize("a", [50, 300])
+    def test_large_roots(self, mp, a):
+        # sum 1/(n^2+a^2) = (pi/a) coth(pi a), alternating (pi/a)/sinh(pi a); every
+        # term is positive, so both are measured against the first, the size of
+        # the terms.  The closed form overflows at a = 300, so this goes through
+        # brute_force_sums.
+        oracle_a, oracle_b = brute_force_sums(parse_polynomial(f"x^2+{a * a}"), MIN_ORACLE_N)
+        ref_a = mp.pi / a / mp.tanh(mp.pi * a)
+        ref_b = mp.pi / a / mp.sinh(mp.pi * a)
+        for (est, err), ref in ((oracle_a[0], ref_a), (oracle_b[0], ref_b)):
+            assert abs(est - complex(ref)) <= 1e-14 * ref_a
+            assert abs(est - complex(ref)) <= err
 
 
 class TestEvaluateSums:
@@ -204,6 +273,15 @@ class TestEvaluateSums:
             assert abs(res.A[k] - res.oracle_A[k][0]) < 1e-5
             assert abs(res.B[k] - res.oracle_B[k][0]) < 1e-6
 
+    def test_large_roots(self):
+        # roots +-50i: the closed form and the oracle at its smallest size
+        res = evaluate_sums(parse_polynomial("x^2+2500"), oracle_n=MIN_ORACLE_N)
+        ref = math.pi / 50 / math.tanh(50 * math.pi)
+        for est in (res.A[0], res.oracle_A[0][0]):
+            assert abs(est - ref) <= 1e-14 * ref
+        for est in (res.B[0], res.oracle_B[0][0]):
+            assert abs(est) <= 1e-14 * ref  # (pi/50)/sinh(50 pi) is 7.6e-70
+
     def test_quartic_against_oracle(self):
         res = evaluate_sums(parse_polynomial("x^4+1"), oracle_n=50_000)
         for k in range(4):
@@ -233,7 +311,7 @@ class TestEvaluateSums:
 
         monkeypatch.setattr(series, "make_system", counting)
         evaluate_sums(parse_polynomial("x^8+1"), oracle_n=MIN_ORACLE_N)
-        assert len(builds) <= 2  # closed form and oracle, not one per sum
+        assert len(builds) == 1  # the closed form's; the oracle needs no roots
 
     def test_overflow_is_typed(self):
         with pytest.raises(ArgumentOverflowError, match="300j"):
