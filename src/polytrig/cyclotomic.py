@@ -40,6 +40,25 @@ class CyclotomicSystem:
         l = np.arange(self.m)
         return self.zeta ** (np.outer(l, l) % self.m) / (self.m * self.eta ** l)[:, None]
 
+    @cached_property
+    def minus_ir(self) -> np.ndarray:
+        """The exponent rates -i roots[j] = eta zeta^j."""
+        return -1j * self.roots
+
+    @cached_property
+    def radius(self) -> float:
+        """The root radius max |roots[j]| (1 up to roundoff)."""
+        return float(np.max(np.abs(self.roots)))
+
+    def exponentials(self, x) -> np.ndarray:
+        """E[..., j] = exp(eta zeta^j x) for a scalar x or an array of them (leading axes)."""
+        return gentrig._guarded_exp(x, self.roots, self.minus_ir, self.radius)
+
+    @cached_property
+    def _det_parts(self) -> tuple:
+        """zeta^l, and the index and twist that fold f_l = zeta^l S_l into M(x)."""
+        return (self.zeta ** np.arange(self.m), *gentrig._shift_fold(self.m, -1.0))
+
 
 def make_cyclotomic(m: int) -> CyclotomicSystem:
     if m < 1:
@@ -54,14 +73,14 @@ def _check_index(m: int, l: int):
 
 def _eval_all(sys: CyclotomicSystem, x) -> np.ndarray:
     """S[..., l] = S_l(x) for every l at once."""
-    return gentrig._guarded_exp(x, sys.roots) @ sys.weights.T
+    return sys.exponentials(x) @ sys.weights.T
 
 
 def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
     """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
     _check_index(sys.m, l)
-    value = gentrig._guarded_exp(x, sys.roots) @ sys.weights[l]
-    return complex(value) if np.isscalar(value) else value
+    value = sys.exponentials(x) @ sys.weights[l]
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 @lru_cache(maxsize=32)
@@ -99,7 +118,7 @@ def taylor_eval_cyclo(sys: CyclotomicSystem, l: int, x: complex, terms: int) -> 
     steps = np.ones(x.shape + (p.max(initial=0) + 1,), dtype=complex)
     steps[..., 1:] = x[..., None] / np.arange(1.0, steps.shape[-1])
     value = np.cumprod(steps, axis=-1)[..., p] @ (-1.0) ** k / sys.zeta ** l
-    return complex(value) if np.isscalar(value) else value
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 @dataclass(frozen=True)
@@ -124,7 +143,7 @@ def apply_addition(sys: CyclotomicSystem, rule: AdditionRule, x1: complex, x2: c
     if rule.m != sys.m:
         raise CyclotomicError("rule and system orders differ")
     value = (_eval_all(sys, x1)[..., list(rule.partners)] * _eval_all(sys, x2)) @ rule.signs
-    return complex(value) if np.isscalar(value) else value
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 def det_M_constant(m: int) -> int:
@@ -142,9 +161,8 @@ def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
 
     Constant in x; equals :func:`det_M_constant` of the order.
     """
-    f = sys.zeta ** np.arange(sys.m) * _eval_all(sys, x)
-    index, twist = gentrig._shift_fold(sys.m, -1.0)
-    return linalg.determinant(f[index] * twist)
+    powers, index, twist = sys._det_parts
+    return linalg.determinant((powers * _eval_all(sys, x))[index] * twist)
 
 
 def factorial_identity_check(n: int):
@@ -190,7 +208,7 @@ def matrix_A(sys: CyclotomicSystem):
     m, eta, zeta = sys.m, sys.eta, sys.zeta
     if m > 12:
         raise CyclotomicError("m above 12 is not supported here")
-    E = gentrig._guarded_exp(np.array([math.pi, -math.pi]), sys.roots)
+    E = sys.exponentials(np.array([math.pi, -math.pi]))
     S = E @ sys.weights.T
     d = S[0] - S[1]  # every jump S_l(pi) - S_l(-pi)
     l, k = np.ogrid[:m, :m]

@@ -8,6 +8,7 @@ certificates among the S_l.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,14 @@ from .poly import Polynomial, RootSet, find_roots
 
 #: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
+
+#: threshold of the kernel's bound test max|x|*rho, below EXP_GUARD by the
+#: roundoff of |x|, rho, their product and the complex product -i r_j x, so the
+#: test never passes an exponent whose computed real part exceeds EXP_GUARD
+_BOUND_GUARD = EXP_GUARD * (1 - 8 * np.finfo(float).eps)
+
+#: scalar arguments, which take the kernel's path without array conversion
+_NUMBER = (complex, float, int, np.number)
 
 
 class GenTrigError(ValueError):
@@ -92,7 +101,7 @@ class GenTrigSystem:
     T: np.ndarray
     K: np.ndarray
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.poly.degree
 
@@ -101,23 +110,47 @@ class GenTrigSystem:
         """The roots as an array, in the column order of T."""
         return np.array(self.roots.roots, dtype=complex)
 
+    @cached_property
+    def minus_ir(self) -> np.ndarray:
+        """The exponent rates -i r_j."""
+        return -1j * self.r
+
+    @cached_property
+    def radius(self) -> float:
+        """The root radius max |r_j|."""
+        return float(np.max(np.abs(self.r)))
+
     def exponentials(self, x) -> np.ndarray:
         """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes)."""
-        return _guarded_exp(x, self.r)
+        return _guarded_exp(x, self.r, self.minus_ir, self.radius)
 
 
-def _guarded_exp(x, roots) -> np.ndarray:
-    """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+def _guarded_exp(x, roots, minus_ir, radius: float) -> np.ndarray:
+    """E[..., j] = exp(minus_ir[j] x) for a scalar x or an array of them (leading axes).
 
-    The one exponential kernel of the package.  Every exponent is checked
-    against ``EXP_GUARD`` first; the worst one past it raises
-    :class:`ArgumentOverflowError` naming its root and argument.
+    The one exponential kernel of the package; ``minus_ir`` is -i ``roots``
+    and ``radius`` is max |roots|.  Since |Re(-i r_j x)| <= |r_j| |x|, an
+    argument set with max |x| * radius within ``EXP_GUARD`` needs no further
+    check.  Otherwise every exponent is scanned: the worst one past
+    ``EXP_GUARD``, or a non-finite one, raises :class:`ArgumentOverflowError`
+    naming its root and argument.
     """
+    if isinstance(x, _NUMBER):
+        # math.hypot, since abs() of a huge complex raises OverflowError
+        if math.hypot(x.real, x.imag) * radius <= _BOUND_GUARD:
+            return np.exp(x * minus_ir)
+    else:
+        x = np.asarray(x, dtype=complex)
+        if float(np.abs(x).max()) * radius <= _BOUND_GUARD:
+            return np.exp(np.multiply.outer(x, minus_ir))
+    # the bound failed, or an argument is nan or infinite
     x = np.asarray(x, dtype=complex)
-    z = np.multiply.outer(x, -1j * roots)
-    size = np.abs(z.real)
-    if size.max() > EXP_GUARD:
-        *at, j = np.unravel_index(np.argmax(size), size.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = np.multiply.outer(x, minus_ir)
+        size = np.abs(z.real)
+    worst = np.argmax(size)  # the first nan, if any
+    if not size.flat[worst] <= EXP_GUARD:
+        *at, j = np.unravel_index(worst, size.shape)
         raise ArgumentOverflowError(complex(roots[j]), complex(x[tuple(at)]))
     return np.exp(z)
 
@@ -148,11 +181,18 @@ def _check_index(sys: GenTrigSystem, l: int):
         raise GenTrigError(f"function index {l} out of range 0..{sys.m - 1}")
 
 
+def _cached(obj, key: str, compute):
+    """``compute()`` once per frozen ``obj``, kept in its instance dict like a cached_property."""
+    if key not in obj.__dict__:
+        obj.__dict__[key] = compute()
+    return obj.__dict__[key]
+
+
 def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """S_l(x) as the direct exponential sum; an array of x gives an array."""
     _check_index(sys, l)
     value = sys.exponentials(x) @ sys.T[l]
-    return complex(value) if np.isscalar(value) else value
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
@@ -168,9 +208,15 @@ def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
     _check_index(sys, l)
     if order > 170:
         raise GenTrigError("order above 170 overflows double-precision factorials")
+    return (_cached(sys, f"taylor_weights_{order}", lambda: _taylor_weights(sys, order))
+            @ sys.T[l]).tolist()
+
+
+def _taylor_weights(sys: GenTrigSystem, order: int) -> np.ndarray:
+    """W[k, j] = (-i r_j)^k / k! for k = 0..order, as one running product."""
     steps = np.ones((order + 1, sys.m), dtype=complex)
-    steps[1:] = -1j * sys.r / np.arange(1.0, order + 1)[:, None]
-    return (np.cumprod(steps, axis=0) @ sys.T[l]).tolist()
+    steps[1:] = sys.minus_ir / np.arange(1.0, order + 1)[:, None]
+    return np.cumprod(steps, axis=0)
 
 
 @dataclass(frozen=True)
@@ -202,13 +248,6 @@ def _shift_parts(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> tuple:
     for l in range(1, sys.m):
         V[l] = V[l - 1] @ sys.K
     return (V @ sys.T, *_shift_fold(sys.m, lam))
-
-
-def _cached(obj, key: str, compute):
-    """``compute()`` once per frozen ``obj``, kept in its instance dict like a cached_property."""
-    if key not in obj.__dict__:
-        obj.__dict__[key] = compute()
-    return obj.__dict__[key]
 
 
 def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:

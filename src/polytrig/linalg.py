@@ -106,18 +106,13 @@ class Eigenpair:
     residual: float
 
 
-def _normalize_left(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))  # ties resolve to the lowest index
-    return v / v[idx]
-
-
 def eigenpairs(M) -> list:
     """Eigenvalues with left eigenvectors, in lexicographic eigenvalue order.
 
     The left eigenvectors of M are the right eigenvectors of M^T, taken from
     ``numpy.linalg.eig``; each is normalized so its maximum-modulus entry
-    equals 1.  Defective matrices are not special-cased: the reported residual
-    ``max|L M - lam L|`` is the quality statement.
+    (the first, on ties) equals 1.  Defective matrices are not special-cased:
+    the reported residual ``max|L M - lam L|`` is the quality statement.
     """
     A = _as_matrix(M)
     n = A.shape[0]
@@ -131,10 +126,8 @@ def eigenpairs(M) -> list:
         return [Eigenpair(mean, v, spread) for v in np.eye(n, dtype=complex)]
 
     values, vectors = _lapack(np.linalg.eig, A.T)
-    out = []
-    for lam, v in zip(values, vectors.T):
-        v = _normalize_left(v)
-        residual = float(np.max(np.abs(v @ A - lam * v)))
-        out.append(Eigenpair(complex(lam), v, residual))
-    out.sort(key=lambda p: (p.value.real, p.value.imag))
-    return out
+    V = vectors.T.copy()  # row k: the left eigenvector of values[k]
+    V /= V[np.arange(n), np.argmax(np.abs(V), axis=1)][:, None]
+    residuals = np.max(np.abs(V @ A - values[:, None] * V), axis=1)
+    return [Eigenpair(complex(values[k]), V[k], float(residuals[k]))
+            for k in np.lexsort((values.imag, values.real))]

@@ -85,7 +85,7 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """
     _check_index(sys, l)
     value = sys.exponentials(x) @ _boundary_weights(sys)[l]
-    return complex(value) if np.isscalar(value) else value
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:

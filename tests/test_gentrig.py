@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polytrig import gentrig, linalg, poly
+from polytrig import cyclotomic, gentrig, linalg, poly, series, verify
 from polytrig.gentrig import (ArgumentOverflowError, GenTrigError,
                               derivative_matrix, eval_S, eval_S_vector,
                               eval_det_M, from_roots, identity_certificate,
@@ -142,6 +142,51 @@ class TestEvaluation:
         assert "(400+1j)" in str(exc.value)
         assert abs(abs(exc.value.root) - 2) < 1e-12
 
+    @pytest.mark.parametrize("x", [
+        0.3, -1.1 + 0.4j, 0, np.float64(0.7), np.complex128(0.2 - 0.9j),
+        np.array(0.5 - 0.25j), np.array([[0.0, 1.5], [-2j, 0.3 - 0.4j]]),
+        np.linspace(-3, 3, 7) + 0.5j,
+    ], ids=["float", "complex", "int", "float64", "complex128", "0-d", "2-d", "1-d"])
+    def test_bound_first_kernel_is_exact(self, x):
+        sys = from_roots([0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j, 1.4])
+        E = sys.exponentials(x)
+        expect = np.exp(np.multiply.outer(x, -1j * sys.r))
+        assert E.shape == expect.shape
+        assert np.array_equal(E, expect)
+
+    def test_kernel_scans_past_a_failed_bound(self):
+        # roots +-i: |x| * rho is about 990 > EXP_GUARD, yet every |Re| is exactly 700
+        sys = make_system(parse_polynomial("x^2+1"))
+        x = 700 + 700j
+        assert abs(x) * sys.radius > gentrig.EXP_GUARD
+        E = sys.exponentials(x)
+        assert np.all(np.isfinite(E.view(float)))
+        assert np.array_equal(E, np.exp(np.multiply.outer(x, -1j * sys.r)))
+        assert np.isfinite(eval_S(sys, 0, x))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex(math.nan, 0),
+                                   complex(1.5e308, 1.5e308)],
+                             ids=["inf", "-inf", "nan", "complex-nan", "huge"])
+    @pytest.mark.parametrize("evaluate", ["eval_S", "eval_R", "eval_det_M", "eval_S_cyclo"])
+    def test_non_finite_argument_is_refused(self, x, evaluate):
+        sys = make_system(parse_polynomial("x^2-2"))
+        call = {
+            "eval_S": lambda: eval_S(sys, 0, x),
+            "eval_R": lambda: series.eval_R(sys, 1, x),
+            "eval_det_M": lambda: eval_det_M(identity_certificate(sys), sys, x),
+            "eval_S_cyclo": lambda: cyclotomic.eval_S_cyclo(cyclotomic.make_cyclotomic(3), 1, x),
+        }[evaluate]
+        with pytest.raises(ArgumentOverflowError) as exc:
+            call()
+        assert f"argument {complex(x)} " in str(exc.value)
+
+    def test_nan_in_an_array_is_the_argument_named(self):
+        sys = make_system(parse_polynomial("x^2+4"))
+        xs = np.array([0.5, 1j, complex(math.nan, 0), -3.0])
+        with pytest.raises(ArgumentOverflowError) as exc:
+            eval_S(sys, 1, xs)
+        assert "argument (nan+0j) " in str(exc.value)
+
     def test_array_argument(self):
         sys = from_roots([0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j])
         xs = np.array([[0.0, 1.5], [-2j, 0.3 - 0.4j]])
@@ -198,6 +243,17 @@ class TestTaylor:
                 assert abs(w.real - round(w.real)) < 1e-9
                 assert abs(w.imag - round(w.imag)) < 1e-9
 
+    def test_weight_tables_are_cached_per_order_and_system(self):
+        # two systems share one sequence of calls; each must match a fresh system
+        roots = ([0.4 + 0.1j, -0.9, 0.2 - 0.6j, 1.1j], [0.5j, -0.3 + 0.8j, 0.7])
+        systems = [from_roots(r) for r in roots]
+        orders = [0, 5, 20, 170]
+        for sequence in (orders, orders[::-1], [20, 0, 170, 5, 20, 170, 0]):
+            for order in sequence:
+                for sys, r in zip(systems, roots):
+                    for l in range(sys.m):
+                        assert taylor_coeffs(sys, l, order) == taylor_coeffs(from_roots(r), l, order)
+
     def test_order_cap(self):
         sys = make_system(parse_polynomial("x^2+1"))
         with pytest.raises(GenTrigError):
@@ -234,6 +290,37 @@ class TestIdentityCertificate:
     def test_degree_one_rejected(self):
         with pytest.raises(GenTrigError):
             identity_certificate(from_roots([2.0]))
+
+    def test_constancy_within_hadamard_roundoff(self):
+        # the 25 systems and points of acceptance check 04, against a bound
+        # that scales with the matrix: LU roundoff is about m eps times the
+        # Hadamard bound H (the product of the row norms) of M(x)
+        def shifted_matrix(sys, cert, x):
+            S = sys.T @ np.exp(-1j * sys.r * x)
+            f, v = [], cert.L
+            for _ in range(sys.m):
+                f.append(v @ S)
+                v = v @ sys.K
+            m = sys.m
+            return np.array([[f[p + q] if p + q < m else cert.lam * f[p + q - m]
+                              for q in range(m)] for p in range(m)])
+
+        def hadamard(M):
+            return float(np.prod(np.linalg.norm(M, axis=1)))
+
+        rng = np.random.default_rng(0)
+        worst_check_04 = 0.0
+        for _ in range(25):
+            sys = verify._random_system(rng, int(rng.integers(2, 7)))
+            cert = identity_certificate(sys)
+            h0 = hadamard(shifted_matrix(sys, cert, 0.0))
+            for x in verify.sample_points(rng, verify.SAMPLES, 1.0):
+                gap = abs(eval_det_M(cert, sys, x) - cert.det_ref)
+                bound = 1e3 * np.finfo(float).eps * sys.m * (hadamard(shifted_matrix(sys, cert, x)) + h0)
+                assert gap <= bound, (sys.m, x, gap, bound)
+                worst_check_04 = max(worst_check_04, gap / (1e-7 * (1 + abs(cert.det_ref))))
+        # the same systems and points as the check itself
+        assert worst_check_04 == verify.certificate_constancy(seed=0).measured
 
     @staticmethod
     def assert_certified(sys, cert):

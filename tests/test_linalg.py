@@ -103,6 +103,53 @@ def test_eigenpairs_scalar_matrix():
     assert np.allclose(vecs, np.eye(4))
 
 
+def eigenpairs_loop(M):
+    """The per-pair loop that ``eigenpairs`` replaced, kept as its reference."""
+    A = np.asarray(M, dtype=complex)
+    n = A.shape[0]
+    mean = complex(np.trace(A) / n)
+    spread = linalg.norm1(A - mean * np.eye(n, dtype=complex))
+    if spread <= 1e-12 * (linalg.norm1(A) + 1.0):
+        return [linalg.Eigenpair(mean, v, spread) for v in np.eye(n, dtype=complex)]
+    values, vectors = np.linalg.eig(A.T)
+    out = []
+    for lam, v in zip(values, vectors.T):
+        v = v / v[int(np.argmax(np.abs(v)))]
+        residual = float(np.max(np.abs(v @ A - lam * v)))
+        out.append(linalg.Eigenpair(complex(lam), v, residual))
+    out.sort(key=lambda p: (p.value.real, p.value.imag))
+    return out
+
+
+def _shared_real_parts(rng, n):
+    # eigenvalues 1 +- 1j, 1 + 2j, 1, 1 (a tie in both parts) and -0.5 +- 1j ...
+    values = np.resize([1 + 1j, 1 - 1j, 1 + 2j, 1, 1, -0.5 + 1j, -0.5 - 1j], n)
+    S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return S @ np.diag(values) @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_eigenpairs_match_the_loop(n):
+    rng = np.random.default_rng(100 + n)
+    matrices = [
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+        rng.normal(size=(n, n)),  # real: conjugate pairs share real parts
+        np.diag(rng.permutation(np.arange(n) % 3) + 0j),  # exact ties, kept in LAPACK order
+        _shared_real_parts(rng, n),
+        # vectors with entries of equal modulus: the first maximum is the pivot
+        np.kron(np.eye(n // 2 + 1), [[2, 1], [1, 2]])[:n, :n],
+        np.roll(np.eye(n), 1, axis=1),
+        (1.5 - 2j) * np.eye(n),  # scalar matrix
+    ]
+    for A in matrices:
+        got, want = eigenpairs(A), eigenpairs_loop(A)
+        assert [p.value for p in got] == [p.value for p in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.left_vector, w.left_vector)
+            assert abs(g.residual - w.residual) <= 64 * n * np.finfo(float).eps * (
+                linalg.norm1(A) + 1.0)
+
+
 def test_dimension_cap():
     with pytest.raises(LinalgError):
         eigenpairs(np.eye(linalg.MAX_DIM + 1) + np.ones((linalg.MAX_DIM + 1,) * 2))
