@@ -55,9 +55,10 @@ class CyclotomicSystem:
         return gentrig._guarded_exp(x, self.roots, self.minus_ir, self.radius)
 
     @cached_property
-    def _det_parts(self) -> tuple:
-        """zeta^l, and the index and twist that fold f_l = zeta^l S_l into M(x)."""
-        return (self.zeta ** np.arange(self.m), *gentrig._shift_fold(self.m, -1.0))
+    def _det_rows(self) -> np.ndarray:
+        """The spectral rows of f_l = zeta^l S_l with lam = -1, so w_j = eta zeta^j."""
+        F = (self.zeta ** np.arange(self.m))[:, None] * self.weights
+        return gentrig._spectral_rows(F, -1.0)
 
 
 def make_cyclotomic(m: int) -> CyclotomicSystem:
@@ -157,12 +158,13 @@ def det_M_constant(m: int) -> int:
 
 
 def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
-    """Determinant of the shifted matrix of f_l = zeta^l S_l(x).
+    """Determinant of the shifted matrix of f_l = zeta^l S_l(x), as the product
+    of its lam-circulant eigenvalues (``gentrig._spectral_rows``).
 
-    Constant in x; equals :func:`det_M_constant` of the order.
+    Constant in x; equals :func:`det_M_constant` of the order.  An array of x
+    gives an array.
     """
-    powers, index, twist = sys._det_parts
-    return linalg.determinant((powers * _eval_all(sys, x))[index] * twist)
+    return gentrig._spectral_det(sys._det_rows, sys.exponentials(x))
 
 
 def factorial_identity_check(n: int):

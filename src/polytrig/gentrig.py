@@ -224,8 +224,8 @@ class IdentityCertificate:
     """Witness of the constant-determinant identity among the S_l.
 
     L is a left eigenvector of K^m with eigenvalue ``lam``; with
-    f_l = (L K^l) . S the shifted matrix M(x) built below has constant
-    determinant ``det_ref``.
+    f_l = (L K^l) . S the shifted matrix M(x) of :func:`_spectral_rows` has
+    constant determinant ``det_ref``.
     """
 
     L: np.ndarray
@@ -234,20 +234,38 @@ class IdentityCertificate:
     eigen_residual: float
 
 
-def _shift_fold(m: int, lam: complex) -> tuple:
-    """Index and twist with M[p, q] = twist * f[index]: f[p+q], or lam * f[p+q-m]
-    past the anti-diagonal."""
-    s = np.add.outer(np.arange(m), np.arange(m))
-    return s % m, np.where(s < m, 1, lam)
+def _spectral_rows(F: np.ndarray, lam: complex) -> np.ndarray:
+    """G with det M(x) = prod_j (G E(x))_j, for f = F E(x).
+
+    M[p, q] is f[p+q], or lam * f[p+q-m] past the anti-diagonal.  Reversing
+    its columns, a permutation of sign (-1)^(m(m-1)/2), leaves a
+    lam-circulant whose eigenvalues are sum_d f[d] w_j^(m-1-d) at the m roots
+    w_j of w^m = lam (Davis, *Circulant Matrices*, 1979).  So G = W F with
+    W[j, d] = w_j^(m-1-d), and the sign goes into row 0.  For a certificate,
+    row j of G vanishes up to roundoff unless w_j is one of the rates -i r_k,
+    so det M is zero unless P = x^m - c.
+    """
+    m = len(F)
+    w = abs(lam) ** (1 / m) * np.exp(1j * (cmath.phase(lam) + 2 * np.pi * np.arange(m)) / m)
+    G = np.vander(w, m) @ F
+    G[0] *= (-1) ** (m * (m - 1) // 2)
+    return G
 
 
-def _shift_parts(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> tuple:
-    """The rows F = (L K^l) T with f = F E(x), and the fold of f into M(x)."""
+def _spectral_det(G: np.ndarray, E) -> complex:
+    """det M for f = F E, with G from :func:`_spectral_rows`; E on the last
+    axis, so an array of points gives an array."""
+    value = np.multiply.reduce(E @ G.T, -1)
+    return value if isinstance(value, np.ndarray) else complex(value)
+
+
+def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:
+    """:func:`_spectral_rows` of the certificate rows F = (L K^l) T, with f = F E(x)."""
     V = np.empty((sys.m, sys.m), dtype=complex)
     V[0] = L
     for l in range(1, sys.m):
         V[l] = V[l - 1] @ sys.K
-    return (V @ sys.T, *_shift_fold(sys.m, lam))
+    return _spectral_rows(V @ sys.T, lam)
 
 
 def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
@@ -267,14 +285,18 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     chosen = min((p for p in live if abs(p.value) >= (1 - 1e-12) * scale),
                  key=lambda p: cmath.phase(p.value))
     residual = float(np.max(np.abs(chosen.left_vector @ M - chosen.value * chosen.left_vector)))
-    F, index, twist = parts = _shift_parts(sys, chosen.left_vector, chosen.value)
-    det_ref = linalg.determinant(F.sum(axis=1)[index] * twist)  # E(0) is all ones
+    G = _certificate_rows(sys, chosen.left_vector, chosen.value)
+    det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
     cert = IdentityCertificate(chosen.left_vector, chosen.value, det_ref, residual)
-    _cached(cert, "shift_parts", lambda: parts)
+    _cached(cert, "spectral_rows", lambda: G)
     return cert
 
 
 def eval_det_M(cert: IdentityCertificate, sys: GenTrigSystem, x: complex) -> complex:
-    """det M(x) for the certified function family; constant in x up to roundoff."""
-    F, index, twist = _cached(cert, "shift_parts", lambda: _shift_parts(sys, cert.L, cert.lam))
-    return linalg.determinant((sys.exponentials(x) @ F.T)[index] * twist)
+    """det M(x) for the certified function family; constant in x up to roundoff.
+
+    The product of the eigenvalues G E(x) of :func:`_spectral_rows`; an array
+    of x gives an array.
+    """
+    G = _cached(cert, "spectral_rows", lambda: _certificate_rows(sys, cert.L, cert.lam))
+    return _spectral_det(G, sys.exponentials(x))

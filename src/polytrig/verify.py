@@ -58,16 +58,16 @@ def sample_points(rng, n: int, half_width: float) -> np.ndarray:
 
 def certificate_deviation(sys, cert, rng) -> float:
     """max |det M(x) - det_ref| over ``SAMPLES`` points of the unit square."""
-    return max(abs(gentrig.eval_det_M(cert, sys, x) - cert.det_ref)
-               for x in sample_points(rng, SAMPLES, 1.0))
+    x = sample_points(rng, SAMPLES, 1.0)
+    return float(np.max(np.abs(gentrig.eval_det_M(cert, sys, x) - cert.det_ref)))
 
 
 def cyclotomic_det_deviation(m: int, rng) -> float:
     """max |det M(x) - det_M_constant(m)| over ``SAMPLES`` points of the square of half-width 2."""
     sys = cyclotomic.make_cyclotomic(m)
     constant = cyclotomic.det_M_constant(m)
-    return max(abs(cyclotomic.det_M_cyclo(sys, x) - constant)
-               for x in sample_points(rng, SAMPLES, 2.0))
+    x = sample_points(rng, SAMPLES, 2.0)
+    return float(np.max(np.abs(cyclotomic.det_M_cyclo(sys, x) - constant)))
 
 
 def addition_deviation(m: int, rng) -> float:

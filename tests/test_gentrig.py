@@ -24,6 +24,33 @@ def brute_tuple(roots, l, j):
     return total
 
 
+def certificate_rows(sys, cert):
+    """F with f = F E(x): row l is (L K^l) T."""
+    rows = [cert.L]
+    for _ in range(sys.m - 1):
+        rows.append(rows[-1] @ sys.K)
+    return np.array(rows) @ sys.T
+
+
+def shift_fold(f, lam):
+    """The index/twist fold that the spectral determinant replaced, kept as the
+    LU reference: M[p, q] = f[p+q], or lam * f[p+q-m] past the anti-diagonal
+    (f on the last axis)."""
+    m = f.shape[-1]
+    s = np.add.outer(np.arange(m), np.arange(m))
+    return f[..., s % m] * np.where(s < m, 1, lam)
+
+
+def hadamard(M):
+    """The product of the row norms; LU roundoff in det M is about m eps times it."""
+    return np.prod(np.linalg.norm(M, axis=-1), axis=-1)
+
+
+def binomial(m, c):
+    """The system of x^m - c."""
+    return make_system(Polynomial((-c,) + (0,) * (m - 1) + (1,)))
+
+
 def test_deflation_matrix_matches_synthetic_division():
     rng = np.random.default_rng(24)
     roots = rng.uniform(-1, 1, 24) + 1j * rng.uniform(-1, 1, 24)
@@ -296,17 +323,7 @@ class TestIdentityCertificate:
         # that scales with the matrix: LU roundoff is about m eps times the
         # Hadamard bound H (the product of the row norms) of M(x)
         def shifted_matrix(sys, cert, x):
-            S = sys.T @ np.exp(-1j * sys.r * x)
-            f, v = [], cert.L
-            for _ in range(sys.m):
-                f.append(v @ S)
-                v = v @ sys.K
-            m = sys.m
-            return np.array([[f[p + q] if p + q < m else cert.lam * f[p + q - m]
-                              for q in range(m)] for p in range(m)])
-
-        def hadamard(M):
-            return float(np.prod(np.linalg.norm(M, axis=1)))
+            return shift_fold(np.exp(-1j * sys.r * x) @ certificate_rows(sys, cert).T, cert.lam)
 
         rng = np.random.default_rng(0)
         worst_check_04 = 0.0
@@ -321,6 +338,17 @@ class TestIdentityCertificate:
                 worst_check_04 = max(worst_check_04, gap / (1e-7 * (1 + abs(cert.det_ref))))
         # the same systems and points as the check itself
         assert worst_check_04 == verify.certificate_constancy(seed=0).measured
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    @pytest.mark.parametrize("c", [1, -2, 0.5j], ids=["1", "-2", "0.5i"])
+    def test_binomial_constancy(self, m, c):
+        # x^m - c is the one family whose det M stands above roundoff, so this
+        # check sees a relative error of 1e-9 in det M(x)
+        sys = binomial(m, c)
+        cert = identity_certificate(sys)
+        x = verify.sample_points(np.random.default_rng(m), verify.SAMPLES, 1.0)
+        gap = np.abs(eval_det_M(cert, sys, x) - cert.det_ref)
+        assert np.all(gap <= 1e3 * m * np.finfo(float).eps * abs(cert.det_ref)), np.max(gap)
 
     @staticmethod
     def assert_certified(sys, cert):
@@ -374,3 +402,68 @@ class TestIdentityCertificate:
             monkeypatch.setattr(module, "find_roots", counting, raising=False)
         identity_certificate(sys)
         assert calls == []
+
+
+class TestSpectralDeterminant:
+    @pytest.mark.parametrize("degree", range(2, 25))
+    def test_matches_lu_fold(self, degree):
+        rng = np.random.default_rng(200 + degree)
+        systems = [verify._random_system(rng, degree) for _ in range(3)]
+        systems += [binomial(degree, c) for c in (1, -2, 0.5j)]
+        for sys in systems:
+            cert = identity_certificate(sys)
+            F = certificate_rows(sys, cert)
+            M0 = shift_fold(F.sum(axis=1), cert.lam)
+            x = verify.sample_points(rng, verify.SAMPLES, 1.0)
+            M = shift_fold(sys.exponentials(x) @ F.T, cert.lam)
+            c, h0 = 1e3 * degree * np.finfo(float).eps, hadamard(M0)
+            assert abs(cert.det_ref - np.linalg.det(M0)) <= c * 2 * h0
+            assert np.all(np.abs(eval_det_M(cert, sys, x) - np.linalg.det(M)) <= c * (hadamard(M) + h0))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_cyclotomic_matches_lu_fold(self, m):
+        sys = cyclotomic.make_cyclotomic(m)
+        F = (sys.zeta ** np.arange(m))[:, None] * sys.weights
+        x = verify.sample_points(np.random.default_rng(300 + m), verify.SAMPLES, 2.0)
+        M = shift_fold(sys.exponentials(x) @ F.T, -1.0)
+        bound = 1e3 * m * np.finfo(float).eps * (hadamard(M) + hadamard(shift_fold(F.sum(axis=1), -1.0)))
+        assert np.all(np.abs(cyclotomic.det_M_cyclo(sys, x) - np.linalg.det(M)) <= bound)
+
+    def test_array_argument(self):
+        xs = np.array([[0.0, 1.5, -0.2 + 0.7j], [-2j, 0.3 - 0.4j, 1.1]])
+        sys = binomial(5, -2)
+        cert = identity_certificate(sys)
+        cyclo = cyclotomic.make_cyclotomic(5)
+        for evaluate in (lambda x: eval_det_M(cert, sys, x),
+                         lambda x: cyclotomic.det_M_cyclo(cyclo, x)):
+            values = evaluate(xs)
+            assert values.shape == xs.shape
+            assert type(evaluate(0.5)) is complex
+            for x, v in zip(xs.ravel(), values.ravel()):
+                assert v == pytest.approx(evaluate(x), rel=1e-14)
+
+    @staticmethod
+    def live_rows(sys, cert):
+        """Rows of G above the roundoff of the largest, and the roots with (-i r)^m = lam."""
+        G = gentrig._certificate_rows(sys, cert.L, cert.lam)
+        norms = np.linalg.norm(G, axis=1)
+        tol = 1e3 * sys.m * np.finfo(float).eps
+        matched = np.abs(sys.minus_ir ** sys.m - cert.lam) <= 1e-8 * abs(cert.lam)
+        return int(np.sum(norms > tol * norms.max())), int(np.sum(matched))
+
+    @pytest.mark.parametrize("text,live", [("x^3+x^2+1", 1), ("x^6-x^3+2", 3),
+                                           ("x^5+1", 5), ("x^2+1", 2)])
+    def test_live_rows(self, text, live):
+        # row j of G is live only where w_j is a rate -i r_k, so det M is not
+        # zero only when every w_j is, that is for P = x^m - c
+        sys = make_system(parse_polynomial(text))
+        assert self.live_rows(sys, identity_certificate(sys)) == (live, live)
+
+    def test_random_systems_have_dead_rows(self):
+        # the systems of acceptance check 04: det M(x) is roundoff on every one
+        rng = np.random.default_rng(0)
+        for _ in range(25):
+            sys = verify._random_system(rng, int(rng.integers(2, 7)))
+            rows, matched = self.live_rows(sys, identity_certificate(sys))
+            assert rows == matched < sys.m
+            verify.sample_points(rng, verify.SAMPLES, 1.0)  # the check's draws, to stay in step
