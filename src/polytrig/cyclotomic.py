@@ -161,9 +161,13 @@ def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
     """Determinant of the shifted matrix of f_l = zeta^l S_l(x), as the product
     of its lam-circulant eigenvalues (``gentrig._spectral_rows``).
 
-    Constant in x; equals :func:`det_M_constant` of the order.  An array of x
-    gives an array.
+    Constant in x for m >= 2; equals :func:`det_M_constant` of the order.
+    At m = 1 the matrix is [[S_0(x)]] = [[exp(-x)]], with no wrap and no
+    identity, and :class:`CyclotomicError` is raised.  An array of x gives
+    an array.
     """
+    if sys.m < 2:
+        raise CyclotomicError("the determinant identity needs m at least 2")
     return gentrig._spectral_det(sys._det_rows, sys.exponentials(x))
 
 
@@ -179,18 +183,24 @@ def factorial_identity_check(n: int):
         raise CyclotomicError(f"n = {n} is not divisible by 3")
     if n > 120:
         raise CyclotomicError("n above 120 is not supported")
-    sum_a = Fraction(0)
-    sum_b_ordered = Fraction(0)
+    # n! / (k1! k2! k3!) is an integer multinomial, so both sums are
+    # integers over n!: one Fraction each, not one per term
+    factorial = [math.factorial(k) for k in range(n + 1)]
+    count_a = count_b_ordered = 0
     for k1 in range(n + 1):
         for k2 in range(n - k1 + 1):
             k3 = n - k1 - k2
-            residues = (k1 % 3, k2 % 3, k3 % 3)
-            if residues[0] == residues[1] == residues[2]:
-                sum_a += Fraction(1, math.factorial(k1) * math.factorial(k2) * math.factorial(k3))
-            elif len(set(residues)) == 3:
-                sum_b_ordered += Fraction(1, math.factorial(k1) * math.factorial(k2) * math.factorial(k3))
+            classes = len({k1 % 3, k2 % 3, k3 % 3})
+            if classes == 2:
+                continue
+            term = factorial[n] // (factorial[k1] * factorial[k2] * factorial[k3])
+            if classes == 1:
+                count_a += term
+            else:
+                count_b_ordered += term
+    sum_a = Fraction(count_a, factorial[n])
     # distinct residues force distinct values, so each value set appears 3! times
-    sum_b = sum_b_ordered / 6
+    sum_b = Fraction(count_b_ordered, 6 * factorial[n])
     return sum_a, sum_b, sum_a == 3 * sum_b
 
 

@@ -268,26 +268,54 @@ def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.nda
     return _spectral_rows(V @ sys.T, lam)
 
 
+def _left_eigenvector(K: np.ndarray, mu: complex) -> np.ndarray:
+    """L with L K = mu L for a rate mu = -i r_j, in O(m) from K's banded shape.
+
+    Column q >= 2 of K holds only K[q-1, q] = i, so (L K)_q = mu L_q gives
+    L_q = (i/mu) L_(q-1); column 0 holds only K[m-1, 0], so
+    L_0 = L_(m-1) K[m-1, 0] / mu.  Column 1 is then P(r_j) = 0.  Normalized
+    so the entry of largest modulus (the first, on ties) is 1.
+    """
+    m = len(K)
+    y = np.empty(m, dtype=complex)
+    y[1:] = (1j / mu) ** np.arange(m - 1)
+    y[0] = y[m - 1] * K[m - 1, 0] / mu
+    return y / y[np.argmax(np.abs(y))]
+
+
 def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     """Pick the largest-modulus nonzero eigenvalue of K^m and certify the identity.
 
-    Eigenvalues whose moduli agree with the largest to 1e-12 relative (a
-    conjugate pair, say) count as tied; the tie goes to the smallest phase.
+    K T = T diag(-i r), so the eigenvalues of K^m are (-i r_j)^m, and the
+    left eigenvector of the chosen one is that of K for its rate -i r_j
+    (:func:`_left_eigenvector`); no eigenproblem is solved.  Eigenvalues
+    whose moduli agree with the largest to 1e-12 relative (a conjugate pair,
+    say) count as tied; the tie goes to the smallest phase, and among equal
+    phases to the first root.  When K^m is a scalar matrix (P = x^m - c)
+    every vector is an eigenvector, and the certificate takes L = e_0 with
+    the mean of its diagonal.  ``eigen_residual`` is max|L K^m - lam L|
+    against K^m built from the coefficients.
     """
     if sys.m < 2:
         raise GenTrigError("certificates need degree at least 2")
-    M = np.linalg.matrix_power(sys.K, sys.m)
-    pairs = linalg.eigenpairs(M)
-    scale = max(abs(p.value) for p in pairs)
-    live = [p for p in pairs if abs(p.value) > 1e-12 * (scale + 1.0)]
-    if not live:
+    M = linalg._as_matrix(np.linalg.matrix_power(sys.K, sys.m))
+    mean = complex(np.trace(M) / sys.m)
+    scalar = linalg.norm1(M - mean * np.eye(sys.m)) <= 1e-12 * (linalg.norm1(M) + 1.0)
+    values = np.array([mean]) if scalar else sys.minus_ir ** sys.m
+    moduli = np.abs(values)
+    scale = float(moduli.max())
+    if not scale > 1e-12 * (scale + 1.0):
         raise CertificateUnavailableError("no nonzero eigenvalue; certificate unavailable")
-    chosen = min((p for p in live if abs(p.value) >= (1 - 1e-12) * scale),
-                 key=lambda p: cmath.phase(p.value))
-    residual = float(np.max(np.abs(chosen.left_vector @ M - chosen.value * chosen.left_vector)))
-    G = _certificate_rows(sys, chosen.left_vector, chosen.value)
+    j = min(np.flatnonzero(moduli >= (1 - 1e-12) * scale), key=lambda j: cmath.phase(values[j]))
+    lam = complex(values[j])
+    if scalar:
+        L = np.eye(sys.m, dtype=complex)[0]
+    else:
+        L = _left_eigenvector(sys.K, sys.minus_ir[j])
+    residual = float(np.max(np.abs(L @ M - lam * L)))
+    G = _certificate_rows(sys, L, lam)
     det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
-    cert = IdentityCertificate(chosen.left_vector, chosen.value, det_ref, residual)
+    cert = IdentityCertificate(L, lam, det_ref, residual)
     _cached(cert, "spectral_rows", lambda: G)
     return cert
 

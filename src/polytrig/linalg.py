@@ -1,17 +1,14 @@
-"""Small dense complex linear algebra: determinant, solve and left eigenpairs.
+"""Small dense complex linear algebra: determinant and solve.
 
 Sized for dimensions up to 24; matrices are numpy arrays of dtype complex.
-Eigenpairs, determinants, solutions and inverses come from ``numpy.linalg``
-(LAPACK); a LAPACK failure surfaces as :class:`LinalgError`.  A partial-pivot
-LU is kept only as the pivot check behind :class:`SingularMatrixError`.
+Determinants, solutions and inverses come from ``numpy.linalg`` (LAPACK); a
+LAPACK failure surfaces as :class:`LinalgError`.  A partial-pivot LU is kept
+only as the pivot check behind :class:`SingularMatrixError`, and runs only
+where the condition estimate says a pivot could fall below its threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-MAX_DIM = 24
 
 
 class LinalgError(ValueError):
@@ -68,6 +65,27 @@ def _condition(A: np.ndarray) -> float:
     return norm1(A) * norm1(_lapack(np.linalg.inv, A))
 
 
+def _screened_condition(A: np.ndarray, pivot_rtol: float) -> float:
+    """``_condition(A)``, after the pivot check wherever that check could raise.
+
+    With partial pivoting PA = LU and |L| <= 1 entrywise, so
+    1/|u_kk| <= norm1(U^-1) <= n norm1(A^-1) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, ch. 9): a pivot below
+    ``pivot_rtol * norm1(A)`` forces cond > 1/(n pivot_rtol).  The LU runs
+    only when cond > 1/(2 n pivot_rtol), the factor 2 covering the roundoff
+    of both estimates, or when the inverse fails; then an exactly singular
+    matrix still raises :class:`SingularMatrixError` with its pivot index.
+    """
+    try:
+        cond = _condition(A)
+    except LinalgError:
+        _check_pivots(A, pivot_rtol)
+        raise
+    if not cond * 2 * A.shape[0] * pivot_rtol <= 1:  # also for a nan estimate
+        _check_pivots(A, pivot_rtol)
+    return cond
+
+
 def determinant(M) -> complex:
     """Determinant via LAPACK LU; singular matrices give ~0."""
     return complex(_lapack(np.linalg.det, _as_matrix(M)))
@@ -79,55 +97,21 @@ def solve(M, b, pivot_rtol: float = 1e-13):
 
     The condition estimate is ``norm1(M) * norm1(inv(M))``.  Raises
     :class:`SingularMatrixError` when a pivot falls below
-    ``pivot_rtol * norm1(M)``.
+    ``pivot_rtol * norm1(M)``; the pivot check runs only where the condition
+    estimate allows such a pivot (:func:`_screened_condition`).
     """
     A = _as_matrix(M)
     rhs = np.asarray(b, dtype=complex)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != A.shape[0]:
         raise LinalgError("right-hand side length does not match the matrix")
-    _check_pivots(A, pivot_rtol)
-    return _lapack(np.linalg.solve, A, rhs), _condition(A)
+    cond = _screened_condition(A, pivot_rtol)
+    return _lapack(np.linalg.solve, A, rhs), cond
 
 
 def condition_number(M, pivot_rtol: float = 1e-13) -> float:
     """One-norm condition estimate; infinity when the solve refuses the matrix."""
     A = _as_matrix(M)
     try:
-        _check_pivots(A, pivot_rtol)
+        return _screened_condition(A, pivot_rtol)
     except SingularMatrixError:
         return float("inf")
-    return _condition(A)
-
-
-@dataclass(frozen=True)
-class Eigenpair:
-    value: complex
-    left_vector: np.ndarray  # L with L @ M == value * L
-    residual: float
-
-
-def eigenpairs(M) -> list:
-    """Eigenvalues with left eigenvectors, in lexicographic eigenvalue order.
-
-    The left eigenvectors of M are the right eigenvectors of M^T, taken from
-    ``numpy.linalg.eig``; each is normalized so its maximum-modulus entry
-    (the first, on ties) equals 1.  Defective matrices are not special-cased:
-    the reported residual ``max|L M - lam L|`` is the quality statement.
-    """
-    A = _as_matrix(M)
-    n = A.shape[0]
-    if n > MAX_DIM:
-        raise LinalgError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-
-    mean = complex(np.trace(A) / n)
-    spread = norm1(A - mean * np.eye(n, dtype=complex))
-    if spread <= 1e-12 * (norm1(A) + 1.0):
-        # scalar matrix: every vector is an eigenvector; use the canonical basis
-        return [Eigenpair(mean, v, spread) for v in np.eye(n, dtype=complex)]
-
-    values, vectors = _lapack(np.linalg.eig, A.T)
-    V = vectors.T.copy()  # row k: the left eigenvector of values[k]
-    V /= V[np.arange(n), np.argmax(np.abs(V), axis=1)][:, None]
-    residuals = np.max(np.abs(V @ A - values[:, None] * V), axis=1)
-    return [Eigenpair(complex(values[k]), V[k], float(residuals[k]))
-            for k in np.lexsort((values.imag, values.real))]

@@ -10,8 +10,7 @@ PUBLIC_CALLABLES = {
     "ParseError", "Polynomial", "PolynomialError", "RootFindingError",
     "RootSet", "find_roots", "format_polynomial", "parse_polynomial", "synthetic_divide",
     # linalg
-    "Eigenpair", "LinalgError", "SingularMatrixError", "condition_number", "determinant",
-    "eigenpairs", "solve",
+    "LinalgError", "SingularMatrixError", "condition_number", "determinant", "solve",
     # gentrig
     "ArgumentOverflowError", "CertificateUnavailableError", "GenTrigError", "GenTrigSystem",
     "IdentityCertificate", "derivative_matrix", "eval_S", "eval_S_vector", "eval_det_M",

@@ -177,12 +177,18 @@ class TestExitCodes:
         code, doc = run_json(capsys, "identity", "--poly", "x^6+2x^2+1")
         assert code == 0
 
+    def test_cyclo_identity_refuses_m1(self, capsys):
+        code, out, err = run(capsys, "cyclo", "--m", "1", "--check", "identity")
+        assert code == 2
+        assert err.startswith("error:") and "at least 2" in err
+        assert out == ""
+
     def test_lapack_failure_is_numerical(self, capsys, monkeypatch):
         def failing(*args):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "eig", failing)
-        code, out, err = run(capsys, "identity", "--poly", "x^3+x^2+1")
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        code, out, err = run(capsys, "sum", "--poly", "x^3+x^2+1")
         assert code == 3
         assert err.startswith("numerical failure") and "Traceback" not in err
         assert out == ""

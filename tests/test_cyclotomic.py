@@ -144,6 +144,12 @@ class TestDeterminant:
                 x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 assert det_M_cyclo(sys, x) == pytest.approx(c, abs=1e-9)
 
+    def test_m1_is_refused(self):
+        # M(x) = [[exp(-x)]]: no wrap, so no constant determinant
+        with pytest.raises(CyclotomicError, match="at least 2"):
+            det_M_cyclo(make_cyclotomic(1), 0.5)
+        assert cyclotomic.matrix_A(make_cyclotomic(1))[0].shape == (1, 1)
+
     def test_m3_cubic_relation(self):
         # expanded form of the m = 3 determinant
         sys = make_cyclotomic(3)
@@ -165,6 +171,36 @@ class TestFactorialIdentity:
         for n in range(3, 31, 3):
             *_, holds = factorial_identity_check(n)
             assert holds
+
+    @staticmethod
+    def fraction_sums(n, bent=None):
+        """The sums as one Fraction per term; ``bent`` adds 1 to that
+        triple's denominator."""
+        sum_a = sum_b = Fraction(0)
+        for k1 in range(n + 1):
+            for k2 in range(n - k1 + 1):
+                k3 = n - k1 - k2
+                residues = {k1 % 3, k2 % 3, k3 % 3}
+                term = Fraction(1, math.factorial(k1) * math.factorial(k2) * math.factorial(k3)
+                                + ((k1, k2, k3) == bent))
+                if len(residues) == 1:
+                    sum_a += term
+                elif len(residues) == 3:
+                    sum_b += term
+        return sum_a, sum_b / 6
+
+    def test_integer_multinomials_are_the_fraction_sums(self):
+        for n in range(3, 61, 3):
+            sum_a, sum_b, holds = factorial_identity_check(n)
+            assert (sum_a, sum_b) == self.fraction_sums(n)
+            assert type(sum_a) is Fraction and type(sum_b) is Fraction
+            assert holds is True
+
+    @pytest.mark.parametrize("bent", [(0, 0, 6), (2, 0, 1), (3, 1, 2)])
+    def test_a_mutated_term_fails(self, bent):
+        sum_a, sum_b = self.fraction_sums(sum(bent), bent)
+        assert (sum_a, sum_b) != factorial_identity_check(sum(bent))[:2]
+        assert sum_a != 3 * sum_b
 
     def test_rejects_bad_n(self):
         with pytest.raises(CyclotomicError):

@@ -331,11 +331,13 @@ class TestIdentityCertificate:
             sys = verify._random_system(rng, int(rng.integers(2, 7)))
             cert = identity_certificate(sys)
             h0 = hadamard(shifted_matrix(sys, cert, 0.0))
-            for x in verify.sample_points(rng, verify.SAMPLES, 1.0):
-                gap = abs(eval_det_M(cert, sys, x) - cert.det_ref)
-                bound = 1e3 * np.finfo(float).eps * sys.m * (hadamard(shifted_matrix(sys, cert, x)) + h0)
-                assert gap <= bound, (sys.m, x, gap, bound)
-                worst_check_04 = max(worst_check_04, gap / (1e-7 * (1 + abs(cert.det_ref))))
+            x = verify.sample_points(rng, verify.SAMPLES, 1.0)
+            # the check's own array call: per-point calls may differ in the last bit
+            gaps = np.abs(eval_det_M(cert, sys, x) - cert.det_ref)
+            for point, gap in zip(x, gaps):
+                bound = 1e3 * np.finfo(float).eps * sys.m * (hadamard(shifted_matrix(sys, cert, point)) + h0)
+                assert gap <= bound, (sys.m, point, gap, bound)
+            worst_check_04 = max(worst_check_04, float(np.max(gaps)) / (1e-7 * (1 + abs(cert.det_ref))))
         # the same systems and points as the check itself
         assert worst_check_04 == verify.certificate_constancy(seed=0).measured
 
@@ -425,6 +427,10 @@ class TestSpectralDeterminant:
         sys = cyclotomic.make_cyclotomic(m)
         F = (sys.zeta ** np.arange(m))[:, None] * sys.weights
         x = verify.sample_points(np.random.default_rng(300 + m), verify.SAMPLES, 2.0)
+        if m == 1:  # [[exp(-x)]] has no wrap and no identity: refused
+            with pytest.raises(cyclotomic.CyclotomicError):
+                cyclotomic.det_M_cyclo(sys, x)
+            return
         M = shift_fold(sys.exponentials(x) @ F.T, -1.0)
         bound = 1e3 * m * np.finfo(float).eps * (hadamard(M) + hadamard(shift_fold(F.sum(axis=1), -1.0)))
         assert np.all(np.abs(cyclotomic.det_M_cyclo(sys, x) - np.linalg.det(M)) <= bound)
@@ -451,13 +457,17 @@ class TestSpectralDeterminant:
         matched = np.abs(sys.minus_ir ** sys.m - cert.lam) <= 1e-8 * abs(cert.lam)
         return int(np.sum(norms > tol * norms.max())), int(np.sum(matched))
 
-    @pytest.mark.parametrize("text,live", [("x^3+x^2+1", 1), ("x^6-x^3+2", 3),
-                                           ("x^5+1", 5), ("x^2+1", 2)])
-    def test_live_rows(self, text, live):
+    @pytest.mark.parametrize("text,matched", [("x^3+x^2+1", 1), ("x^6-x^3+2", 3),
+                                              ("x^5+1", 5), ("x^2+1", 2)])
+    def test_live_rows(self, text, matched):
         # row j of G is live only where w_j is a rate -i r_k, so det M is not
-        # zero only when every w_j is, that is for P = x^m - c
+        # zero only when every w_j is, that is for P = x^m - c.  Off the
+        # binomials L is the eigenvector of one root, which leaves one live
+        # row even where several rates match, as the three of x^6 - x^3 + 2
+        # with (-i r)^6 = lam do; a binomial's L = e_0 leaves all m
         sys = make_system(parse_polynomial(text))
-        assert self.live_rows(sys, identity_certificate(sys)) == (live, live)
+        live = sys.m if matched == sys.m else 1
+        assert self.live_rows(sys, identity_certificate(sys)) == (live, matched)
 
     def test_random_systems_have_dead_rows(self):
         # the systems of acceptance check 04: det M(x) is roundoff on every one

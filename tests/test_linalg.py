@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polytrig import linalg
-from polytrig.linalg import (LinalgError, SingularMatrixError, determinant,
-                             eigenpairs, solve)
+from polytrig.gentrig import from_roots, identity_certificate, make_system
+from polytrig.linalg import LinalgError, SingularMatrixError, determinant, solve
+from polytrig.poly import Polynomial
+
+EPS = np.finfo(float).eps
 
 
 def test_determinant_2x2():
@@ -62,101 +67,7 @@ def test_shape_validation():
         determinant([[np.inf, 0], [0, 1]])
 
 
-def test_eigenpairs_companion():
-    # companion matrix of x^3 + x^2 + 1
-    C = np.array([[0, 0, -1], [1, 0, 0], [0, 1, -1]], dtype=complex)
-    vals = [p.value for p in eigenpairs(C)]
-    expect = sorted(np.roots([1, 1, 0, 1]), key=lambda z: (z.real, z.imag))
-    assert vals == pytest.approx(expect, abs=1e-12)
-
-
-def test_eigenpairs_diagonal():
-    pairs = eigenpairs(np.diag([1.0, 2.0, 3.0]))
-    assert [p.value for p in pairs] == pytest.approx([1, 2, 3], abs=1e-14)
-    assert np.allclose([p.left_vector for p in pairs], np.eye(3))
-
-
-def test_eigenpairs_residuals():
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        n = int(rng.integers(2, 7))
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        pairs = eigenpairs(A)
-        assert len(pairs) == n
-        scale = linalg.norm1(A)
-        for p in pairs:
-            assert p.residual < 1e-8 * (scale + 1)
-            assert np.max(np.abs(p.left_vector)) == pytest.approx(1.0)
-
-
-def test_eigenpairs_sum_matches_trace():
-    rng = np.random.default_rng(13)
-    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    vals = sum(p.value for p in eigenpairs(A))
-    assert vals == pytest.approx(np.trace(A), abs=1e-9)
-
-
-def test_eigenpairs_scalar_matrix():
-    pairs = eigenpairs(2.5j * np.eye(4))
-    assert all(p.value == pytest.approx(2.5j) for p in pairs)
-    vecs = np.array([p.left_vector for p in pairs])
-    assert np.allclose(vecs, np.eye(4))
-
-
-def eigenpairs_loop(M):
-    """The per-pair loop that ``eigenpairs`` replaced, kept as its reference."""
-    A = np.asarray(M, dtype=complex)
-    n = A.shape[0]
-    mean = complex(np.trace(A) / n)
-    spread = linalg.norm1(A - mean * np.eye(n, dtype=complex))
-    if spread <= 1e-12 * (linalg.norm1(A) + 1.0):
-        return [linalg.Eigenpair(mean, v, spread) for v in np.eye(n, dtype=complex)]
-    values, vectors = np.linalg.eig(A.T)
-    out = []
-    for lam, v in zip(values, vectors.T):
-        v = v / v[int(np.argmax(np.abs(v)))]
-        residual = float(np.max(np.abs(v @ A - lam * v)))
-        out.append(linalg.Eigenpair(complex(lam), v, residual))
-    out.sort(key=lambda p: (p.value.real, p.value.imag))
-    return out
-
-
-def _shared_real_parts(rng, n):
-    # eigenvalues 1 +- 1j, 1 + 2j, 1, 1 (a tie in both parts) and -0.5 +- 1j ...
-    values = np.resize([1 + 1j, 1 - 1j, 1 + 2j, 1, 1, -0.5 + 1j, -0.5 - 1j], n)
-    S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return S @ np.diag(values) @ np.linalg.inv(S)
-
-
-@pytest.mark.parametrize("n", range(2, 25))
-def test_eigenpairs_match_the_loop(n):
-    rng = np.random.default_rng(100 + n)
-    matrices = [
-        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-        rng.normal(size=(n, n)),  # real: conjugate pairs share real parts
-        np.diag(rng.permutation(np.arange(n) % 3) + 0j),  # exact ties, kept in LAPACK order
-        _shared_real_parts(rng, n),
-        # vectors with entries of equal modulus: the first maximum is the pivot
-        np.kron(np.eye(n // 2 + 1), [[2, 1], [1, 2]])[:n, :n],
-        np.roll(np.eye(n), 1, axis=1),
-        (1.5 - 2j) * np.eye(n),  # scalar matrix
-    ]
-    for A in matrices:
-        got, want = eigenpairs(A), eigenpairs_loop(A)
-        assert [p.value for p in got] == [p.value for p in want]
-        for g, w in zip(got, want):
-            assert np.array_equal(g.left_vector, w.left_vector)
-            assert abs(g.residual - w.residual) <= 64 * n * np.finfo(float).eps * (
-                linalg.norm1(A) + 1.0)
-
-
-def test_dimension_cap():
-    with pytest.raises(LinalgError):
-        eigenpairs(np.eye(linalg.MAX_DIM + 1) + np.ones((linalg.MAX_DIM + 1,) * 2))
-
-
 @pytest.mark.parametrize("name,call", [
-    ("eig", lambda: eigenpairs([[1, 2], [3, 4]])),
     ("det", lambda: determinant([[1, 2], [3, 4]])),
     ("solve", lambda: solve([[1, 2], [3, 4]], [1, 1])),
     ("inv", lambda: linalg.condition_number([[1, 2], [3, 4]])),
@@ -179,3 +90,207 @@ def test_solve_several_right_hand_sides():
         x, c = solve(A, B[:, j])
         assert np.max(np.abs(X[:, j] - x)) <= 1e-12 * cond * np.max(np.abs(x))
         assert c == cond
+
+
+# ---- the pivot screen ----
+
+def solve_pivots_first(M, b, pivot_rtol=1e-13):
+    """The reference solve: the pivot check always, then LAPACK."""
+    A = linalg._as_matrix(M)
+    linalg._check_pivots(A, pivot_rtol)
+    return np.linalg.solve(A, np.asarray(b, dtype=complex)), linalg._condition(A)
+
+
+def near_singular(rng, n):
+    """Seeded matrices around the pivot threshold: graded singular values,
+    rank deficiency plus noise, and one planted small pivot."""
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    for top in (8, 11, 12, 13, 14, 15, 17):
+        yield unitary() @ np.diag(np.logspace(0, -top, n)) @ unitary()
+    for noise in (1e-16, 1e-14, 1e-12):
+        B = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+        yield B + noise * rng.normal(size=(n, n))
+    for scale in (0.5, 2.0):
+        yield planted_pivot(rng, n, int(rng.integers(n)), scale)
+
+
+def planted_pivot(rng, n, k, scale, pivot_rtol=1e-13):
+    """L U with no row swaps under partial pivoting and pivot k at exactly
+    ``scale`` times the threshold ``pivot_rtol * norm1``.
+
+    Column k of U is zero above the pivot, so column k of L U is the pivot
+    times column k of L, which no elimination step before k touches, and
+    no other column of L U depends on the pivot.
+    """
+    L = np.tril(rng.uniform(-0.3, 0.3, (n, n)), -1) + np.eye(n)
+    U = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    U[np.diag_indices(n)] = 1 + rng.uniform(size=n)
+    U[:k + 1, k] = 0
+    A = L @ U
+    A[:, k] = L[:, k] * (scale * pivot_rtol * linalg.norm1(A))
+    return A
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_pivot_screen_is_sound(n):
+    # a pivot below rtol norm1(A) forces cond > 1/(n rtol), so every matrix
+    # that the check refuses is one the screen sends to the check
+    rng = np.random.default_rng(400 + n)
+    rtol, refused, passed = 1e-13, 0, 0
+    for A in near_singular(rng, n):
+        try:
+            linalg._check_pivots(A, rtol)
+        except SingularMatrixError:
+            refused += 1
+            try:
+                cond = linalg._condition(A)
+            except LinalgError:
+                cond = np.inf  # no inverse: the screen sends it to the check as well
+            assert cond * 2 * n * rtol > 1
+        else:
+            passed += 1
+        b = rng.normal(size=n) + 0j
+        try:
+            want = solve_pivots_first(A, b)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as got:
+                solve(A, b)
+            assert got.value.pivot_index == exc.pivot_index
+            assert linalg.condition_number(A) == np.inf
+        else:
+            x, cond = solve(A, b)
+            assert np.array_equal(x, want[0]) and cond == want[1]
+            assert linalg.condition_number(A) == cond
+    assert refused and passed
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 24])
+def test_pivot_just_under_the_threshold(n):
+    rng = np.random.default_rng(500 + n)
+    for k in (0, n // 2, n - 1):
+        A = planted_pivot(rng, n, k, 1 - 1e-6)
+        with pytest.raises(SingularMatrixError) as exc:
+            linalg._check_pivots(A, 1e-13)
+        assert exc.value.pivot_index == k
+        with pytest.raises(SingularMatrixError) as exc:
+            solve(A, np.ones(n))
+        assert exc.value.pivot_index == k
+        A = planted_pivot(rng, n, k, 1 + 1e-6)
+        x, cond = solve(A, np.ones(n))
+        assert cond * 2 * n * 1e-13 > 1  # the screen ran the check, which passed
+        assert np.array_equal(x, solve_pivots_first(A, np.ones(n))[0])
+
+
+def test_failed_inverse_falls_through_to_the_pivot_check(monkeypatch):
+    def failing(*args):
+        raise np.linalg.LinAlgError("LAPACK failure")
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    with pytest.raises(LinalgError, match="LAPACK failure"):
+        solve([[1, 2], [3, 4]], [1, 1])
+    singular = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=complex)
+    with pytest.raises(SingularMatrixError) as exc:
+        solve(singular, np.zeros(3))
+    assert exc.value.pivot_index == 2
+    assert linalg.condition_number(singular) == np.inf
+
+
+# ---- certificate eigenpairs ----
+# linalg solves no eigenproblem: a certificate's eigenpair of K^m comes from
+# the roots (gentrig.identity_certificate).  np.linalg.eig is the reference.
+
+def eigenpairs_loop(M):
+    """Test-only reference: (eigenvalue, condition) per eigenvalue of M from
+    np.linalg.eig, the condition being |x| |y| / |y^H x| for its right and
+    left eigenvectors."""
+    values, X = np.linalg.eig(M)
+    Y = np.linalg.inv(X)  # row k: the left eigenvector with Y[k] @ X[:, k] == 1
+    return [(complex(v), float(np.linalg.norm(X[:, k]) * np.linalg.norm(Y[k])))
+            for k, v in enumerate(values)]
+
+
+def rate_residual(L, K, mu, c=8):
+    """Componentwise |L K - mu L| over c m eps (|L| |K| + |mu| |L|).
+
+    Column 1 of L K - mu L is i r^(1-m) P(r) for the root r = i mu, so there
+    the ratio is the root's backward error, at most 4 m eps from the root
+    finder; every other column is roundoff alone.
+    """
+    m = len(L)
+    scale = np.abs(L) @ np.abs(K) + abs(mu) * np.abs(L)
+    return float(np.max(np.abs(L @ K - mu * L) / (c * m * EPS * scale)))
+
+
+def random_systems(rng, n):
+    """Systems of P from random roots in the unit square, found again by the
+    root finder, plus an even P (roots r and -r) at even degrees from 4."""
+    draws = [rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(3)]
+    if n % 2 == 0 and n >= 4:
+        half = rng.uniform(-1, 1, n // 2) + 1j * rng.uniform(-1, 1, n // 2)
+        draws.append(np.concatenate([half, -half]))
+    return [make_system(Polynomial.from_roots(tuple(r))) for r in draws]
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_eigenpairs_match_the_loop(n):
+    for sys in random_systems(np.random.default_rng(100 + n), n):
+        cert = identity_certificate(sys)
+        j = int(np.argmin(np.abs(sys.minus_ir ** n - cert.lam)))
+        mu = sys.minus_ir[j]
+        assert cert.lam == (sys.minus_ir ** n)[j]
+        # L is a left eigenvector of K for the rate mu, so of K^m for lam
+        assert rate_residual(cert.L, sys.K, mu) <= 1
+        for q in range(n):
+            bent = cert.L.copy()
+            bent[q] *= 1 + 1e-9
+            assert rate_residual(bent, sys.K, mu) > 1, q
+        # lam is the largest eigenvalue LAPACK finds in K^m, to its accuracy
+        Km = np.linalg.matrix_power(sys.K, n)
+        reference = eigenpairs_loop(Km)
+        accuracy = [10 * n * EPS * linalg.norm1(Km) * kappa for _, kappa in reference]
+        gaps = [abs(v - cert.lam) for v, _ in reference]
+        k = int(np.argmin(gaps))
+        assert gaps[k] <= accuracy[k]
+        assert all(abs(v) <= abs(cert.lam) + a + accuracy[k] for (v, _), a in zip(reference, accuracy))
+
+
+def test_eigenpairs_residuals():
+    # eigen_residual is max|L K^m - lam L| against the K^m of the
+    # coefficients, whose own roundoff is about m eps |K|^m entrywise
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 6, 12, 18, 24):
+        for sys in random_systems(rng, n):
+            cert = identity_certificate(sys)
+            Km = np.linalg.matrix_power(sys.K, n)
+            assert cert.eigen_residual == np.max(np.abs(cert.L @ Km - cert.lam * cert.L))
+            scale = np.max(np.abs(cert.L) @ np.linalg.matrix_power(np.abs(sys.K), n))
+            assert cert.eigen_residual <= 10 * n * EPS * scale
+            assert np.max(np.abs(cert.L)) == pytest.approx(1.0)
+
+
+def test_eigenpairs_sum_matches_trace():
+    # the root-built spectrum (-i r)^k is the spectrum of K^k: its sums are
+    # the traces, for every power up to m
+    rng = np.random.default_rng(13)
+    for n in (2, 5, 9, 16, 24):
+        roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        sys = from_roots(roots)
+        power = np.eye(n, dtype=complex)
+        for k in range(1, n + 1):
+            power = power @ sys.K
+            terms = sys.minus_ir ** k
+            assert abs(terms.sum() - np.trace(power)) <= 100 * n * EPS * (
+                np.sum(np.abs(terms)) + linalg.norm1(power))
+
+
+def test_eigenpairs_scalar_matrix():
+    # P = x^m - c: K^m is (-i)^m c I exactly, so the certificate takes
+    # L = e_0 and lam = (-i)^m c with no residual
+    for m, c in itertools.product((2, 3, 7, 24), (1, -2, 0.5j)):
+        sys = make_system(Polynomial((-c,) + (0,) * (m - 1) + (1,)))
+        cert = identity_certificate(sys)
+        assert np.array_equal(cert.L, np.eye(m)[0])
+        assert cert.lam == (-1j) ** m * c
+        assert cert.eigen_residual == 0.0

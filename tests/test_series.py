@@ -1,6 +1,9 @@
 import cmath
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,8 @@ class TestEvaluateSums:
             evaluate_sums(parse_polynomial("x^2+90000"), run_oracle=False)
 
     def test_one_pivot_check_and_inverse(self, monkeypatch):
+        # one inverse per solve; the pivot check only where the condition
+        # estimate allows a pivot below its threshold
         calls = []
 
         def counted(name):
@@ -332,10 +337,15 @@ class TestEvaluateSums:
             monkeypatch.setattr(linalg, name, counted(name))
         p = parse_polynomial("x^3+x^2+1")
         res = evaluate_sums(p, run_oracle=False)
-        assert sorted(calls) == ["_check_pivots", "_condition"]
-        monkeypatch.undo()
+        assert calls == ["_condition"]
+        calls.clear()
         am = associated_matrix(gentrig.make_system(p))
+        assert calls == ["_condition"]
         assert res.condition_estimate == am.condition_estimate
+        calls.clear()
+        ill = np.diag([1.0, 1.0, 1e-13]) + 0j  # cond 1e13 > 1/(2 n rtol)
+        linalg.solve(ill, np.ones(3))
+        assert calls == ["_condition", "_check_pivots"]
 
     @pytest.mark.parametrize("factor, singular", [(0.5, False), (1.0, True), (4.0, True)])
     def test_singular_to_working_precision(self, monkeypatch, factor, singular):
@@ -357,3 +367,49 @@ class TestEvaluateSums:
         res = evaluate_sums(parse_polynomial("x^2+1"), run_oracle=False)
         assert math.isnan(res.oracle_A[0][0].real)
         assert res.A[0] == pytest.approx(math.pi / math.tanh(math.pi), abs=1e-12)
+
+
+def _bench_workloads(monkeypatch):
+    """The benchmark's pool builder, bench/workloads.py, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_screened_solve_is_the_pivot_first_solve_on_the_bench_pools(monkeypatch):
+    # every C(P) the closed sums solve in the benchmark's small, large and
+    # sums pools: the same x and condition estimate, or the same refusal,
+    # as with the pivot check run before every solve
+    workloads = _bench_workloads(monkeypatch)
+    screened, seen = linalg.solve, []
+
+    def both(M, b):
+        A = np.array(M)
+        try:
+            linalg._check_pivots(linalg._as_matrix(A), 1e-13)
+        except linalg.SingularMatrixError as exc:
+            with pytest.raises(linalg.SingularMatrixError) as got:
+                screened(A, b)
+            assert got.value.pivot_index == exc.pivot_index
+            seen.append(None)
+            raise
+        x, cond = screened(A, b)
+        assert np.array_equal(x, np.linalg.solve(A, b))
+        assert cond == linalg._condition(A)
+        seen.append(cond)
+        return x, cond
+
+    monkeypatch.setattr(linalg, "solve", both)
+    polys = {}
+    for name in ("small", "large", "sums"):
+        for task in workloads.pool(name, 0):
+            polys[task.poly.coeffs] = task.poly
+    for p in polys.values():
+        try:
+            evaluate_sums(p, run_oracle=False)
+        except (ArithmeticError, SeriesError, ValueError):
+            pass  # refused before or after the solve, as at any commit
+    assert len(seen) > 0.9 * len(polys)
