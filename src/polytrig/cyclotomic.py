@@ -51,8 +51,11 @@ class CyclotomicSystem:
         return float(np.max(np.abs(self.roots)))
 
     def exponentials(self, x) -> np.ndarray:
-        """E[..., j] = exp(eta zeta^j x) for a scalar x or an array of them (leading axes)."""
-        return gentrig._guarded_exp(x, self.roots, self.minus_ir, self.radius)
+        """E[..., j] = exp(eta zeta^j x) for a scalar x or an array of them (leading axes).
+
+        The E of the last scalar x is kept and read-only (``gentrig._memo_exp``).
+        """
+        return gentrig._memo_exp(self, x, self.roots)
 
     @cached_property
     def _det_rows(self) -> np.ndarray:
@@ -67,9 +70,8 @@ def make_cyclotomic(m: int) -> CyclotomicSystem:
     return CyclotomicSystem(m, cmath.exp(2j * math.pi / m), cmath.exp(1j * math.pi / m))
 
 
-def _check_index(m: int, l: int):
-    if not 0 <= l < m:
-        raise CyclotomicError(f"function index {l} out of range 0..{m - 1}")
+def _check_index(m: int, l) -> int:
+    return gentrig._check_index(m, l, CyclotomicError)
 
 
 def _eval_all(sys: CyclotomicSystem, x) -> np.ndarray:
@@ -79,7 +81,8 @@ def _eval_all(sys: CyclotomicSystem, x) -> np.ndarray:
 
 def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
     """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
-    _check_index(sys.m, l)
+    if type(l) is not int or not 0 <= l < sys.m:
+        l = _check_index(sys.m, l)
     value = sys.exponentials(x) @ sys.weights[l]
     return value if isinstance(value, np.ndarray) else complex(value)
 
@@ -110,7 +113,7 @@ def taylor_eval_cyclo(sys: CyclotomicSystem, l: int, x: complex, terms: int) -> 
     The terms (-1)^k x^p / p! with p = k m - l (k from 0 for l = 0, else from
     1) are read off one running product of x / n; an array of x gives an array.
     """
-    _check_index(sys.m, l)
+    l = _check_index(sys.m, l)
     if terms * sys.m > 170:
         raise CyclotomicError("terms * m above 170 overflows double-precision factorials")
     k = np.arange(terms) + (l > 0)
@@ -133,7 +136,7 @@ class AdditionRule:
 
 
 def addition_rule(m: int, l: int) -> AdditionRule:
-    _check_index(m, l)
+    l = _check_index(m, l)
     signs = tuple(1 if r <= l else -1 for r in range(m))
     partners = tuple((l - r) % m for r in range(m))
     return AdditionRule(m, l, signs, partners)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,8 +122,36 @@ class GenTrigSystem:
         return float(np.max(np.abs(self.r)))
 
     def exponentials(self, x) -> np.ndarray:
-        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes)."""
-        return _guarded_exp(x, self.r, self.minus_ir, self.radius)
+        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+
+        The E of the last scalar x is kept and read-only (:func:`_memo_exp`).
+        """
+        return _memo_exp(self, x, self.r)
+
+
+#: the empty memo: no argument is this object
+_NO_POINT = (object(), None)
+
+
+def _memo_exp(sys, x, roots) -> np.ndarray:
+    """:func:`_guarded_exp` of ``sys.minus_ir`` with a one-slot memo of the last scalar x.
+
+    The functions of a family evaluated at one point share one exponential
+    pass: a call whose argument is the very object of the last scalar call
+    (``is``, so ``-0.0`` never meets ``0.0``'s E, nor an int a complex's)
+    returns the stored E, exactly what a recomputation gives.  The stored E
+    is read-only, since callers share it.  Arrays are never stored, and a
+    call that raises stores nothing.  The pair is written in one assignment
+    and read once, so concurrent callers never see one point with another's E.
+    """
+    last = sys.__dict__.get("last_point", _NO_POINT)
+    if last[0] is x:
+        return last[1]
+    E = _guarded_exp(x, roots, sys.minus_ir, sys.radius)
+    if isinstance(x, _NUMBER):
+        E.setflags(False)  # positional: write=False parses keywords, 3x the cost
+        sys.__dict__["last_point"] = (x, E)
+    return E
 
 
 def _guarded_exp(x, roots, minus_ir, radius: float) -> np.ndarray:
@@ -141,7 +170,7 @@ def _guarded_exp(x, roots, minus_ir, radius: float) -> np.ndarray:
             return np.exp(x * minus_ir)
     else:
         x = np.asarray(x, dtype=complex)
-        if float(np.abs(x).max()) * radius <= _BOUND_GUARD:
+        if float(np.abs(x).max(initial=0.0)) * radius <= _BOUND_GUARD:
             return np.exp(np.multiply.outer(x, minus_ir))
     # the bound failed, or an argument is nan or infinite
     x = np.asarray(x, dtype=complex)
@@ -176,21 +205,32 @@ def from_roots(roots) -> GenTrigSystem:
     return _system(mon, RootSet(rs, max(abs(mon(r)) for r in rs)))
 
 
-def _check_index(sys: GenTrigSystem, l: int):
-    if not 0 <= l < sys.m:
-        raise GenTrigError(f"function index {l} out of range 0..{sys.m - 1}")
+def _integer(n, what: str, error) -> int:
+    """``n`` as an int; a bool or a non-integer raises ``error``."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise error(f"{what} {n!r} is not an integer")
 
 
-def _cached(obj, key: str, compute):
-    """``compute()`` once per frozen ``obj``, kept in its instance dict like a cached_property."""
-    if key not in obj.__dict__:
-        obj.__dict__[key] = compute()
-    return obj.__dict__[key]
+def _check_index(m: int, l, error=GenTrigError) -> int:
+    """``l`` as a function index in 0..m-1; anything else raises ``error``.
+
+    The hot paths test ``type(l) is int and 0 <= l < m`` inline and call this
+    only when that test fails.
+    """
+    l = _integer(l, "function index", error)
+    if not 0 <= l < m:
+        raise error(f"function index {l} out of range 0..{m - 1}")
+    return l
 
 
 def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """S_l(x) as the direct exponential sum; an array of x gives an array."""
-    _check_index(sys, l)
+    if type(l) is not int or not 0 <= l < sys.m:
+        l = _check_index(sys.m, l)
     value = sys.exponentials(x) @ sys.T[l]
     return value if isinstance(value, np.ndarray) else complex(value)
 
@@ -200,16 +240,24 @@ def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
 
 
 def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
-    """Taylor coefficients b_0..b_order of S_l about 0.
+    """Taylor coefficients b_0..b_order of S_l about 0, for 0 <= order <= 170.
 
     b_k = sum_j T[l][j] (-i r_j)^k / k!, with the per-root weights
-    (-i r_j)^k / k! built as one running product for stability.
+    (-i r_j)^k / k! built as one running product for stability, once per
+    order and system.
     """
-    _check_index(sys, l)
-    if order > 170:
-        raise GenTrigError("order above 170 overflows double-precision factorials")
-    return (_cached(sys, f"taylor_weights_{order}", lambda: _taylor_weights(sys, order))
-            @ sys.T[l]).tolist()
+    if type(l) is not int or not 0 <= l < sys.m:
+        l = _check_index(sys.m, l)
+    tables = sys.__dict__.setdefault("taylor_weights", {})
+    W = tables.get(order) if type(order) is int else None
+    if W is None:
+        order = _integer(order, "Taylor order", GenTrigError)
+        if order > 170:
+            raise GenTrigError("order above 170 overflows double-precision factorials")
+        if order < 0:
+            raise GenTrigError(f"Taylor order {order} is negative")
+        W = tables.setdefault(order, _taylor_weights(sys, order))
+    return (W @ sys.T[l]).tolist()
 
 
 def _taylor_weights(sys: GenTrigSystem, order: int) -> np.ndarray:
@@ -293,8 +341,10 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     say) count as tied; the tie goes to the smallest phase, and among equal
     phases to the first root.  When K^m is a scalar matrix (P = x^m - c)
     every vector is an eigenvector, and the certificate takes L = e_0 with
-    the mean of its diagonal.  ``eigen_residual`` is max|L K^m - lam L|
-    against K^m built from the coefficients.
+    the mean of its diagonal.  ``eigen_residual`` is L's own residual
+    max|L K - mu L| against K for the rate mu = -i r_j, whose column 1 is
+    the root's backward error and the rest roundoff; for a scalar K^m it is
+    max|L K^m - lam L|, which is zero.
     """
     if sys.m < 2:
         raise GenTrigError("certificates need degree at least 2")
@@ -310,13 +360,15 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     lam = complex(values[j])
     if scalar:
         L = np.eye(sys.m, dtype=complex)[0]
+        residual = float(np.max(np.abs(L @ M - lam * L)))
     else:
-        L = _left_eigenvector(sys.K, sys.minus_ir[j])
-    residual = float(np.max(np.abs(L @ M - lam * L)))
+        mu = sys.minus_ir[j]
+        L = _left_eigenvector(sys.K, mu)
+        residual = float(np.max(np.abs(L @ sys.K - mu * L)))
     G = _certificate_rows(sys, L, lam)
     det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
     cert = IdentityCertificate(L, lam, det_ref, residual)
-    _cached(cert, "spectral_rows", lambda: G)
+    cert.__dict__["spectral_rows"] = G  # kept in the frozen instance, like a cached_property
     return cert
 
 
@@ -326,5 +378,7 @@ def eval_det_M(cert: IdentityCertificate, sys: GenTrigSystem, x: complex) -> com
     The product of the eigenvalues G E(x) of :func:`_spectral_rows`; an array
     of x gives an array.
     """
-    G = _cached(cert, "spectral_rows", lambda: _certificate_rows(sys, cert.L, cert.lam))
+    G = cert.__dict__.get("spectral_rows")
+    if G is None:
+        G = cert.__dict__.setdefault("spectral_rows", _certificate_rows(sys, cert.L, cert.lam))
     return _spectral_det(G, sys.exponentials(x))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gentrig import GenTrigSystem, _cached, _check_index, deflation_matrix, make_system
+from .gentrig import GenTrigSystem, _check_index, deflation_matrix, make_system
 from .poly import Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
@@ -69,13 +69,12 @@ def _check_roots(sys: GenTrigSystem):
 
 def _boundary_weights(sys: GenTrigSystem) -> np.ndarray:
     """T / (exp(-i r pi) - exp(i r pi)), the R_l weights, once per system."""
-
-    def compute():
+    W = sys.__dict__.get("boundary_weights")
+    if W is None:
         _check_roots(sys)
         E = sys.exponentials(np.array([math.pi, -math.pi]))
-        return sys.T / (E[0] - E[1])
-
-    return _cached(sys, "boundary_weights", compute)
+        W = sys.__dict__.setdefault("boundary_weights", sys.T / (E[0] - E[1]))
+    return W
 
 
 def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
@@ -83,14 +82,15 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
 
     An array of x gives an array.
     """
-    _check_index(sys, l)
+    if type(l) is not int or not 0 <= l < sys.m:
+        l = _check_index(sys.m, l)
     value = sys.exponentials(x) @ _boundary_weights(sys)[l]
     return value if isinstance(value, np.ndarray) else complex(value)
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
     """Closed-form Fourier coefficient of R_l: (-1)^n/(2 pi i) sum_j T[l][j]/(n - r_j)."""
-    _check_index(sys, l)
+    l = _check_index(sys.m, l)
     _check_roots(sys)
     return ((-1) ** n) * (sys.T[l] @ (1 / (n - sys.r))) / TWO_PI_I
 

@@ -183,6 +183,13 @@ class TestExitCodes:
         assert err.startswith("error:") and "at least 2" in err
         assert out == ""
 
+    @pytest.mark.parametrize("order", ["-1", "-2", "171"])
+    def test_taylor_order_out_of_range_is_numerical(self, capsys, order):
+        code, out, err = run(capsys, "taylor", "--poly", "x^2+1", "--l", "0", "--order", order)
+        assert code == 3
+        assert err.startswith("numerical failure") and "order" in err
+        assert out == ""
+
     def test_lapack_failure_is_numerical(self, capsys, monkeypatch):
         def failing(*args):
             raise np.linalg.LinAlgError("Singular matrix")

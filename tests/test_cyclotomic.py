@@ -74,6 +74,28 @@ def test_index_validation():
         make_cyclotomic(0)
 
 
+@pytest.mark.parametrize("l", [True, np.True_, 1.5, 1.0, None, -1, 3],
+                         ids=["True", "np.True_", "1.5", "1.0", "None", "-1", "3"])
+@pytest.mark.parametrize("evaluate", ["eval_S_cyclo", "taylor_eval_cyclo", "addition_rule"])
+def test_index_must_be_an_integer_in_range(l, evaluate):
+    sys = make_cyclotomic(3)
+    call = {
+        "eval_S_cyclo": lambda: eval_S_cyclo(sys, l, 0.5),
+        "taylor_eval_cyclo": lambda: taylor_eval_cyclo(sys, l, 0.5, 5),
+        "addition_rule": lambda: addition_rule(3, l),
+    }[evaluate]
+    with pytest.raises(CyclotomicError, match="function index"):
+        call()
+
+
+def test_integer_types_index_like_int():
+    sys = make_cyclotomic(3)
+    for l in range(3):
+        assert eval_S_cyclo(sys, np.int64(l), 0.5) == eval_S_cyclo(sys, l, 0.5)
+        assert taylor_eval_cyclo(sys, np.int32(l), 0.5, 5) == taylor_eval_cyclo(sys, l, 0.5, 5)
+        assert addition_rule(3, np.int64(l)) == addition_rule(3, l)
+
+
 def test_taylor_matches_direct():
     for m in range(1, 6):
         sys = make_cyclotomic(m)

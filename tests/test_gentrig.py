@@ -148,6 +148,46 @@ class TestEvaluation:
         with pytest.raises(GenTrigError):
             eval_S(sys, 2, 0.0)
 
+    @pytest.mark.parametrize("l", [True, False, np.True_, 1.5, 1.0, "1", None, -1, 3],
+                             ids=["True", "False", "np.True_", "1.5", "1.0", "str", "None", "-1", "3"])
+    @pytest.mark.parametrize("evaluate", ["eval_S", "eval_R", "taylor_coeffs", "fourier_coefficient"])
+    def test_index_must_be_an_integer_in_range(self, l, evaluate):
+        sys = make_system(parse_polynomial("x^3+x^2+1"))
+        call = {
+            "eval_S": lambda: eval_S(sys, l, 0.5),
+            "eval_R": lambda: series.eval_R(sys, l, 0.5),
+            "taylor_coeffs": lambda: taylor_coeffs(sys, l, 4),
+            "fourier_coefficient": lambda: series.fourier_coefficient(sys, l, 2),
+        }[evaluate]
+        with pytest.raises(GenTrigError, match="function index"):
+            call()
+
+    def test_integer_types_index_like_int(self):
+        sys = make_system(parse_polynomial("x^3+x^2+1"))
+        for l in range(3):
+            for index in (np.int64(l), np.uint8(l)):
+                assert eval_S(sys, index, 0.5) == eval_S(sys, l, 0.5)
+                assert series.eval_R(sys, index, 0.5) == series.eval_R(sys, l, 0.5)
+                assert taylor_coeffs(sys, index, 6) == taylor_coeffs(sys, l, 6)
+                assert type(eval_S(sys, index, 0.5)) is complex
+
+    @pytest.mark.parametrize("evaluate", ["eval_S", "eval_R", "eval_det_M", "eval_S_vector",
+                                          "eval_S_cyclo"])
+    def test_empty_array(self, evaluate):
+        sys = make_system(parse_polynomial("x^3+x^2+1"))
+        cyclo = cyclotomic.make_cyclotomic(4)
+        empty = np.array([])
+        value = {
+            "eval_S": lambda: eval_S(sys, 1, empty),
+            "eval_R": lambda: series.eval_R(sys, 1, empty),
+            "eval_det_M": lambda: eval_det_M(identity_certificate(sys), sys, empty),
+            "eval_S_vector": lambda: eval_S_vector(sys, empty),
+            "eval_S_cyclo": lambda: cyclotomic.eval_S_cyclo(cyclo, 1, empty),
+        }[evaluate]()
+        assert value.shape == ((0, 3) if evaluate == "eval_S_vector" else (0,))
+        assert value.dtype == complex
+        assert sys.exponentials(np.empty((2, 0))).shape == (2, 0, 3)
+
     def test_overflow_guard(self):
         sys = make_system(parse_polynomial("x^2+1"))
         with pytest.raises(ArgumentOverflowError):
@@ -240,6 +280,114 @@ class TestEvaluation:
             assert v[l] == pytest.approx(l * e_l, abs=1e-12)
 
 
+class TestLastPointMemo:
+    """The kernel keeps (x, E) for the last scalar x of each system."""
+
+    ROOTS = [0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j, 1.4, -0.4 - 0.6j]
+
+    @staticmethod
+    def values(sys, x):
+        """Every evaluator of the family at x, each called twice."""
+        cert = identity_certificate(sys)
+        out = []
+        for _ in range(2):
+            out.append(eval_S_vector(sys, x))
+            out += [eval_S(sys, l, x) for l in range(sys.m)]
+            out += [series.eval_R(sys, l, x) for l in range(sys.m)]
+            out.append(eval_det_M(cert, sys, x))
+        return out
+
+    @staticmethod
+    def same(a, b):
+        """Equal bit for bit, the signs of zeros included."""
+        return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
+
+    @pytest.mark.parametrize("x", [0.3 - 0.2j, 1.5, np.complex128(-0.8j), 2], ids=["complex", "float", "complex128", "int"])
+    def test_repeated_point_matches_a_fresh_system(self, x):
+        sys = from_roots(self.ROOTS)
+        got = self.values(sys, x)
+        half = len(got) // 2
+        assert self.same(got[:half], got[half:])
+        fresh = [f(from_roots(self.ROOTS)) for f in (
+            lambda s: eval_S_vector(s, x),
+            *(lambda s, l=l: eval_S(s, l, x) for l in range(5)),
+            *(lambda s, l=l: series.eval_R(s, l, x) for l in range(5)),
+            lambda s: eval_det_M(identity_certificate(s), s, x))]
+        assert len(fresh) == half and self.same(got[:half], fresh)
+        cyclo = cyclotomic.make_cyclotomic(5)
+        repeated = [cyclotomic.eval_S_cyclo(cyclo, l, x) for l in range(5) for _ in range(2)]
+        assert repeated == [cyclotomic.eval_S_cyclo(cyclotomic.make_cyclotomic(5), l, x)
+                            for l in range(5) for _ in range(2)]
+
+    def test_alternating_points(self):
+        # equal values that are distinct objects, and -0.0 against 0.0
+        points = [0.5, -0.25j, 0.0, -0.0, complex(0.0, -0.0), 1, 1.0, 1 + 0j, np.float64(1.0), 0.5]
+        sys = from_roots(self.ROOTS)
+        cyclo = cyclotomic.make_cyclotomic(4)
+        for _ in range(3):
+            for x in points + points[::-1]:
+                assert self.same([sys.exponentials(x)], [np.exp(x * sys.minus_ir)])
+                assert self.same([cyclo.exponentials(x)], [np.exp(x * cyclo.minus_ir)])
+                assert self.same(self.values(sys, x), self.values(from_roots(self.ROOTS), x))
+
+    def test_arrays_are_never_stored(self, monkeypatch):
+        sys = from_roots(self.ROOTS)
+        calls = []
+        kernel = gentrig._guarded_exp
+        monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: calls.append(1) or kernel(*args))
+        for xs in (np.array([0.1, 0.2 - 0.3j]), np.array(0.4 + 0.1j)):
+            first = sys.exponentials(xs)
+            assert first.flags.writeable
+            xs[...] = 0.7  # an array may change between calls
+            again = sys.exponentials(xs)
+            assert np.array_equal(again, np.exp(np.multiply.outer(xs, sys.minus_ir)))
+        assert len(calls) == 4
+
+    def test_stored_exponentials_are_read_only(self):
+        sys = from_roots(self.ROOTS)
+        x = 0.6 + 0.1j
+        E = sys.exponentials(x)
+        assert sys.exponentials(x) is E
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0] = 0
+        assert eval_S(sys, 1, x) == eval_S(from_roots(self.ROOTS), 1, x)
+        assert not cyclotomic.make_cyclotomic(3).exponentials(x).flags.writeable
+
+    @pytest.mark.parametrize("x", [1e4, math.nan, complex(0, math.inf)], ids=["overflow", "nan", "inf"])
+    def test_a_refused_point_raises_on_every_call(self, x):
+        sys = from_roots(self.ROOTS)
+        good = 0.5
+        expected = eval_S(sys, 2, good)
+        for _ in range(3):
+            with pytest.raises(ArgumentOverflowError):
+                eval_S(sys, 2, x)
+            with pytest.raises(ArgumentOverflowError):
+                series.eval_R(sys, 1, x)
+            with pytest.raises(ArgumentOverflowError):
+                cyclotomic.eval_S_cyclo(cyclotomic.make_cyclotomic(3), 0, x)
+            assert eval_S(sys, 2, good) == expected
+
+    def test_one_kernel_pass_per_point(self, monkeypatch):
+        sys = from_roots(self.ROOTS)
+        cert = identity_certificate(sys)
+        series.eval_R(sys, 0, 0.25)  # the boundary weights take a pass of their own
+        cyclo = cyclotomic.make_cyclotomic(4)
+        calls = []
+        kernel = gentrig._guarded_exp
+        monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: calls.append(args[0]) or kernel(*args))
+        for x in (0.3 - 0.2j, -1.1, 0.3 - 0.2j):
+            eval_S_vector(sys, x)
+            for l in range(sys.m):
+                series.eval_R(sys, l, x)
+                eval_S(sys, l, x)
+            eval_det_M(cert, sys, x)
+            for l in range(cyclo.m):
+                cyclotomic.eval_S_cyclo(cyclo, l, x)
+            cyclotomic.det_M_cyclo(cyclo, x)
+        assert calls == [0.3 - 0.2j, 0.3 - 0.2j, -1.1, -1.1, 0.3 - 0.2j, 0.3 - 0.2j]
+
+
 class TestTaylor:
     def test_against_direct_evaluation(self):
         sys = make_system(parse_polynomial("x^3+x^2+1"))
@@ -285,6 +433,21 @@ class TestTaylor:
         sys = make_system(parse_polynomial("x^2+1"))
         with pytest.raises(GenTrigError):
             taylor_coeffs(sys, 0, 171)
+        assert len(taylor_coeffs(sys, 0, 170)) == 171
+
+    @pytest.mark.parametrize("order", [-1, -2, -171])
+    def test_negative_order_is_refused(self, order):
+        sys = make_system(parse_polynomial("x^2+1"))
+        with pytest.raises(GenTrigError, match="negative"):
+            taylor_coeffs(sys, 0, order)
+        assert taylor_coeffs(sys, 0, 0) == [2]
+
+    @pytest.mark.parametrize("order", [True, 4.0, 2.5, "4"], ids=["True", "4.0", "2.5", "str"])
+    def test_order_must_be_an_integer(self, order):
+        sys = make_system(parse_polynomial("x^2+1"))
+        taylor_coeffs(sys, 0, 4)  # a cached table for order 4 must not answer 4.0
+        with pytest.raises(GenTrigError, match="not an integer"):
+            taylor_coeffs(sys, 0, order)
 
 
 class TestIdentityCertificate:
@@ -353,12 +516,23 @@ class TestIdentityCertificate:
         assert np.all(gap <= 1e3 * m * np.finfo(float).eps * abs(cert.det_ref)), np.max(gap)
 
     @staticmethod
-    def assert_certified(sys, cert):
-        # L K^m = lam L up to roundoff on the scale of K^m
-        M = np.linalg.matrix_power(sys.K, sys.m)
-        bound = 100 * sys.m * np.finfo(float).eps * linalg.norm1(M)
-        assert cert.eigen_residual <= bound
-        assert np.max(np.abs(cert.L @ M - cert.lam * cert.L)) <= bound
+    def rate(sys, cert):
+        """The rate mu = -i r_j of the certificate, with mu^m = lam."""
+        j = int(np.argmin(np.abs(sys.minus_ir ** sys.m - cert.lam)))
+        assert (sys.minus_ir ** sys.m)[j] == cert.lam
+        return sys.minus_ir[j]
+
+    @classmethod
+    def assert_certified(cls, sys, cert):
+        # eigen_residual is L's own residual max|L K - mu L|.  Column 1 is
+        # i r^(1-m) P(r), within the root's backward error 4 m eps of its
+        # scale |L| |K| + |mu| |L|; the other columns are roundoff alone, so
+        # 8 m eps of the scale bounds every column
+        mu = cls.rate(sys, cert)
+        residual = np.abs(cert.L @ sys.K - mu * cert.L)
+        scale = np.abs(cert.L) @ np.abs(sys.K) + abs(mu) * np.abs(cert.L)
+        assert cert.eigen_residual == np.max(residual)
+        assert np.all(residual <= 8 * sys.m * np.finfo(float).eps * scale), "residual above 8 m eps"
         assert np.max(np.abs(cert.L)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("text", ["x^4+3x^2+1", "x^6+2x^2+1",
@@ -376,6 +550,43 @@ class TestIdentityCertificate:
         self.assert_certified(sys, cert)
         # eigenvalues of K^24 are (-i r_j)^24 = r_j^24
         assert abs(cert.lam) == pytest.approx(np.max(np.abs(roots)) ** 24, rel=1e-9)
+
+    @staticmethod
+    def random_18():
+        """P from 18 random roots in [0, 1]^2."""
+        rng = np.random.default_rng(18)
+        return make_system(Polynomial.from_roots(tuple(rng.uniform(0, 1, 18) + 1j * rng.uniform(0, 1, 18))))
+
+    def test_random_roots_where_the_power_bound_failed(self):
+        # the rounded K^18 carries roundoff far above 100 m eps norm1(K^18),
+        # so a residual against K^m exceeds that bound here
+        sys = self.random_18()
+        cert = identity_certificate(sys)
+        self.assert_certified(sys, cert)
+        M = np.linalg.matrix_power(sys.K, sys.m)
+        assert np.max(np.abs(cert.L @ M - cert.lam * cert.L)) > (
+            100 * sys.m * np.finfo(float).eps * linalg.norm1(M))
+
+    @pytest.mark.parametrize("case", ["x^4+3x^2+1", "x^10+x^2+1", "x^3+x^2+1", "degree-24", "rng-18"])
+    def test_a_bent_eigenvector_fails(self, case, monkeypatch):
+        # scaling L_0 by 1 + 1e-9 must fail the bound of assert_certified
+        if case == "degree-24":
+            rng = np.random.default_rng(24)
+            sys = from_roots(rng.uniform(0.5, 1.2, 24) * np.exp(2j * np.pi * rng.uniform(size=24)))
+        elif case == "rng-18":
+            sys = self.random_18()
+        else:
+            sys = make_system(parse_polynomial(case))
+        original = gentrig._left_eigenvector
+
+        def bent(K, mu):
+            L = original(K, mu)
+            L[0] *= 1 + 1e-9
+            return L
+
+        monkeypatch.setattr(gentrig, "_left_eigenvector", bent)
+        with pytest.raises(AssertionError, match="residual above 8 m eps"):
+            self.assert_certified(sys, identity_certificate(sys))
 
     @pytest.mark.parametrize("text,lam", [
         ("x^2+1", 1.0),

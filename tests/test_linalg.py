@@ -257,16 +257,16 @@ def test_eigenpairs_match_the_loop(n):
 
 
 def test_eigenpairs_residuals():
-    # eigen_residual is max|L K^m - lam L| against the K^m of the
-    # coefficients, whose own roundoff is about m eps |K|^m entrywise
+    # eigen_residual is L's own residual max|L K - mu L| against K for its
+    # rate mu, within the componentwise bound of rate_residual
     rng = np.random.default_rng(11)
     for n in (2, 3, 6, 12, 18, 24):
         for sys in random_systems(rng, n):
             cert = identity_certificate(sys)
-            Km = np.linalg.matrix_power(sys.K, n)
-            assert cert.eigen_residual == np.max(np.abs(cert.L @ Km - cert.lam * cert.L))
-            scale = np.max(np.abs(cert.L) @ np.linalg.matrix_power(np.abs(sys.K), n))
-            assert cert.eigen_residual <= 10 * n * EPS * scale
+            j = int(np.argmin(np.abs(sys.minus_ir ** n - cert.lam)))
+            mu = sys.minus_ir[j]
+            assert cert.eigen_residual == np.max(np.abs(cert.L @ sys.K - mu * cert.L))
+            assert rate_residual(cert.L, sys.K, mu) <= 1
             assert np.max(np.abs(cert.L)) == pytest.approx(1.0)
 
 
