@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gentrig, linalg
+from .poly import MAX_DEGREE
 
 
 class CyclotomicError(ValueError):
@@ -22,16 +23,16 @@ class CyclotomicError(ValueError):
 
 
 @dataclass(frozen=True)
-class CyclotomicSystem:
-    """S_l(x) = sum_j weights[l][j] exp(-i roots[j] x), for l = 0..m-1."""
+class CyclotomicSystem(gentrig._ExpSum):
+    """S_l(x) = sum_j weights[l][j] exp(-i r[j] x), for l = 0..m-1."""
 
     m: int
     zeta: complex
     eta: complex
 
     @cached_property
-    def roots(self) -> np.ndarray:
-        """i eta zeta^j for j = 0..m-1, so that exp(-i roots[j] x) = exp(eta zeta^j x)."""
+    def r(self) -> np.ndarray:
+        """i eta zeta^j for j = 0..m-1, so that exp(-i r[j] x) = exp(eta zeta^j x)."""
         return 1j * (self.eta * self.zeta ** np.arange(self.m))
 
     @cached_property
@@ -41,23 +42,6 @@ class CyclotomicSystem:
         return self.zeta ** (np.outer(l, l) % self.m) / (self.m * self.eta ** l)[:, None]
 
     @cached_property
-    def minus_ir(self) -> np.ndarray:
-        """The exponent rates -i roots[j] = eta zeta^j."""
-        return -1j * self.roots
-
-    @cached_property
-    def radius(self) -> float:
-        """The root radius max |roots[j]| (1 up to roundoff)."""
-        return float(np.max(np.abs(self.roots)))
-
-    def exponentials(self, x) -> np.ndarray:
-        """E[..., j] = exp(eta zeta^j x) for a scalar x or an array of them (leading axes).
-
-        The E of the last scalar x is kept and read-only (``gentrig._memo_exp``).
-        """
-        return gentrig._memo_exp(self, x, self.roots)
-
-    @cached_property
     def _det_rows(self) -> np.ndarray:
         """The spectral rows of f_l = zeta^l S_l with lam = -1, so w_j = eta zeta^j."""
         F = (self.zeta ** np.arange(self.m))[:, None] * self.weights
@@ -65,8 +49,10 @@ class CyclotomicSystem:
 
 
 def make_cyclotomic(m: int) -> CyclotomicSystem:
-    if m < 1:
-        raise CyclotomicError("m must be a positive integer")
+    """The system of order m, an integer in 1..``MAX_DEGREE``."""
+    m = gentrig._integer(m, "order m", CyclotomicError)
+    if not 1 <= m <= MAX_DEGREE:
+        raise CyclotomicError(f"order m = {m} is outside 1..{MAX_DEGREE}")
     return CyclotomicSystem(m, cmath.exp(2j * math.pi / m), cmath.exp(1j * math.pi / m))
 
 
@@ -83,8 +69,7 @@ def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
     """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    value = sys.exponentials(x) @ sys.weights[l]
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return gentrig._scalar(sys.exponentials(x) @ sys.weights[l])
 
 
 @lru_cache(maxsize=32)
@@ -112,17 +97,19 @@ def taylor_eval_cyclo(sys: CyclotomicSystem, l: int, x: complex, terms: int) -> 
 
     The terms (-1)^k x^p / p! with p = k m - l (k from 0 for l = 0, else from
     1) are read off one running product of x / n; an array of x gives an array.
+    ``terms`` is a non-negative integer.
     """
     l = _check_index(sys.m, l)
-    if terms * sys.m > 170:
-        raise CyclotomicError("terms * m above 170 overflows double-precision factorials")
+    terms = gentrig._integer(terms, "term count", CyclotomicError)
+    if not 0 <= terms * sys.m <= 170:
+        raise CyclotomicError(f"term count {terms} is outside 0..{170 // sys.m}: "
+                              f"terms * m above 170 overflows double-precision factorials")
     k = np.arange(terms) + (l > 0)
     p = k * sys.m - l
     x = np.asarray(x, dtype=complex)
     steps = np.ones(x.shape + (p.max(initial=0) + 1,), dtype=complex)
     steps[..., 1:] = x[..., None] / np.arange(1.0, steps.shape[-1])
-    value = np.cumprod(steps, axis=-1)[..., p] @ (-1.0) ** k / sys.zeta ** l
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return gentrig._scalar(np.cumprod(steps, axis=-1)[..., p] @ (-1.0) ** k / sys.zeta ** l)
 
 
 @dataclass(frozen=True)
@@ -147,7 +134,7 @@ def apply_addition(sys: CyclotomicSystem, rule: AdditionRule, x1: complex, x2: c
     if rule.m != sys.m:
         raise CyclotomicError("rule and system orders differ")
     value = (_eval_all(sys, x1)[..., list(rule.partners)] * _eval_all(sys, x2)) @ rule.signs
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return gentrig._scalar(value)
 
 
 def det_M_constant(m: int) -> int:
@@ -180,12 +167,13 @@ def factorial_identity_check(n: int):
     sum_A runs over ordered triples (k1, k2, k3) with k1+k2+k3 = n and all
     three congruent mod 3; sum_B over triples covering all three residue
     classes, counted once per value set.  Returns (sum_A, sum_B, holds) with
-    holds = (sum_A == 3 * sum_B) exactly.
+    holds = (sum_A == 3 * sum_B) exactly.  ``n`` is a non-negative integer.
     """
+    n = gentrig._integer(n, "total degree", CyclotomicError)
+    if not 0 <= n <= 120:
+        raise CyclotomicError(f"total degree {n} is outside the supported 0..120")
     if n % 3 != 0:
         raise CyclotomicError(f"n = {n} is not divisible by 3")
-    if n > 120:
-        raise CyclotomicError("n above 120 is not supported")
     # n! / (k1! k2! k3!) is an integer multinomial, so both sums are
     # integers over n!: one Fraction each, not one per term
     factorial = [math.factorial(k) for k in range(n + 1)]

@@ -59,17 +59,17 @@ def deflation_matrix(p: Polynomial, roots) -> np.ndarray:
     return Q
 
 
-def tuple_coefficients(roots: RootSet, leading: complex = 1.0) -> np.ndarray:
-    """The m-by-m grid T[l][j].
+def tuple_coefficients(roots: RootSet) -> np.ndarray:
+    """The m-by-m grid T[l][j] of the monic polynomial with these roots.
 
-    Row 0 is the leading coefficient; row l >= 1 holds r_j times the
+    Row 0 is all ones; row l >= 1 holds r_j times the
     elementary symmetric function of order l-1 of the other roots, read off
     the deflated quotient of P by (x - r_j): its coefficient of x^(m-1-k) is
     (-1)^k e_k(other roots).
     """
     r = np.array(tuple(roots), dtype=complex)
     m = len(r)
-    T = np.full((m, m), leading, dtype=complex)
+    T = np.ones((m, m), dtype=complex)
     if m > 1:
         Q = deflation_matrix(Polynomial.from_roots(r), r)
         signs = (-1.0) ** np.arange(m - 1)
@@ -93,8 +93,81 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
     return K
 
 
+#: the empty memo: no argument is this object
+_NO_POINT = (object(), None)
+
+
+class _ExpSum:
+    """Rates, root radius and exponentials of a family S_l(x) = sum_j W[l][j] exp(-i r_j x),
+    from the roots ``r`` that the subclass provides."""
+
+    @cached_property
+    def minus_ir(self) -> np.ndarray:
+        """The exponent rates -i r_j."""
+        return -1j * self.r
+
+    @cached_property
+    def radius(self) -> float:
+        """The root radius max |r_j|."""
+        return float(np.max(np.abs(self.r)))
+
+    def exponentials(self, x) -> np.ndarray:
+        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+
+        The functions of a family evaluated at one point share one exponential
+        pass: a call whose argument is the very object of the last scalar call
+        (``is``, so ``-0.0`` never meets ``0.0``'s E, nor an int a complex's)
+        returns the stored E, exactly what a recomputation gives.  The stored E
+        is read-only, since callers share it.  Arrays are never stored, and a
+        call that raises stores nothing.  The pair is written in one assignment
+        and read once, so concurrent callers never see one point with another's E.
+        """
+        last = self.__dict__.get("last_point", _NO_POINT)
+        if last[0] is x:
+            return last[1]
+        E = _guarded_exp(x, self)
+        if isinstance(x, _NUMBER):
+            E.setflags(False)  # positional: write=False parses keywords, 3x the cost
+            self.__dict__["last_point"] = (x, E)
+        return E
+
+
+def _guarded_exp(x, sys: _ExpSum) -> np.ndarray:
+    """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+
+    The one exponential kernel of the package.  Since |Re(-i r_j x)| <=
+    |r_j| |x|, an argument set with max |x| * ``sys.radius`` within
+    ``EXP_GUARD`` needs no further check.  Otherwise every exponent is
+    scanned: the worst one past ``EXP_GUARD``, or a non-finite one, raises
+    :class:`ArgumentOverflowError` naming its root and argument.
+    """
+    if isinstance(x, _NUMBER):
+        # math.hypot, since abs() of a huge complex raises OverflowError
+        if math.hypot(x.real, x.imag) * sys.radius <= _BOUND_GUARD:
+            return np.exp(x * sys.minus_ir)
+    else:
+        x = np.asarray(x, dtype=complex)
+        if float(np.abs(x).max(initial=0.0)) * sys.radius <= _BOUND_GUARD:
+            return np.exp(np.multiply.outer(x, sys.minus_ir))
+    # the bound failed, or an argument is nan or infinite
+    x = np.asarray(x, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = np.multiply.outer(x, sys.minus_ir)
+        size = np.abs(z.real)
+    worst = np.argmax(size)  # the first nan, if any
+    if not size.flat[worst] <= EXP_GUARD:
+        *at, j = np.unravel_index(worst, size.shape)
+        raise ArgumentOverflowError(complex(sys.r[j]), complex(x[tuple(at)]))
+    return np.exp(z)
+
+
+def _scalar(value):
+    """``value`` as a Python complex, unless it is an array (an array of points)."""
+    return value if isinstance(value, np.ndarray) else complex(value)
+
+
 @dataclass(frozen=True)
-class GenTrigSystem:
+class GenTrigSystem(_ExpSum):
     """Monic polynomial, its roots, the T grid and the derivative matrix K."""
 
     poly: Polynomial
@@ -110,78 +183,6 @@ class GenTrigSystem:
     def r(self) -> np.ndarray:
         """The roots as an array, in the column order of T."""
         return np.array(self.roots.roots, dtype=complex)
-
-    @cached_property
-    def minus_ir(self) -> np.ndarray:
-        """The exponent rates -i r_j."""
-        return -1j * self.r
-
-    @cached_property
-    def radius(self) -> float:
-        """The root radius max |r_j|."""
-        return float(np.max(np.abs(self.r)))
-
-    def exponentials(self, x) -> np.ndarray:
-        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
-
-        The E of the last scalar x is kept and read-only (:func:`_memo_exp`).
-        """
-        return _memo_exp(self, x, self.r)
-
-
-#: the empty memo: no argument is this object
-_NO_POINT = (object(), None)
-
-
-def _memo_exp(sys, x, roots) -> np.ndarray:
-    """:func:`_guarded_exp` of ``sys.minus_ir`` with a one-slot memo of the last scalar x.
-
-    The functions of a family evaluated at one point share one exponential
-    pass: a call whose argument is the very object of the last scalar call
-    (``is``, so ``-0.0`` never meets ``0.0``'s E, nor an int a complex's)
-    returns the stored E, exactly what a recomputation gives.  The stored E
-    is read-only, since callers share it.  Arrays are never stored, and a
-    call that raises stores nothing.  The pair is written in one assignment
-    and read once, so concurrent callers never see one point with another's E.
-    """
-    last = sys.__dict__.get("last_point", _NO_POINT)
-    if last[0] is x:
-        return last[1]
-    E = _guarded_exp(x, roots, sys.minus_ir, sys.radius)
-    if isinstance(x, _NUMBER):
-        E.setflags(False)  # positional: write=False parses keywords, 3x the cost
-        sys.__dict__["last_point"] = (x, E)
-    return E
-
-
-def _guarded_exp(x, roots, minus_ir, radius: float) -> np.ndarray:
-    """E[..., j] = exp(minus_ir[j] x) for a scalar x or an array of them (leading axes).
-
-    The one exponential kernel of the package; ``minus_ir`` is -i ``roots``
-    and ``radius`` is max |roots|.  Since |Re(-i r_j x)| <= |r_j| |x|, an
-    argument set with max |x| * radius within ``EXP_GUARD`` needs no further
-    check.  Otherwise every exponent is scanned: the worst one past
-    ``EXP_GUARD``, or a non-finite one, raises :class:`ArgumentOverflowError`
-    naming its root and argument.
-    """
-    if isinstance(x, _NUMBER):
-        # math.hypot, since abs() of a huge complex raises OverflowError
-        if math.hypot(x.real, x.imag) * radius <= _BOUND_GUARD:
-            return np.exp(x * minus_ir)
-    else:
-        x = np.asarray(x, dtype=complex)
-        if float(np.abs(x).max(initial=0.0)) * radius <= _BOUND_GUARD:
-            return np.exp(np.multiply.outer(x, minus_ir))
-    # the bound failed, or an argument is nan or infinite
-    x = np.asarray(x, dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        z = np.multiply.outer(x, minus_ir)
-        size = np.abs(z.real)
-    worst = np.argmax(size)  # the first nan, if any
-    if not size.flat[worst] <= EXP_GUARD:
-        *at, j = np.unravel_index(worst, size.shape)
-        raise ArgumentOverflowError(complex(roots[j]), complex(x[tuple(at)]))
-    return np.exp(z)
 
 
 def _system(mon: Polynomial, roots: RootSet) -> GenTrigSystem:
@@ -231,8 +232,7 @@ def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """S_l(x) as the direct exponential sum; an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    value = sys.exponentials(x) @ sys.T[l]
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return _scalar(sys.exponentials(x) @ sys.T[l])
 
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
@@ -303,8 +303,7 @@ def _spectral_rows(F: np.ndarray, lam: complex) -> np.ndarray:
 def _spectral_det(G: np.ndarray, E) -> complex:
     """det M for f = F E, with G from :func:`_spectral_rows`; E on the last
     axis, so an array of points gives an array."""
-    value = np.multiply.reduce(E @ G.T, -1)
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return _scalar(np.multiply.reduce(E @ G.T, -1))
 
 
 def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: a pivot below this times norm1 of the matrix makes it singular to working precision
+PIVOT_RTOL = 1e-13
+
 
 class LinalgError(ValueError):
     pass
@@ -46,11 +49,11 @@ def norm1(M) -> float:
     return float(np.max(np.sum(np.abs(A), axis=0)))
 
 
-def _check_pivots(A: np.ndarray, pivot_rtol: float):
+def _check_pivots(A: np.ndarray):
     """LU with partial pivoting by modulus; raise on the first pivot below
-    ``pivot_rtol * norm1(A)``."""
+    ``PIVOT_RTOL * norm1(A)``."""
     U = A.copy()
-    threshold = pivot_rtol * max(norm1(A), np.finfo(float).tiny)
+    threshold = PIVOT_RTOL * max(norm1(A), np.finfo(float).tiny)
     for k in range(U.shape[0]):
         p = int(np.argmax(np.abs(U[k:, k]))) + k
         if p != k:
@@ -65,24 +68,24 @@ def _condition(A: np.ndarray) -> float:
     return norm1(A) * norm1(_lapack(np.linalg.inv, A))
 
 
-def _screened_condition(A: np.ndarray, pivot_rtol: float) -> float:
+def _screened_condition(A: np.ndarray) -> float:
     """``_condition(A)``, after the pivot check wherever that check could raise.
 
     With partial pivoting PA = LU and |L| <= 1 entrywise, so
     1/|u_kk| <= norm1(U^-1) <= n norm1(A^-1) (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 2002, ch. 9): a pivot below
-    ``pivot_rtol * norm1(A)`` forces cond > 1/(n pivot_rtol).  The LU runs
-    only when cond > 1/(2 n pivot_rtol), the factor 2 covering the roundoff
+    ``PIVOT_RTOL * norm1(A)`` forces cond > 1/(n PIVOT_RTOL).  The LU runs
+    only when cond > 1/(2 n PIVOT_RTOL), the factor 2 covering the roundoff
     of both estimates, or when the inverse fails; then an exactly singular
     matrix still raises :class:`SingularMatrixError` with its pivot index.
     """
     try:
         cond = _condition(A)
     except LinalgError:
-        _check_pivots(A, pivot_rtol)
+        _check_pivots(A)
         raise
-    if not cond * 2 * A.shape[0] * pivot_rtol <= 1:  # also for a nan estimate
-        _check_pivots(A, pivot_rtol)
+    if not cond * 2 * A.shape[0] * PIVOT_RTOL <= 1:  # also for a nan estimate
+        _check_pivots(A)
     return cond
 
 
@@ -91,27 +94,27 @@ def determinant(M) -> complex:
     return complex(_lapack(np.linalg.det, _as_matrix(M)))
 
 
-def solve(M, b, pivot_rtol: float = 1e-13):
+def solve(M, b):
     """Solve ``M x = b`` for one right-hand side (shape ``(n,)``) or several
     (columns of shape ``(n, k)``); returns ``(x, condition_estimate)``.
 
     The condition estimate is ``norm1(M) * norm1(inv(M))``.  Raises
     :class:`SingularMatrixError` when a pivot falls below
-    ``pivot_rtol * norm1(M)``; the pivot check runs only where the condition
+    ``PIVOT_RTOL * norm1(M)``; the pivot check runs only where the condition
     estimate allows such a pivot (:func:`_screened_condition`).
     """
     A = _as_matrix(M)
     rhs = np.asarray(b, dtype=complex)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != A.shape[0]:
         raise LinalgError("right-hand side length does not match the matrix")
-    cond = _screened_condition(A, pivot_rtol)
+    cond = _screened_condition(A)
     return _lapack(np.linalg.solve, A, rhs), cond
 
 
-def condition_number(M, pivot_rtol: float = 1e-13) -> float:
+def condition_number(M) -> float:
     """One-norm condition estimate; infinity when the solve refuses the matrix."""
     A = _as_matrix(M)
     try:
-        return _screened_condition(A, pivot_rtol)
+        return _screened_condition(A)
     except SingularMatrixError:
         return float("inf")

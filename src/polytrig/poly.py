@@ -10,6 +10,9 @@ import numpy as np
 
 MAX_DEGREE = 24
 
+#: Aberth sweeps after which the root polish gives up
+MAX_SWEEPS = 500
+
 
 class PolynomialError(ValueError):
     """Base class for errors raised by this package's polynomial layer."""
@@ -80,14 +83,14 @@ class Polynomial:
         return Polynomial(tuple(c / lead for c in self.coeffs))
 
     @classmethod
-    def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
+    def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
         coeffs = [1 + 0j]
         for r in roots:
             coeffs.append(0j)
             for k in range(len(coeffs) - 1, 0, -1):
                 coeffs[k] = coeffs[k - 1] - r * coeffs[k]
             coeffs[0] = -r * coeffs[0]
-        return cls(tuple(leading * c for c in coeffs))
+        return cls(tuple(coeffs))
 
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -279,7 +282,7 @@ class RootSet:
         return iter(self.roots)
 
 
-def find_roots(p: Polynomial, max_iter: int = 500) -> RootSet:
+def find_roots(p: Polynomial) -> RootSet:
     """All roots: companion eigenvalues (backward stable) polished by Aberth sweeps.
 
     Each sweep is one Horner pass for P(z), P'(z) and the scale sum |a_k| |z|^k
@@ -287,11 +290,11 @@ def find_roots(p: Polynomial, max_iter: int = 500) -> RootSet:
     when every iterate has |P(z)| <= 4 m eps scale and the largest correction no
     longer halves (or is zero); that correction is not applied, and the seed
     always gets at least one.  Raises :class:`RootFindingError` when LAPACK
-    returns no eigenvalues or after ``max_iter`` sweeps.
+    returns no eigenvalues or after ``MAX_SWEEPS`` sweeps.
     """
     m = p.degree
-    if m < 1 or max_iter < 1:
-        raise PolynomialError(f"degree {m} and max_iter {max_iter} must be at least 1")
+    if m < 1:
+        raise PolynomialError(f"degree {m} must be at least 1")
     a = np.array(p.monic().coeffs, dtype=complex)  # monic() refuses an overflowing quotient
     last_column = -a[:-1]
     if not last_column.imag.any():
@@ -312,7 +315,7 @@ def find_roots(p: Polynomial, max_iter: int = 500) -> RootSet:
     half_step = np.inf
     converged = False
     with np.errstate(all="ignore"):  # 0 * inf at coincident iterates, 0 / 0 at a zero root
-        for sweep in range(1, max_iter + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             points[:2] = z
             points[2] = np.abs(z)
             H = head.copy()

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gentrig import GenTrigSystem, _check_index, deflation_matrix, make_system
+from .gentrig import (GenTrigSystem, _check_index, _integer, _scalar, deflation_matrix,
+                      make_system)
 from .poly import Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
@@ -84,13 +85,14 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    value = sys.exponentials(x) @ _boundary_weights(sys)[l]
-    return value if isinstance(value, np.ndarray) else complex(value)
+    return _scalar(sys.exponentials(x) @ _boundary_weights(sys)[l])
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
-    """Closed-form Fourier coefficient of R_l: (-1)^n/(2 pi i) sum_j T[l][j]/(n - r_j)."""
+    """Closed-form Fourier coefficient of R_l at an integer n (else :class:`SeriesError`):
+    (-1)^n/(2 pi i) sum_j T[l][j]/(n - r_j)."""
     l = _check_index(sys.m, l)
+    n = _integer(n, "Fourier index", SeriesError)
     _check_roots(sys)
     return ((-1) ** n) * (sys.T[l] @ (1 / (n - sys.r))) / TWO_PI_I
 

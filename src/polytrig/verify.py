@@ -89,17 +89,17 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
-def _random_system(rng, degree, min_root=0.1, away_from_integers=0.0):
+def _random_system(rng, degree, away_from_integers=0.0):
     while True:
         roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
-        if np.min(np.abs(roots)) < min_root:
+        if np.min(np.abs(roots)) < 0.1:
             continue
         if away_from_integers and any(abs(r - round(r.real)) < away_from_integers for r in roots):
             continue
         return gentrig.from_roots(roots)
 
 
-def associated_matrix_reproduction(time_limit: float = 0.1) -> CheckResult:
+def associated_matrix_reproduction() -> CheckResult:
     """2*pi*i*C for x^3+x^2+1 against the known integer matrix (descending columns)."""
     expected = np.array([[3, 2, 0], [-1, 0, -3], [0, 3, 2]], dtype=complex)
 
@@ -109,7 +109,7 @@ def associated_matrix_reproduction(time_limit: float = 0.1) -> CheckResult:
         return float(np.max(np.abs(C[:, ::-1] - expected)))
 
     dev, secs = _timed(body)
-    return CheckResult("associated-matrix reproduction", dev <= 1e-10 and secs < time_limit,
+    return CheckResult("associated-matrix reproduction", dev <= 1e-10 and secs < 0.1,
                        dev, 1e-10, secs)
 
 
@@ -243,11 +243,11 @@ def evaluation_route_agreement(seed: int = 0) -> CheckResult:
     return CheckResult("evaluation route agreement", worst <= 1e-10, worst, 1e-10, secs)
 
 
-def factorial_identity(limit: int = 60) -> CheckResult:
-    """Exact-rational mod-3 factorial identity for n = 3, 6, ..., limit."""
+def factorial_identity() -> CheckResult:
+    """Exact-rational mod-3 factorial identity for n = 3, 6, ..., 60."""
 
     def body():
-        for n in range(3, limit + 1, 3):
+        for n in range(3, 61, 3):
             _, _, holds = cyclotomic.factorial_identity_check(n)
             if not holds:
                 return float(n)
@@ -280,14 +280,14 @@ def matrix_A_nondegenerate(m: int) -> CheckResult:
                        detail=f"factorization gap {agreement:.1e}")
 
 
-def _quadrature_fourier(sys, l, ns, panels=32, order=8):
+def _quadrature_fourier(sys, l, ns):
     """Fourier coefficients of R_l for every n in ``ns`` by composite Gauss-Legendre.
 
-    R_l is evaluated at all panels * order nodes in one product; each coefficient
+    R_l is evaluated at all 32 panels * 8 nodes in one product; each coefficient
     is then a weighted sum of those values against exp(i n x).
     """
-    nodes, weights = leggauss(order)
-    edges = np.linspace(-math.pi, math.pi, panels + 1)
+    nodes, weights = leggauss(8)
+    edges = np.linspace(-math.pi, math.pi, 33)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * nodes).ravel()
     ws = (half[:, None] * weights).ravel()

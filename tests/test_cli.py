@@ -183,6 +183,12 @@ class TestExitCodes:
         assert err.startswith("error:") and "at least 2" in err
         assert out == ""
 
+    def test_cyclo_order_above_the_cap_is_refused(self, capsys):
+        code, out, err = run(capsys, "cyclo", "--m", "25", "--l", "0", "--x", "0.5")
+        assert code == 2
+        assert err.startswith("error:") and "outside 1..24" in err
+        assert out == ""
+
     @pytest.mark.parametrize("order", ["-1", "-2", "171"])
     def test_taylor_order_out_of_range_is_numerical(self, capsys, order):
         code, out, err = run(capsys, "taylor", "--poly", "x^2+1", "--l", "0", "--order", order)

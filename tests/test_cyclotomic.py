@@ -88,6 +88,19 @@ def test_index_must_be_an_integer_in_range(l, evaluate):
         call()
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True, None, 0, -1, 25],
+                         ids=["2.5", "3.0", "True", "None", "0", "-1", "25"])
+def test_order_must_be_an_integer_in_1_to_24(m):
+    # the weights are m by m, so an uncapped order could allocate without bound
+    with pytest.raises(CyclotomicError, match="order m"):
+        make_cyclotomic(m)
+
+
+def test_order_cap_is_inclusive():
+    assert make_cyclotomic(np.int64(24)).m == 24
+    assert eval_S_cyclo(make_cyclotomic(24), 0, 0.0) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_integer_types_index_like_int():
     sys = make_cyclotomic(3)
     for l in range(3):
@@ -109,6 +122,19 @@ def test_taylor_matches_direct():
 def test_taylor_term_cap():
     with pytest.raises(CyclotomicError):
         taylor_eval_cyclo(make_cyclotomic(4), 0, 0.1, 60)
+
+
+@pytest.mark.parametrize("terms", [-1, 2.5, 3.0, True, None],
+                         ids=["-1", "2.5", "3.0", "True", "None"])
+def test_taylor_term_count_must_be_a_non_negative_integer(terms):
+    with pytest.raises(CyclotomicError, match="term count"):
+        taylor_eval_cyclo(make_cyclotomic(3), 1, 0.4, terms)
+
+
+def test_taylor_term_count_types():
+    sys = make_cyclotomic(3)
+    assert taylor_eval_cyclo(sys, 1, 0.4, 0) == 0
+    assert taylor_eval_cyclo(sys, 1, 0.4, np.int64(6)) == taylor_eval_cyclo(sys, 1, 0.4, 6)
 
 
 def test_rescale_consistency():
@@ -225,10 +251,9 @@ class TestFactorialIdentity:
         assert sum_a != 3 * sum_b
 
     def test_rejects_bad_n(self):
-        with pytest.raises(CyclotomicError):
-            factorial_identity_check(4)
-        with pytest.raises(CyclotomicError):
-            factorial_identity_check(123)
+        for n in (4, 123, -3, 3.0, True, None):
+            with pytest.raises(CyclotomicError):
+                factorial_identity_check(n)
 
 
 def jump(sys, l):

@@ -80,10 +80,6 @@ class TestTupleCoefficients:
             for j in range(4):
                 assert T[l, j] == pytest.approx(brute_tuple(roots, l, j), abs=1e-12)
 
-    def test_leading_coefficient_row(self):
-        T = tuple_coefficients(RootSet((1j, -1j), 0.0), leading=3.0)
-        assert np.allclose(T[0], [3, 3])
-
     def test_row_sums_are_symmetric(self):
         # summing T[l] over j counts each l-tuple once per member: l * e_l
         roots = [0.5, -1.5, 2 + 1j, -0.3j]

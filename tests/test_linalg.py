@@ -94,10 +94,10 @@ def test_solve_several_right_hand_sides():
 
 # ---- the pivot screen ----
 
-def solve_pivots_first(M, b, pivot_rtol=1e-13):
+def solve_pivots_first(M, b):
     """The reference solve: the pivot check always, then LAPACK."""
     A = linalg._as_matrix(M)
-    linalg._check_pivots(A, pivot_rtol)
+    linalg._check_pivots(A)
     return np.linalg.solve(A, np.asarray(b, dtype=complex)), linalg._condition(A)
 
 
@@ -116,9 +116,9 @@ def near_singular(rng, n):
         yield planted_pivot(rng, n, int(rng.integers(n)), scale)
 
 
-def planted_pivot(rng, n, k, scale, pivot_rtol=1e-13):
+def planted_pivot(rng, n, k, scale):
     """L U with no row swaps under partial pivoting and pivot k at exactly
-    ``scale`` times the threshold ``pivot_rtol * norm1``.
+    ``scale`` times the threshold ``PIVOT_RTOL * norm1``.
 
     Column k of U is zero above the pivot, so column k of L U is the pivot
     times column k of L, which no elimination step before k touches, and
@@ -129,7 +129,7 @@ def planted_pivot(rng, n, k, scale, pivot_rtol=1e-13):
     U[np.diag_indices(n)] = 1 + rng.uniform(size=n)
     U[:k + 1, k] = 0
     A = L @ U
-    A[:, k] = L[:, k] * (scale * pivot_rtol * linalg.norm1(A))
+    A[:, k] = L[:, k] * (scale * linalg.PIVOT_RTOL * linalg.norm1(A))
     return A
 
 
@@ -138,10 +138,10 @@ def test_pivot_screen_is_sound(n):
     # a pivot below rtol norm1(A) forces cond > 1/(n rtol), so every matrix
     # that the check refuses is one the screen sends to the check
     rng = np.random.default_rng(400 + n)
-    rtol, refused, passed = 1e-13, 0, 0
+    rtol, refused, passed = linalg.PIVOT_RTOL, 0, 0
     for A in near_singular(rng, n):
         try:
-            linalg._check_pivots(A, rtol)
+            linalg._check_pivots(A)
         except SingularMatrixError:
             refused += 1
             try:
@@ -172,14 +172,14 @@ def test_pivot_just_under_the_threshold(n):
     for k in (0, n // 2, n - 1):
         A = planted_pivot(rng, n, k, 1 - 1e-6)
         with pytest.raises(SingularMatrixError) as exc:
-            linalg._check_pivots(A, 1e-13)
+            linalg._check_pivots(A)
         assert exc.value.pivot_index == k
         with pytest.raises(SingularMatrixError) as exc:
             solve(A, np.ones(n))
         assert exc.value.pivot_index == k
         A = planted_pivot(rng, n, k, 1 + 1e-6)
         x, cond = solve(A, np.ones(n))
-        assert cond * 2 * n * 1e-13 > 1  # the screen ran the check, which passed
+        assert cond * 2 * n * linalg.PIVOT_RTOL > 1  # the screen ran the check, which passed
         assert np.array_equal(x, solve_pivots_first(A, np.ones(n))[0])
 
 
