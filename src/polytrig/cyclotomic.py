@@ -48,11 +48,17 @@ class CyclotomicSystem(gentrig._ExpSum):
         return gentrig._spectral_rows(F, -1.0)
 
 
-def make_cyclotomic(m: int) -> CyclotomicSystem:
-    """The system of order m, an integer in 1..``MAX_DEGREE``."""
+def _order(m) -> int:
+    """``m`` as an order, an integer in 1..``MAX_DEGREE``; anything else raises CyclotomicError."""
     m = gentrig._integer(m, "order m", CyclotomicError)
     if not 1 <= m <= MAX_DEGREE:
         raise CyclotomicError(f"order m = {m} is outside 1..{MAX_DEGREE}")
+    return m
+
+
+def make_cyclotomic(m: int) -> CyclotomicSystem:
+    """The system of order m, an integer in 1..``MAX_DEGREE``."""
+    m = _order(m)
     return CyclotomicSystem(m, cmath.exp(2j * math.pi / m), cmath.exp(1j * math.pi / m))
 
 
@@ -69,7 +75,7 @@ def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
     """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return gentrig._scalar(sys.exponentials(x) @ sys.weights[l])
+    return sys._value("S", sys.weights, l, x)
 
 
 @lru_cache(maxsize=32)
@@ -123,6 +129,8 @@ class AdditionRule:
 
 
 def addition_rule(m: int, l: int) -> AdditionRule:
+    """The addition rule of S_l at order m, an integer in 1..``MAX_DEGREE``."""
+    m = _order(m)
     l = _check_index(m, l)
     signs = tuple(1 if r <= l else -1 for r in range(m))
     partners = tuple((l - r) % m for r in range(m))
@@ -142,8 +150,10 @@ def det_M_constant(m: int) -> int:
 
     Forced at x = 0, where S_l(0) = delta_{l,0} leaves a single 1 and an
     anti-diagonal of -1 entries whose reversal permutation contributes
-    (-1)**((m-1)*(m-2)//2) on top of the (-1)**(m-1) product.
+    (-1)**((m-1)*(m-2)//2) on top of the (-1)**(m-1) product.  The order m
+    is an integer in 1..``MAX_DEGREE``.
     """
+    m = _order(m)
     return (-1) ** (m * (m - 1) // 2)
 
 

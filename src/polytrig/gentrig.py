@@ -94,7 +94,7 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
 
 
 #: the empty memo: no argument is this object
-_NO_POINT = (object(), None)
+_NO_POINT = (object(), None, None)
 
 
 class _ExpSum:
@@ -111,25 +111,56 @@ class _ExpSum:
         """The root radius max |r_j|."""
         return float(np.max(np.abs(self.r)))
 
-    def exponentials(self, x) -> np.ndarray:
-        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
+    def _point(self, x) -> tuple:
+        """The memo ``(x, E, rows)`` of a scalar x, E[..., j] = exp(-i r_j x).
 
         The functions of a family evaluated at one point share one exponential
-        pass: a call whose argument is the very object of the last scalar call
-        (``is``, so ``-0.0`` never meets ``0.0``'s E, nor an int a complex's)
-        returns the stored E, exactly what a recomputation gives.  The stored E
-        is read-only, since callers share it.  Arrays are never stored, and a
-        call that raises stores nothing.  The pair is written in one assignment
-        and read once, so concurrent callers never see one point with another's E.
+        pass and one product per family: a call whose argument is the very
+        object of the last scalar call (``is``, so ``-0.0`` never meets
+        ``0.0``'s memo, nor an int a complex's) returns the stored tuple,
+        exactly what a recomputation gives.  The stored E is read-only, since
+        callers share it, and ``rows`` maps a family's name to its values at
+        that point (:meth:`_value`).  An array of points gets a fresh tuple
+        with ``rows`` None, never stored, and a call that raises stores
+        nothing.  The tuple is written in one assignment and read once, and
+        its rows belong to it, so concurrent callers never see one point with
+        another's E or rows.
         """
         last = self.__dict__.get("last_point", _NO_POINT)
         if last[0] is x:
-            return last[1]
+            return last
         E = _guarded_exp(x, self)
-        if isinstance(x, _NUMBER):
-            E.setflags(False)  # positional: write=False parses keywords, 3x the cost
-            self.__dict__["last_point"] = (x, E)
-        return E
+        if not isinstance(x, _NUMBER):
+            return x, E, None
+        E.setflags(False)  # positional: write=False parses keywords, 3x the cost
+        last = self.__dict__["last_point"] = (x, E, {})
+        return last
+
+    def exponentials(self, x) -> np.ndarray:
+        """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes),
+        kept with the last scalar x (:meth:`_point`)."""
+        return self._point(x)[1]
+
+    def _value(self, family: str, W: np.ndarray, l: int, x):
+        """(E(x) @ W.T)[l], function l of the named family with weights W.
+
+        For a scalar x the family's whole row E @ W.T is taken once, kept in
+        x's memo as a list, and every later call at x reads its entry, a
+        Python complex.  An array of x gives an array, from its own product
+        with W[l] (a 0-d array gives a complex).
+        """
+        _, E, rows = self._point(x)
+        if rows is None:
+            return _scalar(E @ W[l])
+        row = rows.get(family)
+        if row is None:
+            row = rows[family] = _row(E, W)
+        return row[l]
+
+
+def _row(E: np.ndarray, W: np.ndarray) -> list:
+    """The values E @ W.T of a family at one point, as Python complex numbers."""
+    return (E @ W.T).tolist()
 
 
 def _guarded_exp(x, sys: _ExpSum) -> np.ndarray:
@@ -232,10 +263,11 @@ def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """S_l(x) as the direct exponential sum; an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return _scalar(sys.exponentials(x) @ sys.T[l])
+    return sys._value("S", sys.T, l, x)
 
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
+    """S_l(x) for every l, a new array; ``eval_S`` at a scalar x reads the same products."""
     return sys.exponentials(x) @ sys.T.T
 
 
@@ -243,21 +275,23 @@ def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
     """Taylor coefficients b_0..b_order of S_l about 0, for 0 <= order <= 170.
 
     b_k = sum_j T[l][j] (-i r_j)^k / k!, with the per-root weights
-    (-i r_j)^k / k! built as one running product for stability, once per
-    order and system.
+    (-i r_j)^k / k! built as one running product for stability.  Once per
+    order and system, one product of those weights with T gives the
+    coefficients of every l, kept as lists; a call returns a copy of row l.
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    tables = sys.__dict__.setdefault("taylor_weights", {})
-    W = tables.get(order) if type(order) is int else None
-    if W is None:
+    if type(order) is not int:
         order = _integer(order, "Taylor order", GenTrigError)
+    tables = sys.__dict__.setdefault("taylor_coeffs", {})
+    table = tables.get(order)
+    if table is None:
         if order > 170:
             raise GenTrigError("order above 170 overflows double-precision factorials")
         if order < 0:
             raise GenTrigError(f"Taylor order {order} is negative")
-        W = tables.setdefault(order, _taylor_weights(sys, order))
-    return (W @ sys.T[l]).tolist()
+        table = tables[order] = (_taylor_weights(sys, order) @ sys.T.T).T.tolist()
+    return table[l][:]
 
 
 def _taylor_weights(sys: GenTrigSystem, order: int) -> np.ndarray:

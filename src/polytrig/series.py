@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gentrig import (GenTrigSystem, _check_index, _integer, _scalar, deflation_matrix,
-                      make_system)
+from .gentrig import GenTrigSystem, _check_index, _integer, deflation_matrix, make_system
 from .poly import Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
@@ -85,7 +84,7 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return _scalar(sys.exponentials(x) @ _boundary_weights(sys)[l])
+    return sys._value("R", _boundary_weights(sys), l, x)
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:

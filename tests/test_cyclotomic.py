@@ -96,6 +96,22 @@ def test_order_must_be_an_integer_in_1_to_24(m):
         make_cyclotomic(m)
 
 
+@pytest.mark.parametrize("m", [True, 2.5, 0, 25], ids=["True", "2.5", "0", "25"])
+@pytest.mark.parametrize("call", ["addition_rule", "det_M_constant"])
+def test_every_order_goes_through_one_check(m, call):
+    evaluate = {"addition_rule": lambda: addition_rule(m, 0),
+                "det_M_constant": lambda: det_M_constant(m)}[call]
+    with pytest.raises(CyclotomicError, match="order m"):
+        evaluate()
+
+
+def test_order_types_are_accepted_like_int():
+    assert addition_rule(np.int64(4), 2) == addition_rule(4, 2)
+    assert type(addition_rule(np.int64(4), 2).m) is int
+    assert det_M_constant(np.int64(24)) == det_M_constant(24) == 1
+    assert det_M_constant(1) == 1
+
+
 def test_order_cap_is_inclusive():
     assert make_cyclotomic(np.int64(24)).m == 24
     assert eval_S_cyclo(make_cyclotomic(24), 0, 0.0) == pytest.approx(1.0, abs=1e-13)

@@ -277,7 +277,7 @@ class TestEvaluation:
 
 
 class TestLastPointMemo:
-    """The kernel keeps (x, E) for the last scalar x of each system."""
+    """The kernel keeps (x, E, rows) for the last scalar x of each system."""
 
     ROOTS = [0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j, 1.4, -0.4 - 0.6j]
 
@@ -325,6 +325,9 @@ class TestLastPointMemo:
                 assert self.same([sys.exponentials(x)], [np.exp(x * sys.minus_ir)])
                 assert self.same([cyclo.exponentials(x)], [np.exp(x * cyclo.minus_ir)])
                 assert self.same(self.values(sys, x), self.values(from_roots(self.ROOTS), x))
+                assert self.same([cyclotomic.eval_S_cyclo(cyclo, l, x) for l in range(4)],
+                                 [cyclotomic.eval_S_cyclo(cyclotomic.make_cyclotomic(4), l, x)
+                                  for l in range(4)])
 
     def test_arrays_are_never_stored(self, monkeypatch):
         sys = from_roots(self.ROOTS)
@@ -355,6 +358,8 @@ class TestLastPointMemo:
         sys = from_roots(self.ROOTS)
         good = 0.5
         expected = eval_S(sys, 2, good)
+        memo = sys.__dict__["last_point"]
+        rows = dict(memo[2])
         for _ in range(3):
             with pytest.raises(ArgumentOverflowError):
                 eval_S(sys, 2, x)
@@ -362,6 +367,7 @@ class TestLastPointMemo:
                 series.eval_R(sys, 1, x)
             with pytest.raises(ArgumentOverflowError):
                 cyclotomic.eval_S_cyclo(cyclotomic.make_cyclotomic(3), 0, x)
+            assert sys.__dict__["last_point"] is memo and memo[2] == rows
             assert eval_S(sys, 2, good) == expected
 
     def test_one_kernel_pass_per_point(self, monkeypatch):
@@ -382,6 +388,72 @@ class TestLastPointMemo:
                 cyclotomic.eval_S_cyclo(cyclo, l, x)
             cyclotomic.det_M_cyclo(cyclo, x)
         assert calls == [0.3 - 0.2j, 0.3 - 0.2j, -1.1, -1.1, 0.3 - 0.2j, 0.3 - 0.2j]
+
+    def test_one_exponential_pass_and_one_row_per_family(self, monkeypatch):
+        sys = from_roots(self.ROOTS)
+        series.eval_R(sys, 0, 0.25)  # the boundary weights take a pass of their own
+        passes, rows, tables = [], [], []
+        kernel, row, weights = gentrig._guarded_exp, gentrig._row, gentrig._taylor_weights
+        monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: passes.append(args[0]) or kernel(*args))
+        monkeypatch.setattr(gentrig, "_row", lambda *args: rows.append(1) or row(*args))
+        monkeypatch.setattr(gentrig, "_taylor_weights", lambda *args: tables.append(1) or weights(*args))
+        x = 0.3 - 0.2j
+        eval_S_vector(sys, x)
+        for l in range(sys.m):
+            series.eval_R(sys, l, x)
+        assert passes == [x] and len(rows) == 1
+        for l in range(sys.m):
+            eval_S(sys, l, x)
+            taylor_coeffs(sys, l, 20)
+        assert passes == [x] and len(rows) == 2 and len(tables) == 1
+        cyclo = cyclotomic.make_cyclotomic(4)
+        for l in range(cyclo.m):
+            cyclotomic.eval_S_cyclo(cyclo, l, x)
+        assert passes == [x, x] and len(rows) == 3
+
+    @pytest.mark.parametrize("x", [0.3 - 0.2j, -1.1, 2, 0.0], ids=["complex", "float", "int", "zero"])
+    def test_rows_match_the_vector_exactly(self, x):
+        # at every l, the call that builds the row (a fresh system) and then every hit
+        for l in range(5):
+            sys = from_roots(self.ROOTS)
+            first = eval_S(sys, l, x)
+            vector = eval_S_vector(sys, x)
+            assert self.same([first] + [eval_S(sys, k, x) for k in range(5)], [vector[l], *vector])
+        for l in range(4):
+            cyclo = cyclotomic.make_cyclotomic(4)
+            first = cyclotomic.eval_S_cyclo(cyclo, l, x)
+            every = cyclotomic._eval_all(cyclo, x)
+            assert self.same([first] + [cyclotomic.eval_S_cyclo(cyclo, k, x) for k in range(4)],
+                             [every[l], *every])
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1 + 0j), (1 + 0j, 1),
+                                               (float("0.5"), float("0.5"))],
+                             ids=["0.0,-0.0", "-0.0,0.0", "1,1+0j", "1+0j,1", "equal floats"])
+    def test_equal_points_never_share_a_row(self, first, second):
+        # rows spoiled at the first point must not be read at the second
+        sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
+        eval_S(sys, 0, first), series.eval_R(sys, 0, first), cyclotomic.eval_S_cyclo(cyclo, 0, first)
+        for s in (sys, cyclo):
+            rows = s.__dict__["last_point"][2]
+            for family in rows:
+                rows[family] = [math.nan] * len(rows[family])
+        fresh, fresh_cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
+        for l in range(3):
+            assert self.same([eval_S(sys, l, second), series.eval_R(sys, l, second),
+                              cyclotomic.eval_S_cyclo(cyclo, l, second)],
+                             [eval_S(fresh, l, second), series.eval_R(fresh, l, second),
+                              cyclotomic.eval_S_cyclo(fresh_cyclo, l, second)])
+
+    def test_an_array_stores_nothing(self):
+        sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
+        x = 0.5
+        eval_S(sys, 1, x), cyclotomic.eval_S_cyclo(cyclo, 1, x)
+        memos = [(s.__dict__["last_point"], dict(s.__dict__["last_point"][2])) for s in (sys, cyclo)]
+        for xs in (np.array([0.1, 0.2 - 0.3j]), np.array(x)):
+            values = [eval_S(sys, 2, xs), series.eval_R(sys, 2, xs), cyclotomic.eval_S_cyclo(cyclo, 2, xs)]
+            assert [np.shape(v) for v in values] == [xs.shape if xs.ndim else ()] * 3
+        for s, (memo, rows) in zip((sys, cyclo), memos):
+            assert s.__dict__["last_point"] is memo and memo[2] == rows
 
 
 class TestTaylor:
@@ -424,6 +496,15 @@ class TestTaylor:
                 for sys, r in zip(systems, roots):
                     for l in range(sys.m):
                         assert taylor_coeffs(sys, l, order) == taylor_coeffs(from_roots(r), l, order)
+
+    def test_each_call_returns_its_own_list(self):
+        sys = from_roots([0.4 + 0.1j, -0.9, 0.2 - 0.6j])
+        first = taylor_coeffs(sys, 1, 8)
+        expected = list(first)
+        first[0] = first[-1] = math.nan
+        assert taylor_coeffs(sys, 1, 8) == expected
+        assert taylor_coeffs(sys, 1, np.int64(8)) == expected
+        assert list(sys.__dict__["taylor_coeffs"]) == [8]  # one table, whatever the order's type
 
     def test_order_cap(self):
         sys = make_system(parse_polynomial("x^2+1"))

@@ -18,6 +18,8 @@ mpmath = pytest.importorskip("mpmath")
 
 EPS = np.finfo(float).eps
 DEGREES = (2, 3, 4, 6, 8, 12, 16, 20, 24)
+#: the per-point rows and Taylor tables are checked at every degree
+ROW_DEGREES = range(2, 25)
 
 
 def mpc(z):
@@ -52,7 +54,14 @@ def within(got, terms, scale=1.0):
     return gap <= 10 * len(terms) * scale * EPS * size, gap, size
 
 
-@pytest.mark.parametrize("degree", DEGREES)
+def check_row_entry(got, terms, what, scale=1.0):
+    """``within``, and a value moved by 1e-12 of its term size fails it."""
+    ok, gap, size = within(got, terms, scale)
+    assert ok, f"{what}: gap {gap:.3e}, term size {size:.3e}"
+    assert not within(got + 1e-12 * size, terms, scale)[0], f"{what}: bound too loose to see 1e-12"
+
+
+@pytest.mark.parametrize("degree", ROW_DEGREES)
 def test_S_and_R(degree):
     sys_, points = system(degree)
     T, r = mp_grid(sys_)
@@ -60,16 +69,15 @@ def test_S_and_R(degree):
     for x in points:
         e = [mpmath.exp(-1j * rj * mpc(x)) for rj in r]
         S = gentrig.eval_S_vector(sys_, x)
+        # eval_S and eval_R build their rows at l = 0 and read them after
         for l in range(degree):
             for got in (S[l], gentrig.eval_S(sys_, l, x)):
-                ok, gap, size = within(got, [t * ej for t, ej in zip(T[l], e)])
-                assert ok, f"S_{l}({x}): gap {gap:.3e}, term size {size:.3e}"
-            ok, gap, size = within(series.eval_R(sys_, l, x),
-                                   [t * ej / s for t, ej, s in zip(T[l], e, sin_pi)])
-            assert ok, f"R_{l}({x}): gap {gap:.3e}, term size {size:.3e}"
+                check_row_entry(got, [t * ej for t, ej in zip(T[l], e)], f"S_{l}({x})")
+            check_row_entry(series.eval_R(sys_, l, x),
+                            [t * ej / s for t, ej, s in zip(T[l], e, sin_pi)], f"R_{l}({x})")
 
 
-@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("degree", ROW_DEGREES)
 def test_taylor_coeffs(degree):
     sys_, _ = system(degree)
     T, r = mp_grid(sys_)
@@ -79,9 +87,8 @@ def test_taylor_coeffs(degree):
     for k in range(order + 1):
         for l in range(degree):
             # the running product adds one rounding per order
-            ok, gap, size = within(b[l][k], [t * w for t, w in zip(T[l], weights)],
-                                   scale=1 + k / degree)
-            assert ok, f"b_{k} of S_{l}: gap {gap:.3e}, term size {size:.3e}"
+            check_row_entry(b[l][k], [t * w for t, w in zip(T[l], weights)],
+                            f"b_{k} of S_{l}", scale=1 + k / degree)
         weights = [w * (-1j * rj) / (k + 1) for w, rj in zip(weights, r)]
 
 
