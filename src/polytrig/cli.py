@@ -245,12 +245,12 @@ def cmd_sum(args) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    checks = verify.run_all(seed=args.seed, oracle_n=args.oracle_n)
+    checks = verify.run_all(seed=args.seed)
     for c in checks:
         print(c.line(), file=sys.stderr)
     doc = {
         "command": "verify",
-        "inputs": {"seed": args.seed, "oracle_n": args.oracle_n},
+        "inputs": {"seed": args.seed},
         "results": {
             "passed": sum(c.passed for c in checks),
             "failed": sum(not c.passed for c in checks),
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every reproducibility check")
     common(p, poly=False)
     sampled(p)
-    p.add_argument("--oracle-n", type=int, default=series.MIN_ORACLE_N)
     return parser
 
 

@@ -45,7 +45,7 @@ class CyclotomicSystem(gentrig._ExpSum):
     def _det_rows(self) -> np.ndarray:
         """The spectral rows of f_l = zeta^l S_l with lam = -1, so w_j = eta zeta^j."""
         F = (self.zeta ** np.arange(self.m))[:, None] * self.weights
-        return gentrig._spectral_rows(F, -1.0)
+        return gentrig._circulant_rows(F, -1.0)
 
 
 def _order(m) -> int:
@@ -75,7 +75,7 @@ def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
     """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return sys._value("S", sys.weights, l, x)
+    return sys._value("S_row", sys.weights, l, x)
 
 
 @lru_cache(maxsize=32)
@@ -159,7 +159,7 @@ def det_M_constant(m: int) -> int:
 
 def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
     """Determinant of the shifted matrix of f_l = zeta^l S_l(x), as the product
-    of its lam-circulant eigenvalues (``gentrig._spectral_rows``).
+    of its lam-circulant eigenvalues (``gentrig._circulant_rows``).
 
     Constant in x for m >= 2; equals :func:`det_M_constant` of the order.
     At m = 1 the matrix is [[S_0(x)]] = [[exp(-x)]], with no wrap and no

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -93,8 +93,8 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
     return K
 
 
-#: the empty memo: no argument is this object
-_NO_POINT = (object(), None, None)
+#: the empty row slot: no argument is this object
+_NO_ROW = (object(), None)
 
 
 class _ExpSum:
@@ -111,50 +111,30 @@ class _ExpSum:
         """The root radius max |r_j|."""
         return float(np.max(np.abs(self.r)))
 
-    def _point(self, x) -> tuple:
-        """The memo ``(x, E, rows)`` of a scalar x, E[..., j] = exp(-i r_j x).
-
-        The functions of a family evaluated at one point share one exponential
-        pass and one product per family: a call whose argument is the very
-        object of the last scalar call (``is``, so ``-0.0`` never meets
-        ``0.0``'s memo, nor an int a complex's) returns the stored tuple,
-        exactly what a recomputation gives.  The stored E is read-only, since
-        callers share it, and ``rows`` maps a family's name to its values at
-        that point (:meth:`_value`).  An array of points gets a fresh tuple
-        with ``rows`` None, never stored, and a call that raises stores
-        nothing.  The tuple is written in one assignment and read once, and
-        its rows belong to it, so concurrent callers never see one point with
-        another's E or rows.
-        """
-        last = self.__dict__.get("last_point", _NO_POINT)
-        if last[0] is x:
-            return last
-        E = _guarded_exp(x, self)
-        if not isinstance(x, _NUMBER):
-            return x, E, None
-        E.setflags(False)  # positional: write=False parses keywords, 3x the cost
-        last = self.__dict__["last_point"] = (x, E, {})
-        return last
-
     def exponentials(self, x) -> np.ndarray:
         """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes),
-        kept with the last scalar x (:meth:`_point`)."""
-        return self._point(x)[1]
+        a new array on every call."""
+        return _guarded_exp(x, self)
 
-    def _value(self, family: str, W: np.ndarray, l: int, x):
-        """(E(x) @ W.T)[l], function l of the named family with weights W.
+    def _value(self, slot: str, W: np.ndarray, l: int, x):
+        """(E(x) @ W.T)[l], function l of the family with weights W.
 
-        For a scalar x the family's whole row E @ W.T is taken once, kept in
-        x's memo as a list, and every later call at x reads its entry, a
-        Python complex.  An array of x gives an array, from its own product
-        with W[l] (a 0-d array gives a complex).
+        Each family keeps the ``(x, row)`` of its last scalar x in the slot of
+        that name.  A call at the very object x of the slot (``is``, so
+        ``-0.0`` never meets ``0.0``'s row, nor an int a complex's) reads its
+        entry, a Python complex; any other scalar takes the whole row
+        E @ W.T and replaces the slot in one assignment.  An array of x gives
+        an array, from its own product with W[l] (a 0-d array gives a
+        complex), and neither an array nor a call that raises is stored.
         """
-        _, E, rows = self._point(x)
-        if rows is None:
+        last = self.__dict__.get(slot, _NO_ROW)
+        if last[0] is x:
+            return last[1][l]
+        E = _guarded_exp(x, self)
+        if not isinstance(x, _NUMBER):
             return _scalar(E @ W[l])
-        row = rows.get(family)
-        if row is None:
-            row = rows[family] = _row(E, W)
+        row = _row(E, W)
+        self.__dict__[slot] = (x, row)
         return row[l]
 
 
@@ -233,6 +213,8 @@ def make_system(p: Polynomial) -> GenTrigSystem:
 def from_roots(roots) -> GenTrigSystem:
     """System from explicitly known roots, bypassing the root finder."""
     rs = tuple(sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag)))
+    if not rs:
+        raise GenTrigError("a system needs at least one root")
     mon = Polynomial.from_roots(rs)
     return _system(mon, RootSet(rs, max(abs(mon(r)) for r in rs)))
 
@@ -263,7 +245,7 @@ def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """S_l(x) as the direct exponential sum; an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return sys._value("S", sys.T, l, x)
+    return sys._value("S_row", sys.T, l, x)
 
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
@@ -306,17 +288,19 @@ class IdentityCertificate:
     """Witness of the constant-determinant identity among the S_l.
 
     L is a left eigenvector of K^m with eigenvalue ``lam``; with
-    f_l = (L K^l) . S the shifted matrix M(x) of :func:`_spectral_rows` has
-    constant determinant ``det_ref``.
+    f_l = (L K^l) . S the shifted matrix M(x) of :func:`_circulant_rows` has
+    constant determinant ``det_ref``.  ``rows`` holds the spectral rows G of
+    those f_l, with det M(x) = prod_j (G E(x))_j.
     """
 
     L: np.ndarray
     lam: complex
     det_ref: complex
     eigen_residual: float
+    rows: np.ndarray = field(repr=False, compare=False)
 
 
-def _spectral_rows(F: np.ndarray, lam: complex) -> np.ndarray:
+def _circulant_rows(F: np.ndarray, lam: complex) -> np.ndarray:
     """G with det M(x) = prod_j (G E(x))_j, for f = F E(x).
 
     M[p, q] is f[p+q], or lam * f[p+q-m] past the anti-diagonal.  Reversing
@@ -335,18 +319,18 @@ def _spectral_rows(F: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def _spectral_det(G: np.ndarray, E) -> complex:
-    """det M for f = F E, with G from :func:`_spectral_rows`; E on the last
+    """det M for f = F E, with G from :func:`_circulant_rows`; E on the last
     axis, so an array of points gives an array."""
     return _scalar(np.multiply.reduce(E @ G.T, -1))
 
 
 def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:
-    """:func:`_spectral_rows` of the certificate rows F = (L K^l) T, with f = F E(x)."""
+    """:func:`_circulant_rows` of the certificate rows F = (L K^l) T, with f = F E(x)."""
     V = np.empty((sys.m, sys.m), dtype=complex)
     V[0] = L
     for l in range(1, sys.m):
         V[l] = V[l - 1] @ sys.K
-    return _spectral_rows(V @ sys.T, lam)
+    return _circulant_rows(V @ sys.T, lam)
 
 
 def _left_eigenvector(K: np.ndarray, mu: complex) -> np.ndarray:
@@ -400,18 +384,13 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
         residual = float(np.max(np.abs(L @ sys.K - mu * L)))
     G = _certificate_rows(sys, L, lam)
     det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
-    cert = IdentityCertificate(L, lam, det_ref, residual)
-    cert.__dict__["spectral_rows"] = G  # kept in the frozen instance, like a cached_property
-    return cert
+    return IdentityCertificate(L, lam, det_ref, residual, G)
 
 
 def eval_det_M(cert: IdentityCertificate, sys: GenTrigSystem, x: complex) -> complex:
     """det M(x) for the certified function family; constant in x up to roundoff.
 
-    The product of the eigenvalues G E(x) of :func:`_spectral_rows`; an array
-    of x gives an array.
+    The product of the eigenvalues ``cert.rows @ E(x)`` (:func:`_circulant_rows`);
+    an array of x gives an array.
     """
-    G = cert.__dict__.get("spectral_rows")
-    if G is None:
-        G = cert.__dict__.setdefault("spectral_rows", _certificate_rows(sys, cert.L, cert.lam))
-    return _spectral_det(G, sys.exponentials(x))
+    return _spectral_det(cert.rows, sys.exponentials(x))

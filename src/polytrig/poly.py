@@ -46,7 +46,8 @@ def _require_finite(z: complex) -> complex:
 class Polynomial:
     """Immutable polynomial; ``coeffs[k]`` multiplies ``x**k`` (ascending powers).
 
-    Exact trailing zeros are stripped; the zero polynomial is rejected.
+    Exact trailing zeros are stripped; the zero polynomial and a degree above
+    ``MAX_DEGREE`` are rejected.
     """
 
     coeffs: tuple
@@ -59,6 +60,9 @@ class Polynomial:
             raise PolynomialError("empty coefficient sequence")
         if coeffs[-1] == 0:
             raise PolynomialError("zero polynomial is not representable")
+        if len(coeffs) > MAX_DEGREE + 1:
+            raise PolynomialError(
+                f"degree {len(coeffs) - 1} exceeds the supported maximum {MAX_DEGREE}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -84,7 +84,7 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return sys._value("R", _boundary_weights(sys), l, x)
+    return sys._value("R_row", _boundary_weights(sys), l, x)
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:

@@ -113,7 +113,7 @@ def associated_matrix_reproduction() -> CheckResult:
                        dev, 1e-10, secs)
 
 
-def cubic_closed_forms(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
+def cubic_closed_forms() -> CheckResult:
     """The six known closed forms for x^3+x^2+1, plus oracle agreement."""
     weights = {
         2: lambda r: 9 - 4 * r - 6 / r,
@@ -123,7 +123,7 @@ def cubic_closed_forms(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
 
     def body():
         p = parse_polynomial("x^3+x^2+1")
-        res = series.evaluate_sums(p, oracle_n=oracle_n)
+        res = series.evaluate_sums(p)
         rs = gentrig.make_system(p).roots.roots
         den = [cmath.exp(-1j * r * math.pi) - cmath.exp(1j * r * math.pi) for r in rs]
         ker = [(cmath.exp(-1j * r * math.pi) + cmath.exp(1j * r * math.pi)) / d
@@ -145,11 +145,11 @@ def cubic_closed_forms(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
                        detail=f"oracle gap {oracle_gap:.1e}")
 
 
-def known_quadratic_sums(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
+def known_quadratic_sums() -> CheckResult:
     """x^2+1: A0 = pi*coth(pi), B0 = pi/sinh(pi), A1 = B1 = 0."""
 
     def body():
-        res = series.evaluate_sums(parse_polynomial("x^2+1"), oracle_n=oracle_n)
+        res = series.evaluate_sums(parse_polynomial("x^2+1"))
         dev = max(
             abs(res.A[0] - math.pi / math.tanh(math.pi)),
             abs(res.B[0] - math.pi / math.sinh(math.pi)),
@@ -336,14 +336,14 @@ def derivative_system(seed: int = 0) -> CheckResult:
     return CheckResult("derivative system", worst <= 1e-6, worst, 1e-6, secs)
 
 
-def even_power_family(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
+def even_power_family() -> CheckResult:
     """evaluate_sums against the oracle for P(n) = n^(2m) + 1, m = 1..4."""
 
     def body():
         worst = 0.0
         for m in range(1, 5):
             p = parse_polynomial(f"x^{2 * m}+1")
-            res = series.evaluate_sums(p, oracle_n=oracle_n)
+            res = series.evaluate_sums(p)
             for k in range(2 * m):
                 worst = max(worst,
                             abs(res.A[k] - res.oracle_A[k][0]),
@@ -354,12 +354,12 @@ def even_power_family(oracle_n: int = series.MIN_ORACLE_N) -> CheckResult:
     return CheckResult("even-power family sums", worst <= 1e-6, worst, 1e-6, secs)
 
 
-def run_all(seed: int = 0, oracle_n: int = series.MIN_ORACLE_N) -> list:
+def run_all(seed: int = 0) -> list:
     """All acceptance checks in order."""
     checks: list[CheckResult] = [
         associated_matrix_reproduction(),
-        cubic_closed_forms(oracle_n=oracle_n),
-        known_quadratic_sums(oracle_n=oracle_n),
+        cubic_closed_forms(),
+        known_quadratic_sums(),
         certificate_constancy(seed=seed),
         cyclotomic_determinant_identity(seed=seed),
         order3_explicit_identity(seed=seed),
@@ -371,6 +371,6 @@ def run_all(seed: int = 0, oracle_n: int = series.MIN_ORACLE_N) -> list:
     checks.extend([
         fourier_quadrature(seed=seed),
         derivative_system(seed=seed),
-        even_power_family(oracle_n=oracle_n),
+        even_power_family(),
     ])
     return checks

@@ -2,8 +2,12 @@
 
 A helper deleted from a module but left in ``__init__`` fails at import; a
 new public callable fails here until the list below is updated on purpose.
+So does an option added to or removed from a ``polytrig`` subcommand.
 """
+import argparse
+
 import polytrig
+from polytrig import cli
 
 PUBLIC_CALLABLES = {
     # poly
@@ -35,3 +39,24 @@ def test_public_callables_are_pinned():
 def test_public_constants():
     assert polytrig.MAX_DEGREE == 24
     assert polytrig.__version__ == "0.1.0"
+
+
+#: every option of every ``polytrig`` subcommand, ``--help`` aside
+CLI_OPTIONS = {
+    "roots": {"--poly", "--coeffs", "--json", "--text"},
+    "eval": {"--poly", "--coeffs", "--json", "--text", "--l", "--x"},
+    "taylor": {"--poly", "--coeffs", "--json", "--text", "--l", "--order"},
+    "identity": {"--poly", "--coeffs", "--json", "--text", "--seed"},
+    "cyclo": {"--json", "--text", "--seed", "--m", "--l", "--x", "--check"},
+    "matrix-c": {"--poly", "--coeffs", "--json", "--text", "--descending-columns"},
+    "sum": {"--poly", "--coeffs", "--json", "--text", "--descending-columns", "--oracle-n"},
+    "verify": {"--json", "--text", "--seed"},
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS

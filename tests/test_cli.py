@@ -208,6 +208,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--sum-tol", "1"],
+        ["verify", "--oracle-n", "1000"],
         ["roots", "--poly", "x^2+1", "--seed", "1"],
         ["sum", "--poly", "x^2+1", "--seed", "1"],
     ])
@@ -231,4 +232,17 @@ class TestExitCodes:
     def test_oracle_n_defaults_to_the_library_constant(self, capsys):
         code, doc = run_json(capsys, "sum", "--poly", "x^2+1")
         assert code == 0 and doc["inputs"]["oracle_n"] == series.MIN_ORACLE_N
-        assert cli.build_parser().parse_args(["verify"]).oracle_n == series.MIN_ORACLE_N
+
+    @pytest.mark.parametrize("command, coeffs", [
+        ("roots", ",".join(["1"] * 40)),
+        ("sum", ",".join(["1"] + ["0"] * 29 + ["1"])),
+        ("sum", ",".join(["1"] + ["0"] * 24 + ["1"])),
+    ], ids=["roots-degree-39", "sum-degree-30", "sum-degree-25"])
+    def test_coeffs_above_the_degree_cap_are_input_errors(self, capsys, command, coeffs):
+        code, out, err = run(capsys, command, "--coeffs", coeffs)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "degree" in err and "maximum 24" in err
+
+    def test_coeffs_at_the_degree_cap_are_accepted(self, capsys):
+        code, doc = run_json(capsys, "roots", "--coeffs", ",".join(["1"] * 25))
+        assert code == 0 and len(doc["results"]["roots"]) == 24

@@ -126,6 +126,19 @@ class TestDerivativeMatrix:
             derivative_matrix(parse_polynomial("x+1"))
 
 
+class TestFromRoots:
+    def test_no_roots_is_a_typed_error(self):
+        for roots in ([], (), np.array([])):
+            with pytest.raises(GenTrigError, match="at least one root"):
+                from_roots(roots)
+
+    def test_degree_cap(self):
+        roots = [0.3 + 0.1j * k for k in range(poly.MAX_DEGREE + 1)]
+        assert from_roots(roots[:-1]).m == poly.MAX_DEGREE
+        with pytest.raises(poly.PolynomialError, match="degree 25"):
+            from_roots(roots)
+
+
 class TestEvaluation:
     def test_quadratic_is_hyperbolic(self):
         # roots +-i give S0 = 2 cosh, S1 = 2i sinh
@@ -277,9 +290,12 @@ class TestEvaluation:
 
 
 class TestLastPointMemo:
-    """The kernel keeps (x, E, rows) for the last scalar x of each system."""
+    """Each function family keeps the (x, row) of its last scalar x in a slot of its own."""
 
     ROOTS = [0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j, 1.4, -0.4 - 0.6j]
+
+    #: the slot names of the S_l (of either system class) and of the R_l
+    SLOTS = ("S_row", "R_row")
 
     @staticmethod
     def values(sys, x):
@@ -297,6 +313,11 @@ class TestLastPointMemo:
     def same(a, b):
         """Equal bit for bit, the signs of zeros included."""
         return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
+
+    @classmethod
+    def slots(cls, *systems):
+        """The row slot of each system and family name, None where empty."""
+        return [s.__dict__.get(name) for s in systems for name in cls.SLOTS]
 
     @pytest.mark.parametrize("x", [0.3 - 0.2j, 1.5, np.complex128(-0.8j), 2], ids=["complex", "float", "complex128", "int"])
     def test_repeated_point_matches_a_fresh_system(self, x):
@@ -342,35 +363,50 @@ class TestLastPointMemo:
             assert np.array_equal(again, np.exp(np.multiply.outer(xs, sys.minus_ir)))
         assert len(calls) == 4
 
-    def test_stored_exponentials_are_read_only(self):
-        sys = from_roots(self.ROOTS)
+    def test_exponentials_are_new_writable_arrays(self):
+        sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
+        cert = identity_certificate(sys)
         x = 0.6 + 0.1j
-        E = sys.exponentials(x)
-        assert sys.exponentials(x) is E
-        assert not E.flags.writeable
-        with pytest.raises(ValueError):
-            E[0] = 0
+        eval_S(sys, 1, x), series.eval_R(sys, 1, x), cyclotomic.eval_S_cyclo(cyclo, 1, x)
+        cyclotomic.det_M_cyclo(cyclo, 0.0)  # builds the cached spectral rows
+        before = [dict(s.__dict__) for s in (sys, cyclo)]
+        for s in (sys, cyclo):
+            E = s.exponentials(x)
+            again = s.exponentials(x)
+            assert E is not again and E.flags.writeable and again.flags.writeable
+            E[0] = 0  # a caller's array is its own
+            assert np.array_equal(s.exponentials(x), again)
+        for xs in (x, np.array([x, -x])):
+            S = eval_S_vector(sys, xs)
+            assert S is not eval_S_vector(sys, xs) and S.flags.writeable
+            every = cyclotomic._eval_all(cyclo, xs)
+            assert every is not cyclotomic._eval_all(cyclo, xs) and every.flags.writeable
+            eval_det_M(cert, sys, xs), cyclotomic.det_M_cyclo(cyclo, xs)
+        for s, items in zip((sys, cyclo), before):
+            assert s.__dict__.keys() == items.keys()
+            assert all(s.__dict__[k] is v for k, v in items.items())
         assert eval_S(sys, 1, x) == eval_S(from_roots(self.ROOTS), 1, x)
-        assert not cyclotomic.make_cyclotomic(3).exponentials(x).flags.writeable
 
     @pytest.mark.parametrize("x", [1e4, math.nan, complex(0, math.inf)], ids=["overflow", "nan", "inf"])
     def test_a_refused_point_raises_on_every_call(self, x):
-        sys = from_roots(self.ROOTS)
+        sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
         good = 0.5
-        expected = eval_S(sys, 2, good)
-        memo = sys.__dict__["last_point"]
-        rows = dict(memo[2])
+        expected = eval_S(sys, 2, good), series.eval_R(sys, 1, good), cyclotomic.eval_S_cyclo(cyclo, 0, good)
+        slots = self.slots(sys, cyclo)
+        rows = [list(slot[1]) for slot in slots if slot]
         for _ in range(3):
             with pytest.raises(ArgumentOverflowError):
                 eval_S(sys, 2, x)
             with pytest.raises(ArgumentOverflowError):
                 series.eval_R(sys, 1, x)
             with pytest.raises(ArgumentOverflowError):
-                cyclotomic.eval_S_cyclo(cyclotomic.make_cyclotomic(3), 0, x)
-            assert sys.__dict__["last_point"] is memo and memo[2] == rows
-            assert eval_S(sys, 2, good) == expected
+                cyclotomic.eval_S_cyclo(cyclo, 0, x)
+            after = self.slots(sys, cyclo)
+            assert all(a is b for a, b in zip(after, slots)) and [slot[1] for slot in after if slot] == rows
+            assert (eval_S(sys, 2, good), series.eval_R(sys, 1, good),
+                    cyclotomic.eval_S_cyclo(cyclo, 0, good)) == expected
 
-    def test_one_kernel_pass_per_point(self, monkeypatch):
+    def test_one_kernel_pass_per_family_and_point(self, monkeypatch):
         sys = from_roots(self.ROOTS)
         cert = identity_certificate(sys)
         series.eval_R(sys, 0, 0.25)  # the boundary weights take a pass of their own
@@ -379,6 +415,7 @@ class TestLastPointMemo:
         kernel = gentrig._guarded_exp
         monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: calls.append(args[0]) or kernel(*args))
         for x in (0.3 - 0.2j, -1.1, 0.3 - 0.2j):
+            calls.clear()
             eval_S_vector(sys, x)
             for l in range(sys.m):
                 series.eval_R(sys, l, x)
@@ -387,7 +424,8 @@ class TestLastPointMemo:
             for l in range(cyclo.m):
                 cyclotomic.eval_S_cyclo(cyclo, l, x)
             cyclotomic.det_M_cyclo(cyclo, x)
-        assert calls == [0.3 - 0.2j, 0.3 - 0.2j, -1.1, -1.1, 0.3 - 0.2j, 0.3 - 0.2j]
+            # the vector, R, S, det M, the cyclotomic S and its det M: nothing shared
+            assert calls == [x] * 6
 
     def test_one_exponential_pass_and_one_row_per_family(self, monkeypatch):
         sys = from_roots(self.ROOTS)
@@ -398,18 +436,21 @@ class TestLastPointMemo:
         monkeypatch.setattr(gentrig, "_row", lambda *args: rows.append(1) or row(*args))
         monkeypatch.setattr(gentrig, "_taylor_weights", lambda *args: tables.append(1) or weights(*args))
         x = 0.3 - 0.2j
-        eval_S_vector(sys, x)
-        for l in range(sys.m):
-            series.eval_R(sys, l, x)
+        for _ in range(3):
+            for l in range(sys.m):
+                series.eval_R(sys, l, x)
         assert passes == [x] and len(rows) == 1
         for l in range(sys.m):
             eval_S(sys, l, x)
             taylor_coeffs(sys, l, 20)
-        assert passes == [x] and len(rows) == 2 and len(tables) == 1
+            series.eval_R(sys, l, x)
+        assert passes == [x, x] and len(rows) == 2 and len(tables) == 1
         cyclo = cyclotomic.make_cyclotomic(4)
         for l in range(cyclo.m):
             cyclotomic.eval_S_cyclo(cyclo, l, x)
-        assert passes == [x, x] and len(rows) == 3
+        assert passes == [x, x, x] and len(rows) == 3
+        eval_S_vector(sys, x)  # a pass of its own, and no row
+        assert passes == [x] * 4 and len(rows) == 3
 
     @pytest.mark.parametrize("x", [0.3 - 0.2j, -1.1, 2, 0.0], ids=["complex", "float", "int", "zero"])
     def test_rows_match_the_vector_exactly(self, x):
@@ -434,9 +475,10 @@ class TestLastPointMemo:
         sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
         eval_S(sys, 0, first), series.eval_R(sys, 0, first), cyclotomic.eval_S_cyclo(cyclo, 0, first)
         for s in (sys, cyclo):
-            rows = s.__dict__["last_point"][2]
-            for family in rows:
-                rows[family] = [math.nan] * len(rows[family])
+            for name in self.SLOTS:
+                if name in s.__dict__:
+                    x, row = s.__dict__[name]
+                    s.__dict__[name] = (x, [math.nan] * len(row))
         fresh, fresh_cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
         for l in range(3):
             assert self.same([eval_S(sys, l, second), series.eval_R(sys, l, second),
@@ -447,13 +489,23 @@ class TestLastPointMemo:
     def test_an_array_stores_nothing(self):
         sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
         x = 0.5
-        eval_S(sys, 1, x), cyclotomic.eval_S_cyclo(cyclo, 1, x)
-        memos = [(s.__dict__["last_point"], dict(s.__dict__["last_point"][2])) for s in (sys, cyclo)]
+        eval_S(sys, 1, x), series.eval_R(sys, 1, x), cyclotomic.eval_S_cyclo(cyclo, 1, x)
+        slots = self.slots(sys, cyclo)
         for xs in (np.array([0.1, 0.2 - 0.3j]), np.array(x)):
             values = [eval_S(sys, 2, xs), series.eval_R(sys, 2, xs), cyclotomic.eval_S_cyclo(cyclo, 2, xs)]
             assert [np.shape(v) for v in values] == [xs.shape if xs.ndim else ()] * 3
-        for s, (memo, rows) in zip((sys, cyclo), memos):
-            assert s.__dict__["last_point"] is memo and memo[2] == rows
+        assert all(a is b for a, b in zip(self.slots(sys, cyclo), slots))
+        assert [slot[0] is x for slot in slots if slot] == [True] * 3  # S and R of sys, S of cyclo
+
+    def test_certificate_rows_are_a_field(self, monkeypatch):
+        sys = from_roots(self.ROOTS)
+        cert = identity_certificate(sys)
+        assert np.array_equal(cert.rows, gentrig._certificate_rows(sys, cert.L, cert.lam))
+        assert "rows" not in repr(cert)
+        monkeypatch.setattr(gentrig, "_certificate_rows", lambda *args: pytest.fail("rebuilt"))
+        for x in (0.3 - 0.2j, np.array([0.1, -0.4j])):
+            assert np.array_equal(eval_det_M(cert, sys, x),
+                                  np.multiply.reduce(sys.exponentials(x) @ cert.rows.T, -1))
 
 
 class TestTaylor:

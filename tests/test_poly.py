@@ -71,6 +71,20 @@ class TestParsing:
             parse_polynomial(f"x^{MAX_DEGREE + 1}")
 
 
+class TestDegreeCap:
+    def test_every_polynomial_is_capped(self):
+        assert Polynomial((1,) * (MAX_DEGREE + 1)).degree == MAX_DEGREE
+        assert Polynomial((1,) * (MAX_DEGREE + 1) + (0, 0)).degree == MAX_DEGREE  # zeros stripped first
+        with pytest.raises(PolynomialError, match="degree 25 exceeds the supported maximum 24") as exc:
+            Polynomial((1,) * (MAX_DEGREE + 2))
+        assert not isinstance(exc.value, ParseError)
+
+    def test_from_roots_is_capped(self):
+        assert Polynomial.from_roots([0.5j] * MAX_DEGREE).degree == MAX_DEGREE
+        with pytest.raises(PolynomialError, match="degree 25"):
+            Polynomial.from_roots([0.5j] * (MAX_DEGREE + 1))
+
+
 class TestFormatting:
     def test_canonical_form(self):
         assert format_polynomial(parse_polynomial("x^3+x^2+1")) == "x^3+x^2+1"

@@ -10,7 +10,7 @@ import pytest
 
 from polytrig import gentrig, linalg, series
 from polytrig.gentrig import ArgumentOverflowError
-from polytrig.poly import MAX_DEGREE, Polynomial, RootSet, parse_polynomial
+from polytrig.poly import MAX_DEGREE, Polynomial, PolynomialError, RootSet, parse_polynomial
 from polytrig.series import (MIN_ORACLE_N, DegenerateMatrixError, IntegerRootError,
                              SeriesError,
                              associated_matrix, brute_force_sums, eval_R, evaluate_sums,
@@ -312,6 +312,15 @@ class TestEvaluateSums:
     def test_degree_one_rejected(self):
         with pytest.raises(SeriesError):
             evaluate_sums(parse_polynomial("x+5"))
+
+    def test_degree_above_the_cap_never_reaches_the_sums(self, monkeypatch):
+        # x^25 + 1, from coefficients or from roots: refused when the polynomial is built
+        monkeypatch.setattr(series, "make_system", lambda p: pytest.fail("reached"))
+        roots = [cmath.exp(1j * math.pi * (2 * k + 1) / 25) for k in range(MAX_DEGREE + 1)]
+        for build in (lambda: Polynomial((1,) + (0,) * MAX_DEGREE + (1,)),
+                      lambda: Polynomial.from_roots(roots)):
+            with pytest.raises(PolynomialError, match="exceeds the supported maximum"):
+                evaluate_sums(build())
 
     def test_integer_root_rejected(self):
         with pytest.raises(IntegerRootError):
