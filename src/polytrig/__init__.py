@@ -20,8 +20,8 @@ from .cyclotomic import (AdditionRule, CyclotomicError, CyclotomicSystem,
                          det_M_cyclo, eval_S_cyclo, factorial_identity_check,
                          make_cyclotomic, matrix_A, rescale_consistency,
                          taylor_eval_cyclo)
-from .series import (AssociatedMatrix, DegenerateMatrixError, IntegerRootError,
-                     SeriesError, SeriesResult, associated_matrix,
+from .series import (AssociatedMatrix, CrossCheckError, DegenerateMatrixError,
+                     IntegerRootError, SeriesError, SeriesResult, associated_matrix,
                      brute_force_sums, eval_R, evaluate_sums,
                      fourier_coefficient)
 from . import verify

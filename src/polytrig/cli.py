@@ -27,9 +27,9 @@ EXIT_NUMERICAL = 3
 
 
 def cformat(z: complex) -> str:
-    """Text rendering ``a+bi`` with 12 significant digits."""
+    """Text rendering ``a+bi`` with 12 significant digits; a zero part has no sign."""
     z = complex(z)
-    re, im = f"{z.real:.12g}", f"{abs(z.imag):.12g}"
+    re, im = f"{z.real + 0.0:.12g}", f"{abs(z.imag):.12g}"  # -0.0 + 0.0 is 0.0
     sign = "+" if z.imag >= 0 else "-"
     return f"{re}{sign}{im}i"
 
@@ -56,6 +56,9 @@ def _jsonify(value):
 
 
 def _textify(value, indent=""):
+    """Text for ``value``: a dict as one ``key: value`` line per key, each
+    starting with ``indent``; any other value's continuation lines start
+    with ``indent``."""
     if isinstance(value, (complex, np.complexfloating)):
         return cformat(complex(value))
     if isinstance(value, float):
@@ -63,6 +66,10 @@ def _textify(value, indent=""):
     if isinstance(value, np.ndarray):
         return _textify(value.tolist(), indent)
     if isinstance(value, (list, tuple)):
+        if value and all(isinstance(v, dict) for v in value):
+            # records, one block each under the key, opened by "- "
+            pad = indent + "  "
+            return "".join(f"\n{indent}- {_textify(v, pad)[len(pad):]}" for v in value)
         parts = [_textify(v, indent) for v in value]
         if any("\n" in p or len(p) > 40 for p in parts):
             inner = "\n".join(indent + "  " + p for p in parts)
@@ -71,14 +78,24 @@ def _textify(value, indent=""):
     if isinstance(value, dict):
         lines = []
         for k, v in value.items():
-            lines.append(f"{indent}{k}: {_textify(v, indent + '  ')}")
+            text = _textify(v, indent + "  ")
+            sep = " " if text and not text.startswith("\n") else ""
+            lines.append(f"{indent}{k}:{sep}{text}")
         return "\n".join(lines)
     return str(value)
 
 
 def emit(doc: dict, as_json: bool):
+    """Print ``doc`` as JSON or as aligned text.  JSON has no nan or infinity,
+    so a non-finite field raises ArithmeticError, a numerical failure."""
     if as_json:
-        print(json.dumps(_jsonify(doc), indent=2, sort_keys=False))
+        try:
+            text = json.dumps(_jsonify(doc), indent=2, sort_keys=False, allow_nan=False)
+        except ValueError as exc:
+            raise ArithmeticError(
+                f"{doc['command']} has a field that is not finite; JSON cannot carry it"
+            ) from exc
+        print(text)
     else:
         print(f"== {doc['command']} ==")
         for section in ("inputs", "results", "diagnostics"):

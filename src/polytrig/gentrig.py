@@ -361,7 +361,8 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     the mean of its diagonal.  ``eigen_residual`` is L's own residual
     max|L K - mu L| against K for the rate mu = -i r_j, whose column 1 is
     the root's backward error and the rest roundoff; for a scalar K^m it is
-    max|L K^m - lam L|, which is zero.
+    max|L K^m - lam L|, which is zero.  A constant det M(0) that overflows a
+    double raises :class:`CertificateUnavailableError`.
     """
     if sys.m < 2:
         raise GenTrigError("certificates need degree at least 2")
@@ -383,7 +384,12 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
         L = _left_eigenvector(sys.K, mu)
         residual = float(np.max(np.abs(L @ sys.K - mu * L)))
     G = _certificate_rows(sys, L, lam)
-    det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
+    if not cmath.isfinite(det_ref):
+        raise CertificateUnavailableError(
+            f"det M(0) = {det_ref} is not finite: the product of the {sys.m} "
+            f"spectral factors overflows a double; certificate unavailable")
     return IdentityCertificate(L, lam, det_ref, residual, G)
 
 

@@ -30,7 +30,7 @@ def _as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise LinalgError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if not np.logical_and.reduce(np.isfinite(A.view(float)), axis=None):
         raise LinalgError("matrix has non-finite entries")
     return A
 
@@ -46,7 +46,7 @@ def _lapack(fn, *args):
 def norm1(M) -> float:
     """Maximum absolute column sum."""
     A = np.asarray(M, dtype=complex)
-    return float(np.max(np.sum(np.abs(A), axis=0)))
+    return float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
 
 
 def _check_pivots(A: np.ndarray):

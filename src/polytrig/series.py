@@ -9,6 +9,7 @@ bounds the Laurent remainder, the Euler-Maclaurin remainder and the roundoff.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,10 @@ class DegenerateMatrixError(SeriesError):
     """C(P) is singular, violating the non-degeneracy hypothesis of the solve."""
 
 
+class CrossCheckError(SeriesError, ArithmeticError):
+    """The two routes to C(P) disagree: the roots, T and P are inconsistent."""
+
+
 def _check_roots(sys: GenTrigSystem):
     distance = np.abs(sys.r - np.round(sys.r.real))
     j = int(np.argmin(distance))
@@ -67,14 +72,10 @@ def _check_roots(sys: GenTrigSystem):
         raise IntegerRootError(complex(sys.r[j]), float(distance[j]))
 
 
-def _boundary_weights(sys: GenTrigSystem) -> np.ndarray:
-    """T / (exp(-i r pi) - exp(i r pi)), the R_l weights, once per system."""
-    W = sys.__dict__.get("boundary_weights")
-    if W is None:
-        _check_roots(sys)
-        E = sys.exponentials(np.array([math.pi, -math.pi]))
-        W = sys.__dict__.setdefault("boundary_weights", sys.T / (E[0] - E[1]))
-    return W
+def _boundary_weights(sys: GenTrigSystem, E: np.ndarray) -> np.ndarray:
+    """T / (exp(-i r pi) - exp(i r pi)), the R_l weights, from rows 0 and 1 of E,
+    the exponentials at pi and -pi."""
+    return sys.T / (E[0] - E[1])
 
 
 def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
@@ -84,7 +85,12 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return sys._value("R_row", _boundary_weights(sys), l, x)
+    W = sys.__dict__.get("boundary_weights")  # once per system
+    if W is None:
+        _check_roots(sys)
+        E = sys.exponentials(np.array([math.pi, -math.pi]))
+        W = sys.__dict__.setdefault("boundary_weights", _boundary_weights(sys, E))
+    return sys._value("R_row", W, l, x)
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
@@ -110,9 +116,9 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
 
     Route 1 is T Q for the deflated quotients Q of P; route 2 uses the Vieta
     substitution directly on the T grid.  A gap beyond 1e3 m eps max|C| means
-    the inputs are inconsistent and is an error.
+    the inputs are inconsistent and raises :class:`CrossCheckError`.  The
+    caller has checked the roots (:func:`_check_roots`).
     """
-    _check_roots(sys)
     m, T = sys.m, sys.T
     C1 = T @ deflation_matrix(sys.poly, sys.r)
     signs = np.append((-1.0) ** np.arange(m - 1, 0, -1), 0.0)  # (-1)^(m-k-1), none at k = m-1
@@ -120,7 +126,7 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
     mismatch = float(np.max(np.abs(C1 - C2)))
     bound = 1e3 * m * np.finfo(float).eps * float(np.max(np.abs(C1)))
     if not mismatch <= bound:
-        raise ArithmeticError(
+        raise CrossCheckError(
             f"associated-matrix cross-check failed (entrywise gap {mismatch:.3e} "
             f"> {bound:.3e})"
         )
@@ -129,6 +135,7 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
 
 def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
     """C(P), cross-checked by two routes, with its condition estimate."""
+    _check_roots(sys)
     C = _cross_checked_C(sys)
     return AssociatedMatrix(sys.m, C, linalg.condition_number(C))
 
@@ -164,6 +171,35 @@ def _fujiwara_radius(monic: np.ndarray) -> float:
     c = np.abs(monic[-2::-1])  # |b_(m-1)|, ..., |b_0|
     c[-1] /= 2
     return 2 * float(np.max(c ** (1 / np.arange(1, len(c) + 1))))
+
+
+@functools.lru_cache(maxsize=32)
+def _zeta_table(N: int, rows: int):
+    """The oracle tail's zeta factors at head size N, for the exponents s = 0..rows-1.
+
+    With sigma = N + 1, column 0 is sigma^(s-1) zeta(s, N+1) and column 1 is
+    sigma^(s-1) 2^-s (zeta(s, e/2) - zeta(s, o/2)) for the first even e and
+    odd o above N, both from a^(s-1) zeta(s, a) at a = N + 1, e/2 and o/2
+    (:func:`_hurwitz_zeta`); rows s = 0 and 1 are zero, as they never survive
+    in a pair term.  Returns ``(zeta, zeta_size, zeta_error)``: the values,
+    the same mix of the moduli, and the mixed Euler-Maclaurin bounds, each
+    ``(rows, 2)`` and read-only.  They depend on N and ``rows`` alone, so
+    every polynomial with this head and row count shares them, and each is
+    the same computation at the same size as an unmemoized call would make.
+    """
+    sigma = N + 1.0
+    e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
+    s = np.arange(2, rows)[:, None]
+    z, z_error = _hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
+    rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
+    mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
+    pad = np.zeros((2, 2))
+    tables = (np.concatenate([pad, (z * rescale) @ mix]),
+              np.concatenate([pad, (z * rescale) @ np.abs(mix)]),
+              np.concatenate([pad, (z_error * rescale) @ np.abs(mix)]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
@@ -269,17 +305,7 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
         i = min(j, m)
         c[j] = -(beta[1:i + 1] @ c[j - 1::-1][:i])
 
-    # sigma^(s-1) zeta(s, N+1) and sigma^(s-1) 2^-s (zeta(s, e/2) - zeta(s, o/2))
-    # from a^(s-1) zeta(s, a) at a = N + 1, e/2 and o/2
-    e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
-    s = np.arange(2, m + J)[:, None]
-    z, z_error = _hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
-    rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
-    mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
-    pad = np.zeros((2, 2))  # s = 0 and 1 never survive
-    zeta = np.concatenate([pad, (z * rescale) @ mix])
-    zeta_size = np.concatenate([pad, (z * rescale) @ np.abs(mix)])
-    zeta_error = np.concatenate([pad, (z_error * rescale) @ np.abs(mix)])
+    zeta, zeta_size, zeta_error = _zeta_table(N, m + J)  # rows s <= m + J - 1 are read
 
     exponent = m + np.arange(J) - k[:, None]  # s by k and j
     surviving = exponent % 2 == 0
@@ -327,8 +353,10 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
         raise SeriesError("degree must be at least 2 for the sums to converge")
     sys = make_system(p)
     lead = p.coeffs[-1]  # solve against the monic system, then undo the scaling
+    _check_roots(sys)
     C = _cross_checked_C(sys)
-    R = sys.exponentials(np.array([math.pi, -math.pi, 0.0])) @ _boundary_weights(sys).T
+    E = sys.exponentials(np.array([math.pi, -math.pi, 0.0]))  # the weights need pi and -pi
+    R = E @ _boundary_weights(sys, E).T
     try:
         AB, cond = linalg.solve(C, np.column_stack([(R[0] + R[1]) / 2, R[2]]))
     except linalg.SingularMatrixError as exc:

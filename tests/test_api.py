@@ -24,7 +24,7 @@ PUBLIC_CALLABLES = {
     "det_M_constant", "det_M_cyclo", "eval_S_cyclo", "factorial_identity_check",
     "make_cyclotomic", "matrix_A", "rescale_consistency", "taylor_eval_cyclo",
     # series
-    "AssociatedMatrix", "DegenerateMatrixError", "IntegerRootError", "SeriesError",
+    "AssociatedMatrix", "CrossCheckError", "DegenerateMatrixError", "IntegerRootError", "SeriesError",
     "SeriesResult", "associated_matrix", "brute_force_sums", "eval_R", "evaluate_sums",
     "fourier_coefficient",
 }

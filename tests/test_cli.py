@@ -50,6 +50,36 @@ def test_eval_text_format(capsys):
     assert "3.08616126963+0i" in out  # 2 cosh 1, 12 significant digits
 
 
+@pytest.mark.parametrize("z, text", [(complex(-0.0, -1.74e-16), "0-1.74e-16i"),
+                                     (complex(-0.0, -0.0), "0+0i"),
+                                     (complex(-1e-300, 0.0), "-1e-300+0i")])
+def test_cformat_has_no_signed_zero(z, text):
+    assert cli.cformat(z) == text
+
+
+def test_sum_text_lists_one_record_per_block(capsys):
+    code, out, _ = run(capsys, "sum", "--poly", "x^2+1", "--text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "-0" not in lines[lines.index("results:") + 2]  # A, with A_1 = 0-1.7e-16i
+    for key in ("oracle_A", "oracle_B"):
+        at = lines.index(f"  {key}:")
+        block = lines[at + 1:at + 7]
+        assert [line.split(":")[0] for line in block] == [
+            "    - estimate", "      error_bar", "      gap"] * 2
+
+
+def test_verify_text_lists_one_record_per_check(capsys):
+    code, out, _ = run(capsys, "verify", "--text")
+    assert code == 1
+    lines = out.splitlines()
+    body = lines[lines.index("  checks:") + 1:lines.index("diagnostics:")]
+    record = ["    - name", "      passed", "      measured", "      threshold", "      detail"]
+    assert [line.split(":")[0] for line in body] == record * 20  # 18 passed, 2 failed
+    assert body[0] == "    - name: associated-matrix reproduction"
+    assert "    - name: boundary-jump matrix m=2" in body
+
+
 def test_eval_complex_argument(capsys):
     code, doc = run_json(capsys, "eval", "--poly", "x^2+1", "--l", "1",
                          "--x", "(0.3+0.1i)")
@@ -172,6 +202,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "sum", "--poly", "x^2+90000")
         assert code == 3
         assert "overflows the exponential for root" in err and "300j" in err
+
+    def test_overflowing_identity_constant_is_numerical(self, capsys):
+        # degree 24, roots in [-10, 10]^2: the 24 spectral factors of det M(0) overflow
+        rng = np.random.default_rng(0)
+        p = gentrig.from_roots(rng.uniform(-10, 10, 24) + 1j * rng.uniform(-10, 10, 24)).poly
+        coeffs = ",".join(f"{c.real!r}{c.imag:+.17g}i" for c in p.coeffs)
+        code, out, err = run(capsys, "identity", f"--coeffs={coeffs}", "--json")
+        assert code == 3
+        assert err.startswith("numerical failure") and "not finite" in err
+        assert out == ""
+
+    def test_non_finite_json_field_is_numerical(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "certificate_deviation", lambda *args: float("nan"))
+        code, out, err = run(capsys, "identity", "--poly", "x^2+1", "--json")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: identity has a field that is not finite")
+        monkeypatch.setattr(gentrig, "eval_S", lambda *args: complex(1.0, float("inf")))
+        code, out, err = run(capsys, "eval", "--poly", "x^2+1", "--l", "0", "--x", "1", "--json")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: eval has a field that is not finite")
+
+    def test_cross_check_failure_is_numerical(self, capsys):
+        # roots +-i doubled, plus 2+0.5i
+        code, out, err = run(capsys, "sum", "--coeffs=-2-0.5i,1,-4-1i,2,-2-0.5i,1")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: associated-matrix cross-check failed")
 
     def test_even_polynomial_identity(self, capsys):
         code, doc = run_json(capsys, "identity", "--poly", "x^6+2x^2+1")

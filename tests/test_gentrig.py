@@ -610,6 +610,14 @@ class TestIdentityCertificate:
         with pytest.raises(GenTrigError):
             identity_certificate(from_roots([2.0]))
 
+    def test_overflowing_constant_is_refused(self):
+        # degree 24, roots in [-10, 10]^2: the product of the 24 spectral
+        # factors of det M(0) overflows; no nan and no RuntimeWarning escapes
+        rng = np.random.default_rng(0)
+        sys = from_roots(rng.uniform(-10, 10, 24) + 1j * rng.uniform(-10, 10, 24))
+        with pytest.raises(gentrig.CertificateUnavailableError, match="not finite"):
+            identity_certificate(sys)
+
     def test_constancy_within_hadamard_roundoff(self):
         # the 25 systems and points of acceptance check 04, against a bound
         # that scales with the matrix: LU roundoff is about m eps times the

@@ -11,8 +11,8 @@ import pytest
 from polytrig import gentrig, linalg, series
 from polytrig.gentrig import ArgumentOverflowError
 from polytrig.poly import MAX_DEGREE, Polynomial, PolynomialError, RootSet, parse_polynomial
-from polytrig.series import (MIN_ORACLE_N, DegenerateMatrixError, IntegerRootError,
-                             SeriesError,
+from polytrig.series import (MIN_ORACLE_N, CrossCheckError, DegenerateMatrixError,
+                             IntegerRootError, SeriesError,
                              associated_matrix, brute_force_sums, eval_R, evaluate_sums,
                              fourier_coefficient)
 
@@ -135,6 +135,13 @@ class TestAssociatedMatrix:
             with pytest.raises(ArithmeticError, match="cross-check"):
                 associated_matrix(bad)
 
+    def test_cross_check_error_is_typed(self):
+        # roots +-i doubled, plus 2+0.5i: the routes differ by 1.8e-8 > 2.7e-11
+        assert issubclass(CrossCheckError, SeriesError)
+        assert issubclass(CrossCheckError, ArithmeticError)
+        with pytest.raises(CrossCheckError, match="cross-check"):
+            evaluate_sums(Polynomial.from_roots((1j, 1j, -1j, -1j, 2 + 0.5j)))
+
     def test_two_routes_on_random_polys(self):
         # associated_matrix itself raises if its two internal routes disagree
         rng = np.random.default_rng(42)
@@ -204,6 +211,96 @@ class TestOracle:
         assert abs(est - math.pi / math.tanh(math.pi)) <= err
         est, err = oracle_b[0]
         assert abs(est - math.pi / math.sinh(math.pi)) <= err
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestZetaTable:
+    """The oracle tail's zeta factors, memoized per head size and row count."""
+
+    #: (x^2 + 100^2)^12 needed the most Laurent terms, m + J = 51, in a sweep
+    #: of degree-24 inputs (random, annulus, real and imaginary-axis roots of
+    #: modulus 1 to 3e4)
+    WORST_24 = Polynomial.from_roots((100j,) * 12 + (-100j,) * 12)
+
+    @staticmethod
+    def direct(N, top):
+        """The zeta block computed inline for one call, at ``top`` rows: the
+        reference the memoized table must equal bit for bit."""
+        sigma = N + 1.0
+        e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
+        s = np.arange(2, top)[:, None]
+        z, z_error = series._hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
+        rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
+        mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
+        pad = np.zeros((2, 2))
+        return (np.concatenate([pad, (z * rescale) @ mix]),
+                np.concatenate([pad, (z * rescale) @ np.abs(mix)]),
+                np.concatenate([pad, (z_error * rescale) @ np.abs(mix)]))
+
+    # 565686 is the head that x^2 + 1e10 forces: 4 Fujiwara radii of 141421.4
+    @pytest.mark.parametrize("N", [1000, 1001, 565686], ids=["even", "odd", "large-radius"])
+    def test_rows_equal_the_direct_computation(self, N):
+        for rows in (4, 5, 11, 51, 96):
+            want = self.direct(N, rows)
+            for table in (series._zeta_table.__wrapped__(N, rows), series._zeta_table(N, rows)):
+                assert all(_same_bits(got, ref) for got, ref in zip(table, want)), rows
+
+    def test_large_radius_head(self, monkeypatch):
+        asked = []
+        table = series._zeta_table
+        monkeypatch.setattr(series, "_zeta_table", lambda N, rows: asked.append(N) or table(N, rows))
+        brute_force_sums(Polynomial((1e10, 0.0, 1.0)))
+        assert asked == [565686]
+
+    @pytest.mark.parametrize("p", [parse_polynomial("x^2+1"), parse_polynomial("x^3+x^2+1"),
+                                   parse_polynomial("x^8+1"), parse_polynomial("x^5-x+3"),
+                                   Polynomial((1e10, 0.0, 1.0)), WORST_24],
+                             ids=["x^2+1", "x^3+x^2+1", "x^8+1", "x^5-x+3", "x^2+1e10", "degree-24"])
+    def test_cold_warm_and_unmemoized_agree(self, p, monkeypatch):
+        def both():
+            try:
+                sums = evaluate_sums(p)
+            except (ArgumentOverflowError, SeriesError) as exc:  # the two large-root inputs
+                sums = f"{type(exc).__name__}: {exc}"
+            return repr((brute_force_sums(p), sums))
+
+        series._zeta_table.cache_clear()
+        cold = both()
+        warm = both()
+        assert series._zeta_table.cache_info().hits >= 1
+        assert warm == cold
+        monkeypatch.setattr(series, "_zeta_table", series._zeta_table.__wrapped__)
+        assert both() == cold
+
+    def test_table_covers_the_worst_degree_24_input(self, monkeypatch):
+        # the tail reads rows s = m + j - k up to m + J - 1: one row fewer fails
+        table, asked, cut = series._zeta_table, [], [0]
+        monkeypatch.setattr(series, "_zeta_table", lambda N, rows: asked.append(rows) or tuple(
+            t[:rows - cut[0]] for t in table(N, rows)))
+        brute_force_sums(self.WORST_24)
+        assert asked == [51]  # m + J = 24 + 27, within the m + 72 <= 96 rows of degree 24
+        cut[0] = 1
+        with pytest.raises(IndexError):
+            brute_force_sums(self.WORST_24)
+
+    def test_tables_are_read_only(self):
+        for t in series._zeta_table(MIN_ORACLE_N, 16):
+            with pytest.raises(ValueError, match="read-only"):
+                t[2, 0] = 0.0
+
+    def test_memo_memory_is_bounded(self):
+        # a bounded number of entries, each (rows, 2) with rows = m + J <= 96 whatever N is
+        maxsize = series._zeta_table.cache_info().maxsize
+        assert maxsize is not None and maxsize * 3 * 96 * 2 * 8 <= 2 ** 20
+        series._zeta_table.cache_clear()
+        for N in range(1000, 1000 + 3 * maxsize):
+            series._zeta_table(N, 96)
+        assert series._zeta_table.cache_info().currsize == maxsize
+        sizes = {t.nbytes for N in (1000, 2 ** 20, 10 ** 9) for t in series._zeta_table(N, 96)}
+        assert sizes == {96 * 2 * 8}
 
 
 class TestOracleAgainstMpmath:
@@ -325,6 +422,22 @@ class TestEvaluateSums:
     def test_integer_root_rejected(self):
         with pytest.raises(IntegerRootError):
             evaluate_sums(parse_polynomial("x^2-4"))
+        # before the solve, not only by the oracle
+        with pytest.raises(IntegerRootError):
+            evaluate_sums(parse_polynomial("x^2-4"), run_oracle=False)
+        with pytest.raises(IntegerRootError):
+            associated_matrix(gentrig.make_system(parse_polynomial("x^2-4")))
+
+    def test_one_root_check_and_one_exponential_pass(self, monkeypatch):
+        # the pass at pi, -pi and 0 serves the R_l weights and the right-hand sides
+        checks, points = [], []
+        check, exponentials = series._check_roots, gentrig.GenTrigSystem.exponentials
+        monkeypatch.setattr(series, "_check_roots", lambda sys: checks.append(sys) or check(sys))
+        monkeypatch.setattr(gentrig.GenTrigSystem, "exponentials",
+                            lambda sys, x: points.append(x) or exponentials(sys, x))
+        evaluate_sums(parse_polynomial("x^3+x^2+1"), run_oracle=False)
+        assert len(checks) == 1
+        assert len(points) == 1 and list(points[0]) == [math.pi, -math.pi, 0.0]
 
     def test_one_root_system_for_the_oracle(self, monkeypatch):
         builds = []
