@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
-from .poly import Polynomial, RootSet, find_roots
+from .poly import Polynomial, RootSet, find_roots, horner
 
 #: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
@@ -211,12 +210,17 @@ def make_system(p: Polynomial) -> GenTrigSystem:
 
 
 def from_roots(roots) -> GenTrigSystem:
-    """System from explicitly known roots, bypassing the root finder."""
+    """System from explicitly known roots, bypassing the root finder; the root
+    set carries max |P(r)| and the backward error max |P(r)| / sum |a_k| |r|^k."""
     rs = tuple(sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag)))
     if not rs:
         raise GenTrigError("a system needs at least one root")
     mon = Polynomial.from_roots(rs)
-    return _system(mon, RootSet(rs, max(abs(mon(r)) for r in rs)))
+    desc, z = np.array(mon.coeffs[::-1]), np.array(rs)
+    size, scale = np.abs(horner(desc, z)), horner(np.abs(desc), np.abs(z))
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a root 0 of P(0) = 0
+        backward = float(np.maximum.reduce(size / scale, where=scale > 0, initial=0.0))
+    return _system(mon, RootSet(rs, max(abs(mon(r)) for r in rs), backward))
 
 
 def _integer(n, what: str, error) -> int:
@@ -290,7 +294,7 @@ class IdentityCertificate:
     L is a left eigenvector of K^m with eigenvalue ``lam``; with
     f_l = (L K^l) . S the shifted matrix M(x) of :func:`_circulant_rows` has
     constant determinant ``det_ref``.  ``rows`` holds the spectral rows G of
-    those f_l, with det M(x) = prod_j (G E(x))_j.
+    those f_l (:func:`_certificate_rows`), with det M(x) = prod_j (G E(x))_j.
     """
 
     L: np.ndarray
@@ -325,12 +329,10 @@ def _spectral_det(G: np.ndarray, E) -> complex:
 
 
 def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:
-    """:func:`_circulant_rows` of the certificate rows F = (L K^l) T, with f = F E(x)."""
-    V = np.empty((sys.m, sys.m), dtype=complex)
-    V[0] = L
-    for l in range(1, sys.m):
-        V[l] = V[l - 1] @ sys.K
-    return _circulant_rows(V @ sys.T, lam)
+    """:func:`_circulant_rows` of the certificate rows F = (L K^l) T, with f = F E(x):
+    K T = T diag(-i r) gives F[l, j] = (L T)_j (-i r_j)^l, with no power of K."""
+    F = np.vander(sys.minus_ir, sys.m, increasing=True).T * (L @ sys.T)
+    return _circulant_rows(F, lam)
 
 
 def _left_eigenvector(K: np.ndarray, mu: complex) -> np.ndarray:
@@ -356,33 +358,31 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     (:func:`_left_eigenvector`); no eigenproblem is solved.  Eigenvalues
     whose moduli agree with the largest to 1e-12 relative (a conjugate pair,
     say) count as tied; the tie goes to the smallest phase, and among equal
-    phases to the first root.  When K^m is a scalar matrix (P = x^m - c)
-    every vector is an eigenvector, and the certificate takes L = e_0 with
-    the mean of its diagonal.  ``eigen_residual`` is L's own residual
+    phases to the first root.  ``eigen_residual`` is L's own residual
     max|L K - mu L| against K for the rate mu = -i r_j, whose column 1 is
-    the root's backward error and the rest roundoff; for a scalar K^m it is
-    max|L K^m - lam L|, which is zero.  A constant det M(0) that overflows a
-    double raises :class:`CertificateUnavailableError`.
+    the root's backward error and the rest roundoff.  When a_1 .. a_(m-1)
+    are all exactly zero (P = x^m + a_0), K is a weighted cyclic shift and
+    K^m = (-i)^m (-a_0) I exactly in floating point: the certificate takes
+    L = e_0, that product (no -0.0) as ``lam`` and ``eigen_residual`` 0.  A
+    constant det M(0) that overflows a double raises
+    :class:`CertificateUnavailableError`.
     """
     if sys.m < 2:
         raise GenTrigError("certificates need degree at least 2")
-    M = linalg._as_matrix(np.linalg.matrix_power(sys.K, sys.m))
-    mean = complex(np.trace(M) / sys.m)
-    scalar = linalg.norm1(M - mean * np.eye(sys.m)) <= 1e-12 * (linalg.norm1(M) + 1.0)
-    values = np.array([mean]) if scalar else sys.minus_ir ** sys.m
+    a = sys.poly.coeffs
+    binomial = not any(a[1:-1])
+    values = np.array([(-1j) ** sys.m * -a[0] + 0]) if binomial else sys.minus_ir ** sys.m
     moduli = np.abs(values)
     scale = float(moduli.max())
     if not scale > 1e-12 * (scale + 1.0):
         raise CertificateUnavailableError("no nonzero eigenvalue; certificate unavailable")
     j = min(np.flatnonzero(moduli >= (1 - 1e-12) * scale), key=lambda j: cmath.phase(values[j]))
     lam = complex(values[j])
-    if scalar:
-        L = np.eye(sys.m, dtype=complex)[0]
-        residual = float(np.max(np.abs(L @ M - lam * L)))
+    if binomial:
+        L, residual = np.eye(sys.m, dtype=complex)[0], 0.0
     else:
-        mu = sys.minus_ir[j]
-        L = _left_eigenvector(sys.K, mu)
-        residual = float(np.max(np.abs(L @ sys.K - mu * L)))
+        L = _left_eigenvector(sys.K, sys.minus_ir[j])
+        residual = float(np.max(np.abs(L @ sys.K - sys.minus_ir[j] * L)))
     G = _certificate_rows(sys, L, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones

@@ -89,7 +89,7 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
         coeffs = [1 + 0j]
-        for r in roots:
+        for r in map(complex, roots):
             coeffs.append(0j)
             for k in range(len(coeffs) - 1, 0, -1):
                 coeffs[k] = coeffs[k - 1] - r * coeffs[k]
@@ -269,6 +269,16 @@ def format_polynomial(p: Polynomial) -> str:
     return out
 
 
+def horner(desc, x) -> np.ndarray:
+    """``np.polyval(desc, x)`` in place, without a temporary per coefficient; a
+    coefficient may be an array that broadcasts against ``x``."""
+    y = np.full(np.broadcast(desc[0], x).shape, desc[0], dtype=np.result_type(desc, x))
+    for c in desc[1:]:
+        y *= x
+        y += c
+    return y
+
+
 @dataclass(frozen=True)
 class RootSet:
     """All roots of a polynomial (with multiplicity), lexicographically sorted, with
@@ -289,12 +299,12 @@ class RootSet:
 def find_roots(p: Polynomial) -> RootSet:
     """All roots: companion eigenvalues (backward stable) polished by Aberth sweeps.
 
-    Each sweep is one Horner pass for P(z), P'(z) and the scale sum |a_k| |z|^k
-    at every iterate, then one Aberth correction of them all.  The polish stops
-    when every iterate has |P(z)| <= 4 m eps scale and the largest correction no
-    longer halves (or is zero); that correction is not applied, and the seed
-    always gets at least one.  Raises :class:`RootFindingError` when LAPACK
-    returns no eigenvalues or after ``MAX_SWEEPS`` sweeps.
+    Each sweep is one :func:`horner` pass for P(z), P'(z) and the scale sum
+    |a_k| |z|^k at every iterate, then one Aberth correction of them all.  The
+    polish stops when every iterate has |P(z)| <= 4 m eps scale and the largest
+    correction no longer halves (or is zero); that correction is not applied,
+    and the seed always gets at least one.  Raises :class:`RootFindingError`
+    when LAPACK returns no eigenvalues or after ``MAX_SWEEPS`` sweeps.
     """
     m = p.degree
     if m < 1:
@@ -310,10 +320,10 @@ def find_roots(p: Polynomial) -> RootSet:
     except np.linalg.LinAlgError as exc:  # non-finite companion, or no QR convergence
         raise RootFindingError(f"roots: no companion eigenvalues ({exc})", (), math.inf) from exc
 
-    # falling-power coefficients of P, P' and the scale, one copy per root
+    # falling-power coefficients of P, P' and the scale, one (3, 1) column per power
     desc = a[::-1]
     rows = np.array([desc, np.concatenate(([0], desc[:-1] * np.arange(m, 0, -1))), np.abs(desc)])
-    head, *columns = np.repeat(rows.T[:, :, None], m, axis=2)
+    columns = rows.T[:, :, None]
     points = np.empty((3, m), dtype=complex)  # z, z, |z|
     bound = 4 * m * float(np.finfo(float).eps)
     half_step = np.inf
@@ -322,11 +332,8 @@ def find_roots(p: Polynomial) -> RootSet:
         for sweep in range(1, MAX_SWEEPS + 1):
             points[:2] = z
             points[2] = np.abs(z)
-            H = head.copy()
-            for column in columns:
-                H *= points
-                H += column
-            value, slope, scale = H[0], H[1], H[2].real
+            value, slope, scale = horner(columns, points)
+            scale = scale.real
             gap = z[:, None] - z
             gap.flat[::m + 1] = np.inf  # drops k = j from the Aberth sum
             corr = value / (slope - value * np.add.reduce(np.reciprocal(gap), 1))

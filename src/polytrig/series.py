@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .gentrig import GenTrigSystem, _check_index, _integer, deflation_matrix, make_system
-from .poly import Polynomial
+from .poly import Polynomial, horner
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
@@ -140,15 +140,6 @@ def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
     return AssociatedMatrix(sys.m, C, linalg.condition_number(C))
 
 
-def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.polyval(desc, x)`` updated in place, without a temporary per coefficient."""
-    y = np.full(x.shape, desc[0], dtype=np.result_type(desc, x))
-    for c in desc[1:]:
-        y *= x
-        y += c
-    return y
-
-
 def _hurwitz_zeta(s, a):
     """``a**(s-1) * zeta(s, a)`` and a bound on its truncation error, for s >= 2.
 
@@ -241,13 +232,13 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     N = max(n_terms, math.ceil(HEAD_RADII * radius))
 
     n = np.arange(1.0, N + 1)
-    values = _horner(desc, np.array([n, -n]))  # P(n), P(-n)
+    values = horner(desc, np.array([n, -n]))  # P(n), P(-n)
     # An integer beyond radius + 1 is at least 1 from every root, so its
     # Newton step |P/P'| is at least 1/m: only the nearer ones can be refused.
     near = min(N, int(radius) + 1)
     x = np.concatenate(([0.0], n[:near], -n[:near]))
     at_x = np.concatenate(([coeffs[0]], values[0, :near], values[1, :near]))
-    slope = _horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
+    slope = horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
     hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
     if hit.any():
         i = int(np.argmax(hit))
@@ -257,7 +248,7 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     inv = 1 / values
     # P~(|n|) / |P(+-n)|^2 with P~(x) = sum |a_i| x^i: at least 1/|P|, and the
     # Horner error of P is at most about 3m eps P~ (complex arithmetic)
-    weight = ((_horner(np.abs(desc), n) * np.abs(inv)) * np.abs(inv)).sum(axis=0)
+    weight = ((horner(np.abs(desc), n) * np.abs(inv)) * np.abs(inv)).sum(axis=0)
     pairs = (inv[0] + inv[1], inv[0] - inv[1])  # by parity of k
     sign = np.ones(N)
     sign[::2] = -1.0  # (-1)**n
@@ -287,16 +278,17 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     # sum_(n>=sigma) n^-p <= sigma^-p (1 + sigma/(p-1)) the Laurent remainder
     # of sum k is at most unit factor g^-J (1/sigma + 1/(m+J-k-1)).  g = 2
     # always qualifies, as sigma >= HEAD_RADII radii.  J is the fewest terms
-    # that bring this below eps times the head size, at the g needing fewest.
+    # that bring this below eps times the head size, at the g needing fewest;
+    # only the largest unit / size over k matters, as the rest is monotone.
     # Every root is within sigma/4, so |P(n)| <= (1.5 n)^m for n >= N/2, the
     # head size is at least unit / (4 1.5^m), and J <= 72 at degree 24.
     g = 2.0 ** np.arange(1, 13)
-    q_low = 1 - g * _horner(np.abs(beta[:0:-1]), g)
+    q_low = 1 - g * horner(np.abs(beta[:0:-1]), g)
     g, cauchy = g[q_low > 0], 1 / q_low[q_low > 0]
     factor = cauchy / (1 - 1 / g)
-    needed = np.log(2 * factor[:, None] * (unit / size / _EPS)) / np.log(g)[:, None]  # 2 >= 1/sigma + 1
-    best = int(np.argmin(needed.max(axis=1)))
-    J = max(1, math.ceil(needed[best].max()))
+    needed = np.log(2 * factor * ((unit / size).max() / _EPS)) / np.log(g)  # 2 >= 1/sigma + 1
+    best = int(np.argmin(needed))
+    J = max(1, math.ceil(needed[best]))
     g, cauchy, factor = g[best], cauchy[best], factor[best]
 
     c = np.zeros(J, dtype=beta.dtype)

@@ -138,6 +138,23 @@ class TestFromRoots:
         with pytest.raises(poly.PolynomialError, match="degree 25"):
             from_roots(roots)
 
+    @pytest.mark.parametrize("m", [2, 5, 12, 24])
+    def test_backward_error_against_a_recomputation(self, m):
+        # max |P(r)| / sum |a_k| |r|^k over the given roots, recomputed with
+        # numpy's polyval; the default 0.0 would fail for these roots
+        rng = np.random.default_rng(m)
+        sys = from_roots(rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m))
+        desc = np.array(sys.poly.coeffs[::-1])
+        expected = np.max(np.abs(np.polyval(desc, sys.r)) / np.polyval(np.abs(desc), np.abs(sys.r)))
+        assert sys.roots.backward_error == expected > 0
+        assert sys.roots.residual == max(abs(sys.poly(r)) for r in sys.roots)
+
+    @pytest.mark.parametrize("roots", [[1, 2, 3], [0.0, 0.0], [0.0, 1j]])
+    def test_exact_roots_have_no_backward_error(self, roots):
+        # P(r) is exactly 0; at r = 0 with P(0) = 0 the scale is 0 as well,
+        # and that 0 / 0 neither counts nor warns
+        assert from_roots(roots).roots.backward_error == 0.0
+
 
 class TestEvaluation:
     def test_quadratic_is_hyperbolic(self):
@@ -752,6 +769,97 @@ class TestIdentityCertificate:
             monkeypatch.setattr(module, "find_roots", counting, raising=False)
         identity_certificate(sys)
         assert calls == []
+
+
+class TestBinomialCertificate:
+    """The exact branch for P = x^m - c, and the generic one next to it."""
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    @pytest.mark.parametrize("c", [1, -2, 0.5j, 0.1, 0.3 + 0.2j], ids=["1", "-2", "0.5i", "0.1", "0.3+0.2i"])
+    def test_exact_eigenpair(self, m, c):
+        # K is a weighted cyclic shift, so K^m = (-i)^m c I with no roundoff:
+        # L = e_0, lam = (-i)^m c exactly and no -0.0, and eigen_residual is
+        # L's residual against the K^m computed here, which is 0
+        sys = binomial(m, c)
+        cert = identity_certificate(sys)
+        assert np.array_equal(cert.L, np.eye(m)[0])
+        assert cert.lam == (1, -1j, -1, 1j)[m % 4] * complex(c)
+        assert all(math.copysign(1.0, part) == 1.0 for part in (cert.lam.real, cert.lam.imag) if part == 0)
+        Km = np.linalg.matrix_power(sys.K, m)
+        assert np.array_equal(Km, cert.lam * np.eye(m))
+        assert cert.eigen_residual == np.max(np.abs(cert.L @ Km - cert.lam * cert.L)) == 0.0
+
+    def test_non_dyadic_constant_is_exact(self):
+        cert = identity_certificate(binomial(7, 0.3 + 0.2j))
+        assert repr(cert.lam) == "(-0.2+0.3j)"
+
+    def test_signed_zero_coefficients_are_zero(self):
+        sys = make_system(Polynomial((-2.0, -0.0, complex(0.0, -0.0), 1.0)))
+        assert np.array_equal(identity_certificate(sys).L, np.eye(3)[0])
+
+    @pytest.mark.parametrize("coeffs", [(1, 1e-14, 0, 0, 1), (1, 0, 1e-300, 0, 1),
+                                        (-2, 0, 0, 1e-13j, 0, 0, 1), (0.5, 0, 0, 0, 0, 0, 0, 1e-15, 1)])
+    def test_near_binomials_take_the_generic_branch(self, coeffs):
+        # one coefficient off zero, however small: L is the eigenvector of a
+        # root, with its residual against K within 8 m eps, not e_0
+        sys = make_system(Polynomial(coeffs))
+        cert = identity_certificate(sys)
+        assert not np.array_equal(cert.L, np.eye(sys.m)[0])
+        TestIdentityCertificate.assert_certified(sys, cert)
+
+
+class TestCertificateRows:
+    """F[l, j] = (L T)_j (-i r_j)^l against the Krylov rows (L K^l) T."""
+
+    @staticmethod
+    def rows(sys, cert, monkeypatch, bend=False):
+        """The F that ``_certificate_rows`` passes on; ``bend`` scales its
+        column of largest modulus by 1 + 1e-9."""
+        def capture(F, lam):
+            if bend:
+                F[:, np.argmax(np.max(np.abs(F), axis=0))] *= 1 + 1e-9
+            return F
+
+        monkeypatch.setattr(gentrig, "_circulant_rows", capture)
+        return gentrig._certificate_rows(sys, cert.L, cert.lam)
+
+    @staticmethod
+    def assert_krylov(sys, cert, F):
+        # Both routes round at about m eps of |L| |K|^l |T| and |L T| |r|^l.
+        # They also differ by what the computed T leaves of K T = T diag(-i r):
+        # with rho = |K T - T diag(-i r)|, the Krylov row l carries
+        # |L| sum_s |K|^(l-1-s) rho |r|^s more, twice that covering the
+        # roundoff of rho itself.  For x^m - c that term dominates.
+        K, T, mu, m = sys.K, sys.T, sys.minus_ir, sys.m
+        rho = np.abs(K @ T - T * mu)
+        krylov, size, drift = [cert.L], [np.abs(cert.L)], [np.zeros((m, m))]
+        for l in range(1, m):
+            krylov.append(krylov[-1] @ K)
+            size.append(size[-1] @ np.abs(K))
+            drift.append(np.abs(K) @ drift[-1] + rho * np.abs(mu) ** (l - 1))
+        scale = np.array(size) @ np.abs(T) + np.abs(cert.L) @ np.abs(T) * np.abs(mu) ** np.arange(m)[:, None]
+        bound = m * np.finfo(float).eps * scale + 2 * np.abs(cert.L) @ np.array(drift)
+        assert np.all(np.abs(F - np.array(krylov) @ T) <= bound), "F off the Krylov rows"
+
+    @staticmethod
+    def systems(degree):
+        rng = np.random.default_rng(400 + degree)
+        return ([verify._random_system(rng, degree) for _ in range(2)]
+                + [from_roots(rng.uniform(0.5, 1.2, degree) * np.exp(2j * np.pi * rng.uniform(size=degree)))]
+                + [binomial(degree, c) for c in (1, 0.5j, 0.3 + 0.2j)])
+
+    @pytest.mark.parametrize("degree", range(2, 25))
+    def test_matches_the_krylov_rows(self, degree, monkeypatch):
+        for sys in self.systems(degree):
+            cert = identity_certificate(sys)
+            self.assert_krylov(sys, cert, self.rows(sys, cert, monkeypatch))
+
+    @pytest.mark.parametrize("degree", [2, 5, 12, 24])
+    def test_a_bent_column_fails(self, degree, monkeypatch):
+        for sys in self.systems(degree):
+            cert = identity_certificate(sys)
+            with pytest.raises(AssertionError, match="off the Krylov rows"):
+                self.assert_krylov(sys, cert, self.rows(sys, cert, monkeypatch, bend=True))
 
 
 class TestSpectralDeterminant:

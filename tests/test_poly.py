@@ -129,6 +129,32 @@ class TestPolynomial:
         p = Polynomial.from_roots([1, 2, 3])
         assert p.coeffs == pytest.approx((-6, 11, -6, 1))
 
+    def test_from_roots_of_an_array_is_the_same_polynomial(self):
+        # numpy complex roots take the same Python complex arithmetic
+        rng = np.random.default_rng(12)
+        roots = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
+        p = Polynomial.from_roots(roots)
+        assert [repr(c) for c in p.coeffs] == [repr(c) for c in Polynomial.from_roots(roots.tolist()).coeffs]
+        assert all(type(c) is complex for c in p.coeffs)
+
+
+class TestHorner:
+    def test_scalar_coefficients_match_polyval(self):
+        x = np.linspace(-3, 3, 7) + 0.5j
+        desc = np.array([2.0, -1.0, 0.5, 3.0])
+        assert np.array_equal(poly.horner(desc, x), np.polyval(desc, x))
+        assert poly.horner(desc, 2.0) == np.polyval(desc, 2.0)
+
+    def test_coefficient_rows_broadcast(self):
+        # one pass evaluates three polynomials, each at its own row of points
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        x = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        y = poly.horner(rows.T[:, :, None], x)
+        assert y.shape == (3, 5)
+        for i in range(3):
+            assert np.array_equal(y[i], np.polyval(rows[i], x[i]))
+
 
 class TestRoots:
     def test_quadratic(self):
