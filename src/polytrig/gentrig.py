@@ -210,8 +210,8 @@ def make_system(p: Polynomial) -> GenTrigSystem:
 
 
 def from_roots(roots) -> GenTrigSystem:
-    """System from explicitly known roots, bypassing the root finder; the root
-    set carries max |P(r)| and the backward error max |P(r)| / sum |a_k| |r|^k."""
+    """System from explicitly known roots, bypassing the root finder; one Horner pass
+    gives the root set max |P(r)| and the backward error max |P(r)| / sum |a_k| |r|^k."""
     rs = tuple(sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag)))
     if not rs:
         raise GenTrigError("a system needs at least one root")
@@ -220,7 +220,7 @@ def from_roots(roots) -> GenTrigSystem:
     size, scale = np.abs(horner(desc, z)), horner(np.abs(desc), np.abs(z))
     with np.errstate(invalid="ignore"):  # 0 / 0 at a root 0 of P(0) = 0
         backward = float(np.maximum.reduce(size / scale, where=scale > 0, initial=0.0))
-    return _system(mon, RootSet(rs, max(abs(mon(r)) for r in rs), backward))
+    return _system(mon, RootSet(rs, float(np.maximum.reduce(size)), backward))
 
 
 def _integer(n, what: str, error) -> int:

@@ -58,7 +58,7 @@ class IntegerRootError(SeriesError):
 
 
 class DegenerateMatrixError(SeriesError):
-    """C(P) is singular, violating the non-degeneracy hypothesis of the solve."""
+    """C(P) is singular to working precision: the solve's non-degeneracy hypothesis fails."""
 
 
 class CrossCheckError(SeriesError, ArithmeticError):
@@ -337,9 +337,9 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     represents.  With ``run_oracle`` every sum is paired with its
     :func:`brute_force_sums` estimate, one oracle pass of ``oracle_n``
     (at least ``MIN_ORACLE_N``) for all 2m sums; without it the oracle
-    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.  A C(P) that the
-    pivot check rejects, or whose condition estimate times eps reaches 1
-    (singular to working precision), raises :class:`DegenerateMatrixError`.
+    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.  The one refusal:
+    a C(P) whose condition estimate times eps is not below 1 (singular to
+    working precision) raises :class:`DegenerateMatrixError` with the estimate.
     """
     if p.degree < 2:
         raise SeriesError("degree must be at least 2 for the sums to converge")
@@ -352,15 +352,9 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     try:
         AB, cond = linalg.solve(C, np.column_stack([(R[0] + R[1]) / 2, R[2]]))
     except linalg.SingularMatrixError as exc:
-        raise DegenerateMatrixError(
-            "associated matrix C(P) is singular; the non-degeneracy hypothesis "
-            "of the closed-form solve fails for this polynomial"
-        ) from exc
-    if cond * np.finfo(float).eps >= 1:
-        raise DegenerateMatrixError(
-            f"associated matrix C(P) is singular to working precision (condition "
-            f"estimate {cond:.3e}); the closed-form solve would return no correct digits"
-        )
+        raise DegenerateMatrixError(f"associated matrix C(P) is singular to working precision "
+                                    f"(condition estimate {exc.condition_estimate:.3e}); the "
+                                    "closed-form solve would return no correct digits") from exc
     A, B = AB.T / lead
 
     if run_oracle:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import cyclotomic, gentrig, linalg, series
+from . import cyclotomic, gentrig, series
 from .poly import Polynomial, parse_polynomial
 
 

@@ -193,6 +193,17 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical failure") and out == ""
 
+    def test_double_root_matrix_c_reports_its_estimate(self, capsys):
+        # (x^2+1)^2: C(P) is singular to working precision, and matrix-c
+        # reports the finite estimate that makes sum refuse it
+        code, doc = run_json(capsys, "matrix-c", "--poly", "x^4+2x^2+1")
+        assert code == 0
+        cond = doc["diagnostics"]["condition_estimate"]
+        assert 1e33 < cond < 1e35
+        code, out, err = run(capsys, "sum", "--poly", "x^4+2x^2+1")
+        assert code == 3 and out == ""
+        assert f"working precision (condition estimate {cond:.3e})" in err
+
     def test_overflow_is_numerical(self, capsys):
         code, _, _ = run(capsys, "eval", "--poly", "x^2+1", "--l", "0",
                          "--x", "10000")

@@ -51,11 +51,17 @@ def test_solve_identity_condition_is_one():
     assert cond == pytest.approx(1.0)
 
 
-def test_singular_matrix_pivot_index():
-    M = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=complex)
-    with pytest.raises(SingularMatrixError) as exc:
-        solve(M, np.zeros(3))
-    assert exc.value.pivot_index == 2
+def test_singular_matrix_carries_the_estimate():
+    # diag(1, eps/2) has the estimate 2/eps exactly, which the message names
+    M = np.diag([1, EPS / 2]) + 0j
+    with pytest.raises(SingularMatrixError, match=r"estimate 9\.007e\+15\)") as exc:
+        solve(M, np.ones(2))
+    assert exc.value.condition_estimate == 2 / EPS == linalg.condition_number(M)
+    # subnormal entries: the inverse holds nan, and so does the estimate, which refuses
+    tiny = np.array([[1, 1], [1, 2]]) * 1e-310 + 0j
+    with pytest.raises(SingularMatrixError, match="estimate nan") as exc:
+        solve(tiny, np.ones(2))
+    assert np.isnan(exc.value.condition_estimate) and np.isnan(linalg.condition_number(tiny))
 
 
 def test_shape_validation():
@@ -70,7 +76,7 @@ def test_shape_validation():
 @pytest.mark.parametrize("name,call", [
     ("det", lambda: determinant([[1, 2], [3, 4]])),
     ("solve", lambda: solve([[1, 2], [3, 4]], [1, 1])),
-    ("inv", lambda: linalg.condition_number([[1, 2], [3, 4]])),
+    ("inv", lambda: solve([[1, 2], [3, 4]], [1, 1])),  # a refusal, the estimate inf
 ])
 def test_lapack_failure_is_linalg_error(monkeypatch, name, call):
     def failing(*args):
@@ -92,18 +98,38 @@ def test_solve_several_right_hand_sides():
         assert c == cond
 
 
-# ---- the pivot screen ----
+# ---- the one refusal rule ----
+# solve refuses exactly when cond eps >= 1 for cond = norm1(A) norm1(inv A),
+# inf where numpy's inverse fails.  The inputs sit around a pivot of 1e-13
+# norm1(A), the smallest pivot a partial-pivot LU test would accept, and
+# around cond eps = 1: the estimate alone decides on both.
 
-def solve_pivots_first(M, b):
-    """The reference solve: the pivot check always, then LAPACK."""
-    A = linalg._as_matrix(M)
-    linalg._check_pivots(A)
-    return np.linalg.solve(A, np.asarray(b, dtype=complex)), linalg._condition(A)
+#: the pivot size, relative to norm1(A), that the planted inputs straddle
+PLANTED_RTOL = 1e-13
+
+
+def one_rule(A, b):
+    """The reference: ``(None, cond)`` for a refusal, else
+    ``(np.linalg.solve(A, b), cond)``, in complex arithmetic."""
+    A = np.asarray(A, dtype=complex)
+    try:
+        cond = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond * EPS < 1:
+        return None, cond
+    return np.linalg.solve(A, b), cond
+
+
+def same(a, b):
+    """Equal, nan included."""
+    return a == b or (a != a and b != b)
 
 
 def near_singular(rng, n):
-    """Seeded matrices around the pivot threshold: graded singular values,
-    rank deficiency plus noise, and one planted small pivot."""
+    """Seeded matrices around the refusal: graded singular values, rank
+    deficiency plus noise, one planted small pivot, and a scaled permutation
+    at cond eps = 0.75 and 1.5, either side of the threshold."""
     def unitary():
         return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
 
@@ -114,11 +140,14 @@ def near_singular(rng, n):
         yield B + noise * rng.normal(size=(n, n))
     for scale in (0.5, 2.0):
         yield planted_pivot(rng, n, int(rng.integers(n)), scale)
+    for c in (0.75, 1.5):
+        diagonal = np.append(np.ones(n - 1), EPS / c) * np.exp(2j * np.pi * rng.uniform(size=n))
+        yield np.diag(diagonal)[rng.permutation(n)]
 
 
 def planted_pivot(rng, n, k, scale):
     """L U with no row swaps under partial pivoting and pivot k at exactly
-    ``scale`` times the threshold ``PIVOT_RTOL * norm1``.
+    ``scale`` times ``PLANTED_RTOL * norm1``.
 
     Column k of U is zero above the pivot, so column k of L U is the pivot
     times column k of L, which no elimination step before k touches, and
@@ -129,72 +158,64 @@ def planted_pivot(rng, n, k, scale):
     U[np.diag_indices(n)] = 1 + rng.uniform(size=n)
     U[:k + 1, k] = 0
     A = L @ U
-    A[:, k] = L[:, k] * (scale * linalg.PIVOT_RTOL * linalg.norm1(A))
+    A[:, k] = L[:, k] * (scale * PLANTED_RTOL * linalg.norm1(A))
     return A
+
+
+def check_one_rule(A, b):
+    """solve and condition_number against :func:`one_rule`; True for a refusal."""
+    want, cond = one_rule(A, b)
+    assert same(linalg.condition_number(A), cond)
+    if want is None:
+        with pytest.raises(SingularMatrixError, match="working precision") as got:
+            solve(A, b)
+        assert same(got.value.condition_estimate, cond)
+        return True
+    x, estimate = solve(A, b)
+    assert np.array_equal(x, want) and estimate == cond
+    return False
 
 
 @pytest.mark.parametrize("n", range(2, 25))
 def test_pivot_screen_is_sound(n):
-    # a pivot below rtol norm1(A) forces cond > 1/(n rtol), so every matrix
-    # that the check refuses is one the screen sends to the check
+    # a refusal exactly when cond eps >= 1, else numpy's x and the estimate,
+    # on matrices with pivots near 1e-13 norm1 and cond eps near 1
     rng = np.random.default_rng(400 + n)
-    rtol, refused, passed = linalg.PIVOT_RTOL, 0, 0
-    for A in near_singular(rng, n):
-        try:
-            linalg._check_pivots(A)
-        except SingularMatrixError:
-            refused += 1
-            try:
-                cond = linalg._condition(A)
-            except LinalgError:
-                cond = np.inf  # no inverse: the screen sends it to the check as well
-            assert cond * 2 * n * rtol > 1
-        else:
-            passed += 1
-        b = rng.normal(size=n) + 0j
-        try:
-            want = solve_pivots_first(A, b)
-        except SingularMatrixError as exc:
-            with pytest.raises(SingularMatrixError) as got:
-                solve(A, b)
-            assert got.value.pivot_index == exc.pivot_index
-            assert linalg.condition_number(A) == np.inf
-        else:
-            x, cond = solve(A, b)
-            assert np.array_equal(x, want[0]) and cond == want[1]
-            assert linalg.condition_number(A) == cond
-    assert refused and passed
+    outcomes = [check_one_rule(A, rng.normal(size=n) + 0j) for A in near_singular(rng, n)]
+    assert outcomes[-2:] == [False, True]  # cond eps = 0.75 returns, 1.5 refuses
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 24])
 def test_pivot_just_under_the_threshold(n):
+    # a pivot just under or over 1e-13 norm1 decides nothing: both have
+    # cond eps < 1 and return numpy's x
     rng = np.random.default_rng(500 + n)
     for k in (0, n // 2, n - 1):
-        A = planted_pivot(rng, n, k, 1 - 1e-6)
-        with pytest.raises(SingularMatrixError) as exc:
-            linalg._check_pivots(A)
-        assert exc.value.pivot_index == k
-        with pytest.raises(SingularMatrixError) as exc:
-            solve(A, np.ones(n))
-        assert exc.value.pivot_index == k
-        A = planted_pivot(rng, n, k, 1 + 1e-6)
-        x, cond = solve(A, np.ones(n))
-        assert cond * 2 * n * linalg.PIVOT_RTOL > 1  # the screen ran the check, which passed
-        assert np.array_equal(x, solve_pivots_first(A, np.ones(n))[0])
+        for scale in (1 - 1e-6, 1 + 1e-6):
+            A = planted_pivot(rng, n, k, scale)
+            assert not check_one_rule(A, np.ones(n) + 0j)
+            assert linalg.condition_number(A) * n * PLANTED_RTOL > 1 - 1e-6  # the pivot shows
 
 
-def test_failed_inverse_falls_through_to_the_pivot_check(monkeypatch):
+def test_failed_inverse_is_an_infinite_estimate(monkeypatch):
+    # LAPACK's inverse fails on an exact zero pivot: that is the estimate inf,
+    # a refusal before any solve
+    singular = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=complex)
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solved"))
+    with pytest.raises(SingularMatrixError, match="estimate inf; LAPACK inv failed") as exc:
+        solve(singular, np.zeros(3))
+    assert exc.value.condition_estimate == np.inf
+    assert linalg.condition_number(singular) == np.inf
+
     def failing(*args):
         raise np.linalg.LinAlgError("LAPACK failure")
 
     monkeypatch.setattr(np.linalg, "inv", failing)
-    with pytest.raises(LinalgError, match="LAPACK failure"):
+    with pytest.raises(SingularMatrixError, match="LAPACK failure") as exc:
         solve([[1, 2], [3, 4]], [1, 1])
-    singular = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=complex)
-    with pytest.raises(SingularMatrixError) as exc:
-        solve(singular, np.zeros(3))
-    assert exc.value.pivot_index == 2
-    assert linalg.condition_number(singular) == np.inf
+    assert exc.value.condition_estimate == np.inf
+    assert linalg.condition_number([[1, 2], [3, 4]]) == np.inf
 
 
 # ---- certificate eigenpairs ----

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -454,48 +455,42 @@ class TestEvaluateSums:
         with pytest.raises(ArgumentOverflowError, match="300j"):
             evaluate_sums(parse_polynomial("x^2+90000"), run_oracle=False)
 
-    def test_one_pivot_check_and_inverse(self, monkeypatch):
-        # one inverse per solve; the pivot check only where the condition
-        # estimate allows a pivot below its threshold
+    def test_one_inverse_per_solve(self, monkeypatch):
+        # one check of the matrix and one inverse per solve, for the estimate
+        # that alone decides; no second pass on a pivot of 1e-13 norm1
         calls = []
 
-        def counted(name):
-            original = getattr(linalg, name)
+        def counted(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
 
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
-            return wrapper
-
-        for name in ("_check_pivots", "_condition"):
-            monkeypatch.setattr(linalg, name, counted(name))
+        counted(linalg, "_as_matrix")
+        counted(np.linalg, "inv")
+        counted(np.linalg, "solve")
         p = parse_polynomial("x^3+x^2+1")
         res = evaluate_sums(p, run_oracle=False)
-        assert calls == ["_condition"]
+        assert calls == ["_as_matrix", "inv", "solve"]
         calls.clear()
         am = associated_matrix(gentrig.make_system(p))
-        assert calls == ["_condition"]
+        assert calls == ["_as_matrix", "inv"]
         assert res.condition_estimate == am.condition_estimate
         calls.clear()
-        ill = np.diag([1.0, 1.0, 1e-13]) + 0j  # cond 1e13 > 1/(2 n rtol)
-        linalg.solve(ill, np.ones(3))
-        assert calls == ["_condition", "_check_pivots"]
+        linalg.solve(np.diag([1.0, 1.0, 1e-13]) + 0j, np.ones(3))
+        assert calls == ["_as_matrix", "inv", "solve"]
 
     @pytest.mark.parametrize("factor, singular", [(0.5, False), (1.0, True), (4.0, True)])
     def test_singular_to_working_precision(self, monkeypatch, factor, singular):
-        original = linalg.solve
-
-        def conditioned(M, b):
-            x, _ = original(M, b)
-            return x, factor / np.finfo(float).eps
-
-        monkeypatch.setattr(linalg, "solve", conditioned)
+        # a C(P) whose estimate is factor / eps exactly: refused, with the
+        # estimate in the message, exactly when the estimate times eps reaches 1
+        C = np.diag([1.0, 1.0, EPS / factor]) + 0j
+        monkeypatch.setattr(series, "_cross_checked_C", lambda sys: C)
         p = parse_polynomial("x^3+x^2+1")
         if singular:
-            with pytest.raises(DegenerateMatrixError, match="working precision"):
+            message = f"working precision (condition estimate {factor / EPS:.3e})"
+            with pytest.raises(DegenerateMatrixError, match=re.escape(message)):
                 evaluate_sums(p, run_oracle=False)
         else:
-            assert evaluate_sums(p, run_oracle=False).condition_estimate == factor / np.finfo(float).eps
+            assert evaluate_sums(p, run_oracle=False).condition_estimate == factor / EPS
 
     def test_oracle_skippable(self):
         res = evaluate_sums(parse_polynomial("x^2+1"), run_oracle=False)
@@ -513,30 +508,29 @@ def _bench_workloads(monkeypatch):
     return module
 
 
-def test_screened_solve_is_the_pivot_first_solve_on_the_bench_pools(monkeypatch):
+def test_solve_is_the_one_rule_on_the_bench_pools(monkeypatch):
     # every C(P) the closed sums solve in the benchmark's small, large and
-    # sums pools: the same x and condition estimate, or the same refusal,
-    # as with the pivot check run before every solve
+    # sums pools: numpy's x and the estimate norm1(C) norm1(inv C), or a
+    # refusal exactly when that estimate times eps reaches 1, which happens
+    # once, at degree 24
     workloads = _bench_workloads(monkeypatch)
-    screened, seen = linalg.solve, []
+    rule, solved, refused = linalg.solve, [], []
 
-    def both(M, b):
+    def checked(M, b):
         A = np.array(M)
-        try:
-            linalg._check_pivots(linalg._as_matrix(A))
-        except linalg.SingularMatrixError as exc:
-            with pytest.raises(linalg.SingularMatrixError) as got:
-                screened(A, b)
-            assert got.value.pivot_index == exc.pivot_index
-            seen.append(None)
-            raise
-        x, cond = screened(A, b)
-        assert np.array_equal(x, np.linalg.solve(A, b))
-        assert cond == linalg._condition(A)
-        seen.append(cond)
-        return x, cond
+        cond = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+        if cond * EPS < 1:
+            x, estimate = rule(A, b)
+            assert np.array_equal(x, np.linalg.solve(A, b)) and estimate == cond
+            solved.append(len(A))
+            return x, estimate
+        with pytest.raises(linalg.SingularMatrixError) as got:
+            rule(A, b)
+        assert got.value.condition_estimate == cond
+        refused.append(len(A))
+        raise got.value
 
-    monkeypatch.setattr(linalg, "solve", both)
+    monkeypatch.setattr(linalg, "solve", checked)
     polys = {}
     for name in ("small", "large", "sums"):
         for task in workloads.pool(name, 0):
@@ -546,4 +540,57 @@ def test_screened_solve_is_the_pivot_first_solve_on_the_bench_pools(monkeypatch)
             evaluate_sums(p, run_oracle=False)
         except (ArithmeticError, SeriesError, ValueError):
             pass  # refused before or after the solve, as at any commit
-    assert len(seen) > 0.9 * len(polys)
+    assert refused == [24]
+    assert len(solved) > 0.9 * len(polys)
+
+
+def _cross_check_gap(sys):
+    """The cross-check's entrywise gap between its two routes to 2 pi i C(P),
+    and max |2 pi i C(P)|, recomputed from T and the coefficients."""
+    m, T = sys.m, sys.T
+    C1 = T @ gentrig.deflation_matrix(sys.poly, sys.r)
+    signs = np.append((-1.0) ** np.arange(m - 1, 0, -1), 0.0)
+    C2 = np.outer(T.sum(axis=1), sys.poly.coeffs[1:]) - (T @ T[::-1].T) * signs
+    return float(np.max(np.abs(C1 - C2))), float(np.max(np.abs(C1)))
+
+
+def _smallest_pivot(A):
+    """min |u_kk| / norm1(A) for the LU of A with partial pivoting by modulus."""
+    U, pivots = np.array(A, dtype=complex), []
+    for k in range(len(U)):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        pivots.append(abs(U[k, k]))
+        U[k + 1:, k + 1:] -= np.outer(U[k + 1:, k] / U[k, k], U[k, k + 1:])
+    return min(pivots) / np.linalg.norm(A, 1)
+
+
+def test_clustered_sums_are_within_the_condition_bound():
+    # degrees 2..12 with roots in pairs 1e-10..1e-1 apart.  Every sum that
+    # comes back is within cond (gap / max|C| + m eps) ||x||_1 of the
+    # oracle, past its error bar, where gap is the cross-check's gap and
+    # ||x||_1 the 1-norm of the sums from the same solve (A or B).  Among
+    # them are C(P) with a pivot below 1e-13 norm1(C), which return.
+    rng = np.random.default_rng(18)
+    ratios, small_pivots = [], 0
+    for _ in range(600):
+        m = int(rng.integers(2, 13))
+        gap = 10 ** rng.uniform(-10, -1)
+        centres = rng.uniform(-1, 1, (m + 1) // 2) + 1j * rng.uniform(-1, 1, (m + 1) // 2)
+        roots = np.concatenate([centres, centres + gap * np.exp(2j * np.pi * rng.uniform())])[:m]
+        p = Polynomial(tuple(complex(c) for c in np.poly(roots)[::-1]))
+        try:
+            res = evaluate_sums(p)
+        except (CrossCheckError, DegenerateMatrixError):
+            continue
+        sys_ = gentrig.make_system(p)
+        gap, size = _cross_check_gap(sys_)
+        relative = res.condition_estimate * (gap / size + m * EPS)
+        for closed, oracle in ((res.A, res.oracle_A), (res.B, res.oracle_B)):
+            norm = sum(map(abs, closed))
+            ratios += [(abs(v - estimate) - bar) / (relative * norm)
+                       for v, (estimate, bar) in zip(closed, oracle)]
+        small_pivots += _smallest_pivot(associated_matrix(sys_).C) < 1e-13
+    assert max(ratios) <= 1
+    assert max(ratios) > 1e-3  # the bound divided by 1e3 fails
+    assert small_pivots
