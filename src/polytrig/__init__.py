@@ -8,8 +8,6 @@ series sum(n^k / P(n)) and sum((-1)^n n^k / P(n)) in closed form.
 from .poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
                    RootFindingError, RootSet, find_roots, format_polynomial,
                    parse_polynomial, synthetic_divide)
-from .linalg import (LinalgError, SingularMatrixError, condition_number,
-                     determinant, solve)
 from .gentrig import (ArgumentOverflowError, CertificateUnavailableError,
                       GenTrigError, GenTrigSystem, IdentityCertificate,
                       derivative_matrix, eval_S, eval_S_vector, eval_det_M,

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import cyclotomic, gentrig, linalg, series, verify
+from . import cyclotomic, gentrig, series, verify
 from .poly import (ParseError, Polynomial, PolynomialError, RootFindingError,
                    find_roots, format_polynomial, parse_polynomial)
 
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RootFindingError, gentrig.GenTrigError, series.SeriesError,
-            linalg.LinalgError, ArithmeticError) as exc:
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PolynomialError as exc:

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import gentrig, linalg
+from . import gentrig
 from .poly import MAX_DEGREE
 
 
@@ -208,17 +208,19 @@ def factorial_identity_check(n: int):
 def matrix_A(sys: CyclotomicSystem):
     """The boundary-jump solvability matrix and two determinant routes.
 
-    Returns ``(A, det, det_via_factorization)`` where the second determinant
-    is the modulus predicted by the Vandermonde factorization
-    m^m J' = V J''; only moduli are comparable since unit phase factors are
-    discarded along the way.  That modulus is prod_j |a_j| with
+    Returns ``(A, det, det_via_factorization)``: ``det`` from one LAPACK LU
+    of A (``numpy.linalg.det``), the second the modulus predicted by the
+    Vandermonde factorization m^m J' = V J''; only moduli are comparable
+    since unit phase factors are discarded along the way.  V = zeta^(jk) over
+    sqrt(m) is unitary, so |det V|^2 = m^m exactly and that modulus is
+    prod_j |a_j| with no second LU, where
     a_j = exp(eta zeta^j pi) - exp(-eta zeta^j pi) = 2 sinh(pi eta zeta^j).
     Since eta zeta^j = exp(i pi (2j+1)/m), a_j = 0 exactly when
     eta zeta^j = +-i, so det A_m = 0 exactly when m is congruent to 2 mod 4;
     the vanishing factors are j = (m-2)/4 and j = (3m-2)/4 (j = 0, 1 for
     m = 2; j = 1, 4 for m = 6), and both routes then return roundoff.
     """
-    m, eta, zeta = sys.m, sys.eta, sys.zeta
+    m, eta = sys.m, sys.eta
     if m > 12:
         raise CyclotomicError("m above 12 is not supported here")
     E = sys.exponentials(np.array([math.pi, -math.pi]))
@@ -228,10 +230,5 @@ def matrix_A(sys: CyclotomicSystem):
     idx = (m - 1 - k + l) % m
     J = eta ** (m - 1 - k - l + idx) * d[idx]
     A = (-1.0) ** (k + 1) * J * np.array([1, 1j, -1, -1j])[(k + m * (k % 2)) % 4]
-    det = linalg.determinant(A)
-
     a = E[0] - E[1]
-    j = np.arange(m)
-    V = zeta ** (np.outer(j, j) % m)
-    det_fact = abs(np.prod(a)) * abs(linalg.determinant(V)) ** 2 / m ** m
-    return A, det, float(det_fact)
+    return A, complex(np.linalg.det(A)), float(abs(np.prod(a)))

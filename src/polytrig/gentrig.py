@@ -211,7 +211,13 @@ def make_system(p: Polynomial) -> GenTrigSystem:
 
 def from_roots(roots) -> GenTrigSystem:
     """System from explicitly known roots, bypassing the root finder; one Horner pass
-    gives the root set max |P(r)| and the backward error max |P(r)| / sum |a_k| |r|^k."""
+    gives the root set max |P(r)| and the backward error max |P(r)| / sum |a_k| |r|^k.
+
+    P is rebuilt from the roots in floating point, so the roots of x^m - c
+    give a_1 .. a_(m-1) of roundoff size rather than zero, and the
+    certificate takes its generic branch, not the exact one for x^m - c;
+    for that identity, pass the polynomial to :func:`make_system` instead.
+    """
     rs = tuple(sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag)))
     if not rs:
         raise GenTrigError("a system needs at least one root")

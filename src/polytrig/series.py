@@ -2,10 +2,13 @@
 
 Route: boundary functions R_l built from the exponential-sum system of P, their
 Fourier data packed into the associated matrix C(P), and a linear solve against
-the boundary values.  Every output is cross-checked by an oracle that needs no
-roots: the terms |n| <= N summed directly, the rest summed exactly as Hurwitz
-zeta values of the Laurent series of 1/P at infinity, with an error bar that
-bounds the Laurent remainder, the Euler-Maclaurin remainder and the roundoff.
+the boundary values: one LAPACK LU of C(P) (``linalg.solve``) gives the sums
+and the condition estimate, and an estimate whose product with eps is not
+below 1 raises :class:`DegenerateMatrixError`.  Every output is cross-checked
+by an oracle that needs no roots: the terms |n| <= N summed directly, the rest
+summed exactly as Hurwitz zeta values of the Laurent series of 1/P at
+infinity, with an error bar that bounds the Laurent remainder, the
+Euler-Maclaurin remainder and the roundoff.
 """
 from __future__ import annotations
 
@@ -58,7 +61,15 @@ class IntegerRootError(SeriesError):
 
 
 class DegenerateMatrixError(SeriesError):
-    """C(P) is singular to working precision: the solve's non-degeneracy hypothesis fails."""
+    """C(P) is singular to working precision: its condition estimate times eps
+    is not below 1 (nan included; inf on an exact zero pivot), so the solve's
+    non-degeneracy hypothesis fails."""
+
+    def __init__(self, condition_estimate: float):
+        super().__init__(f"associated matrix C(P) is singular to working precision "
+                         f"(condition estimate {condition_estimate:.3e}); the "
+                         "closed-form solve would return no correct digits")
+        self.condition_estimate = condition_estimate
 
 
 class CrossCheckError(SeriesError, ArithmeticError):
@@ -104,7 +115,7 @@ def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
 
 @dataclass(frozen=True)
 class AssociatedMatrix:
-    """C[l][k] with columns in ascending powers of n; condition from the solve kernel."""
+    """C[l][k] with columns in ascending powers of n; the condition estimate of its solve."""
 
     m: int
     C: np.ndarray
@@ -134,10 +145,10 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
 
 
 def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
-    """C(P), cross-checked by two routes, with its condition estimate."""
+    """C(P), cross-checked by two routes, with the condition estimate of its solve."""
     _check_roots(sys)
     C = _cross_checked_C(sys)
-    return AssociatedMatrix(sys.m, C, linalg.condition_number(C))
+    return AssociatedMatrix(sys.m, C, linalg.solve(C)[1])
 
 
 def _hurwitz_zeta(s, a):
@@ -337,9 +348,11 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     represents.  With ``run_oracle`` every sum is paired with its
     :func:`brute_force_sums` estimate, one oracle pass of ``oracle_n``
     (at least ``MIN_ORACLE_N``) for all 2m sums; without it the oracle
-    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.  The one refusal:
-    a C(P) whose condition estimate times eps is not below 1 (singular to
-    working precision) raises :class:`DegenerateMatrixError` with the estimate.
+    fields hold ``(nan, inf)`` and ``oracle_n`` is unused.  One LU of C(P)
+    gives the sums and the condition estimate; the one refusal of the solve,
+    an estimate whose product with eps is not below 1 (singular to working
+    precision, nan and inf included), raises :class:`DegenerateMatrixError`
+    carrying the estimate.
     """
     if p.degree < 2:
         raise SeriesError("degree must be at least 2 for the sums to converge")
@@ -349,12 +362,9 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     C = _cross_checked_C(sys)
     E = sys.exponentials(np.array([math.pi, -math.pi, 0.0]))  # the weights need pi and -pi
     R = E @ _boundary_weights(sys, E).T
-    try:
-        AB, cond = linalg.solve(C, np.column_stack([(R[0] + R[1]) / 2, R[2]]))
-    except linalg.SingularMatrixError as exc:
-        raise DegenerateMatrixError(f"associated matrix C(P) is singular to working precision "
-                                    f"(condition estimate {exc.condition_estimate:.3e}); the "
-                                    "closed-form solve would return no correct digits") from exc
+    AB, cond = linalg.solve(C, np.column_stack([(R[0] + R[1]) / 2, R[2]]))
+    if not cond * _EPS < 1:
+        raise DegenerateMatrixError(cond)
     A, B = AB.T / lead
 
     if run_oracle:

@@ -280,19 +280,24 @@ def matrix_A_nondegenerate(m: int) -> CheckResult:
                        detail=f"factorization gap {agreement:.1e}")
 
 
-def _quadrature_fourier(sys, l, ns):
-    """Fourier coefficients of R_l for every n in ``ns`` by composite Gauss-Legendre.
+def _quadrature_fourier(ns):
+    """Fourier coefficients by composite Gauss-Legendre, for every n in ``ns``.
 
-    R_l is evaluated at all 32 panels * 8 nodes in one product; each coefficient
-    is then a weighted sum of those values against exp(i n x).
+    Builds the 32 panels * 8 nodes and the exp(i n x) table once, and returns
+    a function of ``(sys, l)``: R_l evaluated at every node in one product,
+    each coefficient then a weighted sum of those values against exp(i n x).
     """
     nodes, weights = leggauss(8)
     edges = np.linspace(-math.pi, math.pi, 33)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * nodes).ravel()
     ws = (half[:, None] * weights).ravel()
-    values = ws * series.eval_R(sys, l, xs)
-    return np.exp(1j * np.outer(ns, xs)) @ values / (2 * math.pi)
+    table = np.exp(1j * np.outer(ns, xs))
+
+    def coefficients(sys, l):
+        return table @ (ws * series.eval_R(sys, l, xs)) / (2 * math.pi)
+
+    return coefficients
 
 
 def fourier_quadrature(seed: int = 0) -> CheckResult:
@@ -304,10 +309,11 @@ def fourier_quadrature(seed: int = 0) -> CheckResult:
         for _ in range(10):
             systems.append(_random_system(rng, 3, away_from_integers=0.05))
         ns = range(-5, 6)
+        quadrature = _quadrature_fourier(ns)
         worst = 0.0
         for sys in systems:
             for l in range(3):
-                quad = _quadrature_fourier(sys, l, ns)
+                quad = quadrature(sys, l)
                 for n, q in zip(ns, quad):
                     worst = max(worst, abs(series.fourier_coefficient(sys, l, n) - q))
         return worst

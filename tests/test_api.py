@@ -2,9 +2,13 @@
 
 A helper deleted from a module but left in ``__init__`` fails at import; a
 new public callable fails here until the list below is updated on purpose.
-So does an option added to or removed from a ``polytrig`` subcommand.
+So does an option added to or removed from a ``polytrig`` subcommand, and
+a module that the benchmark's tracer wraps going missing.
 """
 import argparse
+import importlib
+import importlib.util
+from pathlib import Path
 
 import polytrig
 from polytrig import cli
@@ -13,8 +17,6 @@ PUBLIC_CALLABLES = {
     # poly
     "ParseError", "Polynomial", "PolynomialError", "RootFindingError",
     "RootSet", "find_roots", "format_polynomial", "parse_polynomial", "synthetic_divide",
-    # linalg
-    "LinalgError", "SingularMatrixError", "condition_number", "determinant", "solve",
     # gentrig
     "ArgumentOverflowError", "CertificateUnavailableError", "GenTrigError", "GenTrigSystem",
     "IdentityCertificate", "derivative_matrix", "eval_S", "eval_S_vector", "eval_det_M",
@@ -34,6 +36,19 @@ def test_public_callables_are_pinned():
     exported = {name for name, value in vars(polytrig).items()
                 if not name.startswith("_") and callable(value)}
     assert exported == PUBLIC_CALLABLES
+
+
+def test_traced_modules_import():
+    # bench/tracer.py wraps every module in its MODULES and the benchmark
+    # fails if one is missing, so deleting a module (``linalg`` included)
+    # must fail here first
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert "linalg" in tracer.MODULES
+    for name in tracer.MODULES:
+        importlib.import_module(f"polytrig.{name}")
 
 
 def test_public_constants():

@@ -267,10 +267,11 @@ class TestExitCodes:
         def failing(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "inv", failing)
+        monkeypatch.setattr(np.linalg, "solve", failing)
         code, out, err = run(capsys, "sum", "--poly", "x^3+x^2+1")
         assert code == 3
         assert err.startswith("numerical failure") and "Traceback" not in err
+        assert "condition estimate inf" in err
         assert out == ""
 
     @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polytrig import cyclotomic, gentrig, linalg, poly, series, verify
+from polytrig import cyclotomic, gentrig, poly, series, verify
 from polytrig.gentrig import (ArgumentOverflowError, GenTrigError,
                               derivative_matrix, eval_S, eval_S_vector,
                               eval_det_M, from_roots, identity_certificate,
@@ -719,7 +719,7 @@ class TestIdentityCertificate:
         self.assert_certified(sys, cert)
         M = np.linalg.matrix_power(sys.K, sys.m)
         assert np.max(np.abs(cert.L @ M - cert.lam * cert.L)) > (
-            100 * sys.m * np.finfo(float).eps * linalg.norm1(M))
+            100 * sys.m * np.finfo(float).eps * np.linalg.norm(M, 1))
 
     @pytest.mark.parametrize("case", ["x^4+3x^2+1", "x^10+x^2+1", "x^3+x^2+1", "degree-24", "rng-18"])
     def test_a_bent_eigenvector_fails(self, case, monkeypatch):
@@ -765,7 +765,7 @@ class TestIdentityCertificate:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (poly, gentrig, linalg):
+        for module in (poly, gentrig):
             monkeypatch.setattr(module, "find_roots", counting, raising=False)
         identity_certificate(sys)
         assert calls == []

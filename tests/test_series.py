@@ -456,27 +456,23 @@ class TestEvaluateSums:
             evaluate_sums(parse_polynomial("x^2+90000"), run_oracle=False)
 
     def test_one_inverse_per_solve(self, monkeypatch):
-        # one check of the matrix and one inverse per solve, for the estimate
-        # that alone decides; no second pass on a pivot of 1e-13 norm1
+        # one LAPACK LU per solve: numpy.linalg.solve once, on [B | I], which
+        # gives the inverse behind the estimate; no numpy.linalg.inv
         calls = []
 
-        def counted(module, name):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+        def counted(name):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args: calls.append(name) or original(*args))
 
-        counted(linalg, "_as_matrix")
-        counted(np.linalg, "inv")
-        counted(np.linalg, "solve")
+        counted("inv")
+        counted("solve")
         p = parse_polynomial("x^3+x^2+1")
         res = evaluate_sums(p, run_oracle=False)
-        assert calls == ["_as_matrix", "inv", "solve"]
+        assert calls == ["solve"]
         calls.clear()
         am = associated_matrix(gentrig.make_system(p))
-        assert calls == ["_as_matrix", "inv"]
+        assert calls == ["solve"]
         assert res.condition_estimate == am.condition_estimate
-        calls.clear()
-        linalg.solve(np.diag([1.0, 1.0, 1e-13]) + 0j, np.ones(3))
-        assert calls == ["_as_matrix", "inv", "solve"]
 
     @pytest.mark.parametrize("factor, singular", [(0.5, False), (1.0, True), (4.0, True)])
     def test_singular_to_working_precision(self, monkeypatch, factor, singular):
@@ -487,10 +483,46 @@ class TestEvaluateSums:
         p = parse_polynomial("x^3+x^2+1")
         if singular:
             message = f"working precision (condition estimate {factor / EPS:.3e})"
-            with pytest.raises(DegenerateMatrixError, match=re.escape(message)):
+            with pytest.raises(DegenerateMatrixError, match=re.escape(message)) as exc:
                 evaluate_sums(p, run_oracle=False)
+            assert exc.value.condition_estimate == factor / EPS
         else:
             assert evaluate_sums(p, run_oracle=False).condition_estimate == factor / EPS
+
+    @pytest.mark.parametrize("case", ["nan", "inf"])
+    def test_non_finite_estimates_are_refused(self, monkeypatch, case):
+        # subnormal entries give an inverse and an estimate of nan; an exact
+        # zero pivot fails LAPACK's LU, the estimate inf.  Both refuse.
+        C = {"nan": np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1]]) * 1e-310,
+             "inf": np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])}[case] + 0j
+        monkeypatch.setattr(series, "_cross_checked_C", lambda sys: C)
+        p = parse_polynomial("x^3+x^2+1")
+        with pytest.raises(DegenerateMatrixError, match=f"condition estimate {case}") as exc:
+            evaluate_sums(p, run_oracle=False)
+        assert str(exc.value.condition_estimate) == case
+        assert str(associated_matrix(gentrig.make_system(p)).condition_estimate) == case
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_planted_pivots_are_solved(self, monkeypatch, n):
+        # pivots at (1 -+ 1e-6) 1e-13 norm1(C) have cond eps < 1: the sums
+        # come back as numpy's solve against the boundary data, bit for bit
+        rng = np.random.default_rng(600 + n)
+        p = parse_polynomial(f"x^{n}+0.5")  # monic, so the sums are the solve's columns
+        solves, rule = [], linalg.solve
+        monkeypatch.setattr(linalg, "solve", lambda C, B: solves.append(B) or rule(C, B))
+        for k in range(n):
+            for scale in (1 - 1e-6, 1 + 1e-6):
+                L = np.tril(rng.uniform(-0.3, 0.3, (n, n)), -1) + np.eye(n)
+                U = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+                U[np.diag_indices(n)] = 1 + rng.uniform(size=n)
+                U[:k + 1, k] = 0
+                C = L @ U
+                C[:, k] = L[:, k] * (scale * 1e-13 * np.linalg.norm(C, 1))
+                monkeypatch.setattr(series, "_cross_checked_C", lambda sys: C)
+                res = evaluate_sums(p, run_oracle=False)
+                cond = np.linalg.norm(C, 1) * np.linalg.norm(np.linalg.inv(C), 1)
+                assert res.condition_estimate == cond and cond * n * 1e-13 > 1 - 1e-6
+                assert np.array_equal(np.column_stack([res.A, res.B]), np.linalg.solve(C, solves[-1]))
 
     def test_oracle_skippable(self):
         res = evaluate_sums(parse_polynomial("x^2+1"), run_oracle=False)
@@ -510,37 +542,37 @@ def _bench_workloads(monkeypatch):
 
 def test_solve_is_the_one_rule_on_the_bench_pools(monkeypatch):
     # every C(P) the closed sums solve in the benchmark's small, large and
-    # sums pools: numpy's x and the estimate norm1(C) norm1(inv C), or a
-    # refusal exactly when that estimate times eps reaches 1, which happens
-    # once, at degree 24
+    # sums pools: numpy's x and the estimate norm1(C) norm1(inv C), and a
+    # refusal carrying that estimate exactly when it times eps reaches 1,
+    # which happens once, at degree 24
     workloads = _bench_workloads(monkeypatch)
     rule, solved, refused = linalg.solve, [], []
 
-    def checked(M, b):
-        A = np.array(M)
-        cond = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    def checked(C, B):
+        cond = np.linalg.norm(C, 1) * np.linalg.norm(np.linalg.inv(C), 1)
+        x, estimate = rule(C, B)
+        assert estimate == cond
         if cond * EPS < 1:
-            x, estimate = rule(A, b)
-            assert np.array_equal(x, np.linalg.solve(A, b)) and estimate == cond
-            solved.append(len(A))
-            return x, estimate
-        with pytest.raises(linalg.SingularMatrixError) as got:
-            rule(A, b)
-        assert got.value.condition_estimate == cond
-        refused.append(len(A))
-        raise got.value
+            assert np.array_equal(x, np.linalg.solve(C, B))
+            solved.append(len(C))
+        else:
+            refused.append((len(C), cond))
+        return x, estimate
 
     monkeypatch.setattr(linalg, "solve", checked)
     polys = {}
     for name in ("small", "large", "sums"):
         for task in workloads.pool(name, 0):
             polys[task.poly.coeffs] = task.poly
+    refusals = []
     for p in polys.values():
         try:
             evaluate_sums(p, run_oracle=False)
+        except DegenerateMatrixError as exc:
+            refusals.append((p.degree, exc.condition_estimate))
         except (ArithmeticError, SeriesError, ValueError):
-            pass  # refused before or after the solve, as at any commit
-    assert refused == [24]
+            pass  # refused before the solve, as at any commit
+    assert refusals == refused and [m for m, _ in refused] == [24]
     assert len(solved) > 0.9 * len(polys)
 
 
