@@ -299,12 +299,16 @@ class RootSet:
 def find_roots(p: Polynomial) -> RootSet:
     """All roots: companion eigenvalues (backward stable) polished by Aberth sweeps.
 
-    Each sweep is one :func:`horner` pass for P(z), P'(z) and the scale sum
-    |a_k| |z|^k at every iterate, then one Aberth correction of them all.  The
-    polish stops when every iterate has |P(z)| <= 4 m eps scale and the largest
-    correction no longer halves (or is zero); that correction is not applied,
-    and the seed always gets at least one.  Raises :class:`RootFindingError`
-    when LAPACK returns no eigenvalues or after ``MAX_SWEEPS`` sweeps.
+    Each sweep refills one power matrix V[j, k] = z_j^k by a running product
+    along its rows, takes P(z) and P'(z) at every iterate from one product of V
+    with their ascending coefficients, then makes one Aberth correction of
+    them all.  The polish stops when every iterate has |P(z)| <= 4 m eps scale,
+    scale = sum |a_k| |z|^k = |V| |a|, and the largest correction no longer
+    halves (or is zero); that correction is not applied, and the seed always
+    gets at least one.  Raises :class:`RootFindingError` when LAPACK returns no
+    eigenvalues, when |z|^m overflows at a seed, or after ``MAX_SWEEPS``
+    sweeps; its ``best_roots``, residual and backward error then describe the
+    last iterate.
     """
     m = p.degree
     if m < 1:
@@ -320,33 +324,45 @@ def find_roots(p: Polynomial) -> RootSet:
     except np.linalg.LinAlgError as exc:  # non-finite companion, or no QR convergence
         raise RootFindingError(f"roots: no companion eigenvalues ({exc})", (), math.inf) from exc
 
-    # falling-power coefficients of P, P' and the scale, one (3, 1) column per power
-    desc = a[::-1]
-    rows = np.array([desc, np.concatenate(([0], desc[:-1] * np.arange(m, 0, -1))), np.abs(desc)])
-    columns = rows.T[:, :, None]
-    points = np.empty((3, m), dtype=complex)  # z, z, |z|
+    # ascending coefficients of P and P', one column each
+    coef = np.zeros((m + 1, 2), dtype=complex)
+    coef[:, 0] = a
+    coef[:-1, 1] = a[1:] * np.arange(1, m + 1)
+    abs_a = np.abs(a)
+    V = np.ones((m, m + 1), dtype=complex)
+
+    def powers(z):  # V[j, k] = z_j^k by a running product along each row
+        V[:, 1:] = z[:, None]
+        return np.multiply.accumulate(V, axis=1, out=V)
+
+    gap = np.empty((m, m), dtype=complex)
     bound = 4 * m * float(np.finfo(float).eps)
     half_step = np.inf
     converged = False
     with np.errstate(all="ignore"):  # 0 * inf at coincident iterates, 0 / 0 at a zero root
+        top = np.maximum.reduce(np.abs(z))
+        if not np.isfinite(top ** m):  # V would hold inf, and no scale bounds |P(z)|
+            raise RootFindingError(f"roots: |z|^{m} overflows at |z| = {top:.3e}",
+                                   (np.sort(z) + 0).tolist(), math.inf)
         for sweep in range(1, MAX_SWEEPS + 1):
-            points[:2] = z
-            points[2] = np.abs(z)
-            value, slope, scale = horner(columns, points)
-            scale = scale.real
-            gap = z[:, None] - z
+            value, slope = (powers(z) @ coef).T
+            np.subtract.outer(z, z, out=gap)
             gap.flat[::m + 1] = np.inf  # drops k = j from the Aberth sum
-            corr = value / (slope - value * np.add.reduce(np.reciprocal(gap), 1))
+            corr = value / (slope - value * np.add.reduce(np.reciprocal(gap, out=gap), 1))
             step = np.maximum.reduce(np.abs(corr))
             if math.isnan(step):  # 0 * inf or 0 / 0: such an iterate stays put
                 corr[np.isnan(corr)] = 0
                 step = np.maximum.reduce(np.abs(corr))
             if step > half_step or step == 0:
+                scale = np.abs(V) @ abs_a
                 converged = (np.abs(value) <= bound * scale).all()
                 if converged:
                     break
             z -= corr
             half_step = 0.5 * step
+        else:  # the cap: evaluate the corrected iterate that is returned
+            value = powers(z) @ a
+            scale = np.abs(V) @ abs_a
         size = np.abs(value)
         backward = float(np.maximum.reduce(size / scale, where=scale > 0, initial=0.0))
     residual = abs(p.coeffs[-1]) * float(np.maximum.reduce(size))

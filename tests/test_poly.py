@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,17 @@ class TestRoots:
             assert rs.backward_error <= bound
             assert max(backward_errors(p, rs)) <= 2 * bound  # reevaluated, own rounding
 
+    @pytest.mark.parametrize("degree", range(1, 12))
+    def test_in_domain_low_degree_polys_converge(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(40):
+            p = in_domain_poly(rng, degree)
+            rs = find_roots(p)
+            bound = 4 * degree * EPS
+            assert len(rs) == degree
+            assert rs.backward_error <= bound
+            assert max(backward_errors(p, rs)) <= 2 * bound  # reevaluated, own rounding
+
     def test_roots_at_zero(self):
         # coincident iterates at 0, where P and the scale both vanish
         rs = find_roots(parse_polynomial("x^3+x^2"))
@@ -234,6 +246,29 @@ class TestRoots:
                                                    r"backward error") as exc:
             find_roots(Polynomial((-2, -3j, 1)))
         assert len(exc.value.best_roots) == 2
+
+    def test_sweep_cap_reports_the_returned_iterate(self, monkeypatch):
+        # residual and backward error are those of best_roots, the iterate after
+        # the last correction; there the real parts, below 1e-31, are all that is
+        # inexact, so any summation order gives |P(z)| to a few ulps
+        monkeypatch.setattr(poly, "MAX_SWEEPS", 1)
+        p = Polynomial((-2, -3j, 1))
+        with pytest.raises(RootFindingError) as exc:
+            find_roots(p)
+        best = exc.value.best_roots
+        residual = max(abs(p(z)) for z in best)
+        assert exc.value.residual == pytest.approx(residual, rel=1e-12, abs=0)
+        reported = float(re.search(r"backward error (\S+) ", str(exc.value)).group(1))
+        assert reported == pytest.approx(max(backward_errors(p, best)), rel=1e-3, abs=0)
+
+    def test_overflowing_powers_are_refused(self):
+        # z^2 overflows at the root 1e300, so no finite scale bounds |P(z)| there
+        with pytest.raises(RootFindingError,
+                           match=r"^roots: \|z\|\^2 overflows at \|z\| = 1\.000e\+300$") as exc:
+            find_roots(Polynomial((1, -1e300, 1)))
+        assert len(exc.value.best_roots) == 2 and exc.value.residual == math.inf
+        rs = find_roots(Polynomial((-1e300,) + (0,) * 23 + (1,)))  # |z|^24 = 1e300 fits
+        assert rs.backward_error <= 4 * 24 * EPS
 
     def test_nonmonic_and_linear(self):
         assert find_roots(Polynomial((6, 3))).roots == (-2,)

@@ -1,10 +1,7 @@
 import cmath
 import dataclasses
-import importlib.util
 import math
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,22 +527,11 @@ class TestEvaluateSums:
         assert res.A[0] == pytest.approx(math.pi / math.tanh(math.pi), abs=1e-12)
 
 
-def _bench_workloads(monkeypatch):
-    """The benchmark's pool builder, bench/workloads.py, loaded by its path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_solve_is_the_one_rule_on_the_bench_pools(monkeypatch):
+def test_solve_is_the_one_rule_on_the_bench_pools(monkeypatch, bench_polys):
     # every C(P) the closed sums solve in the benchmark's small, large and
     # sums pools: numpy's x and the estimate norm1(C) norm1(inv C), and a
     # refusal carrying that estimate exactly when it times eps reaches 1,
     # which happens once, at degree 24
-    workloads = _bench_workloads(monkeypatch)
     rule, solved, refused = linalg.solve, [], []
 
     def checked(C, B):
@@ -560,12 +546,8 @@ def test_solve_is_the_one_rule_on_the_bench_pools(monkeypatch):
         return x, estimate
 
     monkeypatch.setattr(linalg, "solve", checked)
-    polys = {}
-    for name in ("small", "large", "sums"):
-        for task in workloads.pool(name, 0):
-            polys[task.poly.coeffs] = task.poly
     refusals = []
-    for p in polys.values():
+    for p in bench_polys:
         try:
             evaluate_sums(p, run_oracle=False)
         except DegenerateMatrixError as exc:
@@ -573,7 +555,23 @@ def test_solve_is_the_one_rule_on_the_bench_pools(monkeypatch):
         except (ArithmeticError, SeriesError, ValueError):
             pass  # refused before the solve, as at any commit
     assert refusals == refused and [m for m, _ in refused] == [24]
-    assert len(solved) > 0.9 * len(polys)
+    assert len(solved) > 0.9 * len(bench_polys)
+
+
+def test_closed_sums_pass_the_bench_gate_or_are_refused(bench_workloads, bench_polys):
+    # every distinct polynomial of the benchmark's small, large and sums pools
+    # either passes the gate of its closed_sums operation (the residue formula
+    # at np.roots roots) or is refused by the condition estimate, which happens
+    # once, at degree 24; a wrong answer here would mark a whole run incorrect
+    refused = []
+    for p in bench_polys:
+        try:
+            res = evaluate_sums(p, run_oracle=False)
+        except DegenerateMatrixError:
+            refused.append(p.degree)
+            continue
+        bench_workloads.check_closed_sums(bench_workloads.Task("closed_sums", p), res)
+    assert refused == [24]
 
 
 def _cross_check_gap(sys):
