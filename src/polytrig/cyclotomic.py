@@ -2,7 +2,8 @@
 
 Conventions: zeta = exp(2*pi*i/m) and eta = exp(i*pi/m), so eta**2 == zeta and
 eta**m == -1.  The rescaled functions are S_l(x) = (1/m) * S^P_l(i*eta*x) for
-P = x^m - 1; for m = 2 they are cos and sin.
+P = x^m - 1 (cos and sin for m = 2), and the functions of the system of
+x^m + i^m, whose roots are i*eta*zeta^j, with row l scaled by s_l.
 """
 from __future__ import annotations
 
@@ -15,37 +16,53 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gentrig
-from .poly import MAX_DEGREE
+from .poly import MAX_DEGREE, Polynomial, RootSet
 
 
 class CyclotomicError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CyclotomicSystem(gentrig._ExpSum):
-    """S_l(x) = sum_j weights[l][j] exp(-i r[j] x), for l = 0..m-1."""
+def _unit(k, m: int) -> np.ndarray:
+    """q^k for q = exp(i pi / (2m)), a primitive 4m-th root of unity; the
+    integer exponents are reduced mod 4m first, so each power is one rounding."""
+    return np.exp(0.5j * np.pi / m * (np.asarray(k) % (4 * m)))
 
-    m: int
+
+def _binomial(m: int, c: complex, k: np.ndarray, cls=gentrig.GenTrigSystem, **fields):
+    """The system of x^m - c from its exact roots q^k[j] (:func:`_unit`) in
+    lexicographic order.  (x^m - c) / (x - r_j) = sum_k r_j^k x^(m-1-k), so the
+    T grid is T[0] = 1 and T[l][j] = (-1)^(l-1) r_j^l = -(-r_j)^l, and the
+    backward error of r_j is |r_j^m - c| over |r_j|^m + |c| = 2."""
+    r = _unit(k, m)
+    k = k[np.lexsort((r.imag, r.real))]
+    r, T = _unit(k, m), -_unit(np.outer(np.arange(m), k + 2 * m), m)
+    T[0] = 1
+    residual = float(np.abs(r ** m - c).max())
+    roots = RootSet(tuple(r.tolist()), residual, residual / 2)
+    return gentrig._system(Polynomial((-c,) + (0,) * (m - 1) + (1,)), roots, T, cls, **fields)
+
+
+@dataclass(frozen=True, eq=False)
+class CyclotomicSystem(gentrig.GenTrigSystem):
+    """The system of P = x^m + i^m, with roots r_j = i eta zeta^j so that
+    exp(-i r_j x) = exp(eta zeta^j x); S_l is its function l times ``_scale[l]``."""
+
     zeta: complex
     eta: complex
 
     @cached_property
-    def r(self) -> np.ndarray:
-        """i eta zeta^j for j = 0..m-1, so that exp(-i r[j] x) = exp(eta zeta^j x)."""
-        return 1j * (self.eta * self.zeta ** np.arange(self.m))
+    def _scale(self) -> list:
+        """s_l = 1/m at l = 0, else -(-1)^l / (m (i zeta)^l) = -q^((m-4) l) / m,
+        so that s_l T[l][j] = zeta^(l j) / (m eta^l)."""
+        s = -_unit((self.m - 4) * np.arange(self.m), self.m) / self.m
+        s[0] = 1 / self.m
+        return s.tolist()
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """zeta^(l j) / (m eta^l), with l on the rows."""
-        l = np.arange(self.m)
-        return self.zeta ** (np.outer(l, l) % self.m) / (self.m * self.eta ** l)[:, None]
-
-    @cached_property
-    def _det_rows(self) -> np.ndarray:
-        """The spectral rows of f_l = zeta^l S_l with lam = -1, so w_j = eta zeta^j."""
-        F = (self.zeta ** np.arange(self.m))[:, None] * self.weights
-        return gentrig._circulant_rows(F, -1.0)
+    def _certificate(self) -> gentrig.IdentityCertificate:
+        """The binomial certificate, with L = e_0 and lam = -1."""
+        return gentrig.identity_certificate(self)
 
 
 def _order(m) -> int:
@@ -57,40 +74,37 @@ def _order(m) -> int:
 
 
 def make_cyclotomic(m: int) -> CyclotomicSystem:
-    """The system of order m, an integer in 1..``MAX_DEGREE``."""
+    """The system of order m, an integer in 1..``MAX_DEGREE``; its roots are q^(4j + 2 + m)."""
     m = _order(m)
-    return CyclotomicSystem(m, cmath.exp(2j * math.pi / m), cmath.exp(1j * math.pi / m))
-
-
-def _check_index(m: int, l) -> int:
-    return gentrig._check_index(m, l, CyclotomicError)
+    return _binomial(m, -(1j ** m), 4 * np.arange(m) + 2 + m, CyclotomicSystem,
+                     zeta=cmath.exp(2j * math.pi / m), eta=cmath.exp(1j * math.pi / m))
 
 
 def _eval_all(sys: CyclotomicSystem, x) -> np.ndarray:
     """S[..., l] = S_l(x) for every l at once."""
-    return sys.exponentials(x) @ sys.weights.T
+    return gentrig.eval_S_vector(sys, x) * sys._scale
 
 
 def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
-    """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x); an array of x gives an array."""
+    """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x), as s_l times
+    ``gentrig.eval_S``, whose row slot it shares; an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
-        l = _check_index(sys.m, l)
-    return sys._value("S_row", sys.weights, l, x)
+        l = gentrig._check_index(sys.m, l, CyclotomicError)
+    return sys._scale[l] * gentrig.eval_S(sys, l, x)
 
 
 @lru_cache(maxsize=32)
 def _unit_system(m: int) -> gentrig.GenTrigSystem:
-    # exact roots of unity; avoids re-running the root finder per call
-    return gentrig.from_roots(np.exp(2j * np.pi * np.arange(m) / m))
+    """The system of x^m - 1 from its exact roots zeta^j = q^(4j), built once per order."""
+    return _binomial(m, 1, 4 * np.arange(m))
 
 
 def rescale_consistency(sys: CyclotomicSystem, l: int, x: complex):
     """Both sides of the rescaling relation tying S_l to the x^m - 1 system.
 
-    For l >= 1 the exponential-sum route carries an extra unit factor
-    (-1)**(l-1) * eta**l relative to the plain 1/m rescale (forced by the
-    coefficient grid of the roots of unity; visible already at m = 2 where
-    the uncorrected rescale would yield i*sin instead of sin).
+    For l >= 1 the route through x^m - 1 carries a unit factor (-1)**(l-1) *
+    eta**l beyond the plain 1/m: the sign of its T grid and the eta**l of
+    S_l's 1/(m eta^l) (at m = 2 the plain rescale gives i*sin, not sin).
     """
     lhs = eval_S_cyclo(sys, l, x)
     unit = 1.0 if l == 0 else ((-1) ** (l - 1)) * sys.eta ** l
@@ -105,7 +119,7 @@ def taylor_eval_cyclo(sys: CyclotomicSystem, l: int, x: complex, terms: int) -> 
     1) are read off one running product of x / n; an array of x gives an array.
     ``terms`` is a non-negative integer.
     """
-    l = _check_index(sys.m, l)
+    l = gentrig._check_index(sys.m, l, CyclotomicError)
     terms = gentrig._integer(terms, "term count", CyclotomicError)
     if not 0 <= terms * sys.m <= 170:
         raise CyclotomicError(f"term count {terms} is outside 0..{170 // sys.m}: "
@@ -131,7 +145,7 @@ class AdditionRule:
 def addition_rule(m: int, l: int) -> AdditionRule:
     """The addition rule of S_l at order m, an integer in 1..``MAX_DEGREE``."""
     m = _order(m)
-    l = _check_index(m, l)
+    l = gentrig._check_index(m, l, CyclotomicError)
     signs = tuple(1 if r <= l else -1 for r in range(m))
     partners = tuple((l - r) % m for r in range(m))
     return AdditionRule(m, l, signs, partners)
@@ -146,29 +160,24 @@ def apply_addition(sys: CyclotomicSystem, rule: AdditionRule, x1: complex, x2: c
 
 
 def det_M_constant(m: int) -> int:
-    """The constant value of det_M_cyclo: (-1)**(m*(m-1)//2).
+    """(-1)**(m*(m-1)//2), the value of det_M_cyclo at an order m in 1..``MAX_DEGREE``.
 
-    Forced at x = 0, where S_l(0) = delta_{l,0} leaves a single 1 and an
-    anti-diagonal of -1 entries whose reversal permutation contributes
-    (-1)**((m-1)*(m-2)//2) on top of the (-1)**(m-1) product.  The order m
-    is an integer in 1..``MAX_DEGREE``.
+    At x = 0, S_l(0) = delta_{l,0} leaves one 1 and an anti-diagonal of -1
+    entries, whose reversal adds (-1)**((m-1)*(m-2)//2) to their (-1)**(m-1).
     """
     m = _order(m)
     return (-1) ** (m * (m - 1) // 2)
 
 
 def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
-    """Determinant of the shifted matrix of f_l = zeta^l S_l(x), as the product
-    of its lam-circulant eigenvalues (``gentrig._circulant_rows``).
-
-    Constant in x for m >= 2; equals :func:`det_M_constant` of the order.
-    At m = 1 the matrix is [[S_0(x)]] = [[exp(-x)]], with no wrap and no
-    identity, and :class:`CyclotomicError` is raised.  An array of x gives
-    an array.
-    """
+    """det of the shifted matrix of f_l = zeta^l S_l(x) with lam = -1, constant in x
+    at :func:`det_M_constant`.  The system's certificate (L = e_0, lam = -1) has rows
+    (-i r_j)^l = m zeta^l s_l T[l][j], so its f_l are m zeta^l S_l and this is its
+    ``gentrig.eval_det_M`` over m^m.  At m = 1, [[exp(-x)]] has no wrap and no
+    identity: :class:`CyclotomicError`.  An array of x gives an array."""
     if sys.m < 2:
         raise CyclotomicError("the determinant identity needs m at least 2")
-    return gentrig._spectral_det(sys._det_rows, sys.exponentials(x))
+    return gentrig.eval_det_M(sys._certificate, sys, x) / sys.m ** sys.m
 
 
 def factorial_identity_check(n: int):
@@ -208,23 +217,19 @@ def factorial_identity_check(n: int):
 def matrix_A(sys: CyclotomicSystem):
     """The boundary-jump solvability matrix and two determinant routes.
 
-    Returns ``(A, det, det_via_factorization)``: ``det`` from one LAPACK LU
-    of A (``numpy.linalg.det``), the second the modulus predicted by the
-    Vandermonde factorization m^m J' = V J''; only moduli are comparable
-    since unit phase factors are discarded along the way.  V = zeta^(jk) over
-    sqrt(m) is unitary, so |det V|^2 = m^m exactly and that modulus is
-    prod_j |a_j| with no second LU, where
-    a_j = exp(eta zeta^j pi) - exp(-eta zeta^j pi) = 2 sinh(pi eta zeta^j).
-    Since eta zeta^j = exp(i pi (2j+1)/m), a_j = 0 exactly when
-    eta zeta^j = +-i, so det A_m = 0 exactly when m is congruent to 2 mod 4;
-    the vanishing factors are j = (m-2)/4 and j = (3m-2)/4 (j = 0, 1 for
-    m = 2; j = 1, 4 for m = 6), and both routes then return roundoff.
+    Returns ``(A, det, det_via_factorization)``: ``det`` from one LAPACK LU of
+    A (``numpy.linalg.det``), the second the modulus of the Vandermonde
+    factorization m^m J' = V J'' (unit phases dropped).  V = zeta^(jk) / sqrt(m)
+    is unitary, so that modulus is prod_j |a_j|, a_j = 2 sinh(pi eta zeta^j).
+    As eta zeta^j = exp(i pi (2j+1)/m), a_j = 0 exactly at eta zeta^j = +-i,
+    j = (m-2)/4 and (3m-2)/4: det A_m = 0 for m = 2 mod 4 (j = 0, 1 at m = 2;
+    1, 4 at m = 6), and both routes then return roundoff.
     """
     m, eta = sys.m, sys.eta
     if m > 12:
         raise CyclotomicError("m above 12 is not supported here")
     E = sys.exponentials(np.array([math.pi, -math.pi]))
-    S = E @ sys.weights.T
+    S = E @ sys.T.T * sys._scale
     d = S[0] - S[1]  # every jump S_l(pi) - S_l(-pi)
     l, k = np.ogrid[:m, :m]
     idx = (m - 1 - k + l) % m

@@ -96,9 +96,25 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
 _NO_ROW = (object(), None)
 
 
-class _ExpSum:
-    """Rates, root radius and exponentials of a family S_l(x) = sum_j W[l][j] exp(-i r_j x),
-    from the roots ``r`` that the subclass provides."""
+@dataclass(frozen=True, eq=False)
+class GenTrigSystem:
+    """Monic polynomial, its roots, the T grid and the derivative matrix K, with
+    the functions S_l(x) = sum_j T[l][j] exp(-i r_j x), for l = 0..m-1; it keeps
+    per-object caches, so it compares and hashes by identity."""
+
+    poly: Polynomial
+    roots: RootSet
+    T: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
+
+    @cached_property
+    def m(self) -> int:
+        return self.poly.degree
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """The roots as an array, in the column order of T."""
+        return np.array(self.roots.roots, dtype=complex)
 
     @cached_property
     def minus_ir(self) -> np.ndarray:
@@ -118,13 +134,13 @@ class _ExpSum:
     def _value(self, slot: str, W: np.ndarray, l: int, x):
         """(E(x) @ W.T)[l], function l of the family with weights W.
 
-        Each family keeps the ``(x, row)`` of its last scalar x in the slot of
-        that name.  A call at the very object x of the slot (``is``, so
-        ``-0.0`` never meets ``0.0``'s row, nor an int a complex's) reads its
-        entry, a Python complex; any other scalar takes the whole row
-        E @ W.T and replaces the slot in one assignment.  An array of x gives
-        an array, from its own product with W[l] (a 0-d array gives a
-        complex), and neither an array nor a call that raises is stored.
+        Each family (the S_l of ``eval_S``, the R_l of ``series.eval_R``) keeps
+        the ``(x, row)`` of its last scalar x in the slot of that name.  A call at
+        the very object x of the slot (``is``, so ``-0.0`` never meets ``0.0``'s
+        row, nor an int a complex's) reads its entry, a Python complex; any
+        other scalar takes the whole row E @ W.T and replaces the slot in one
+        assignment.  An array of x gives an array, from its own product with
+        W[l] (a 0-d array gives a complex); no array or raising call is stored.
         """
         last = self.__dict__.get(slot, _NO_ROW)
         if last[0] is x:
@@ -142,7 +158,7 @@ def _row(E: np.ndarray, W: np.ndarray) -> list:
     return (E @ W.T).tolist()
 
 
-def _guarded_exp(x, sys: _ExpSum) -> np.ndarray:
+def _guarded_exp(x, sys: GenTrigSystem) -> np.ndarray:
     """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
 
     The one exponential kernel of the package.  Since |Re(-i r_j x)| <=
@@ -176,32 +192,11 @@ def _scalar(value):
     return value if isinstance(value, np.ndarray) else complex(value)
 
 
-@dataclass(frozen=True)
-class GenTrigSystem(_ExpSum):
-    """Monic polynomial, its roots, the T grid and the derivative matrix K."""
-
-    poly: Polynomial
-    roots: RootSet
-    T: np.ndarray
-    K: np.ndarray
-
-    @cached_property
-    def m(self) -> int:
-        return self.poly.degree
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        """The roots as an array, in the column order of T."""
-        return np.array(self.roots.roots, dtype=complex)
-
-
-def _system(mon: Polynomial, roots: RootSet) -> GenTrigSystem:
-    """The T grid and K of monic ``mon`` with the given roots; K = [-i r] at degree 1."""
-    if mon.degree >= 2:
-        K = derivative_matrix(mon)
-    else:
-        K = np.array([[-1j * roots.roots[0]]], dtype=complex)
-    return GenTrigSystem(mon, roots, tuple_coefficients(roots), K)
+def _system(mon: Polynomial, roots: RootSet, T=None, cls=GenTrigSystem, **fields):
+    """The ``cls`` of monic ``mon`` with the given roots, T grid (by default
+    ``tuple_coefficients``) and further ``fields``; K = [-i r] at degree 1."""
+    K = derivative_matrix(mon) if mon.degree >= 2 else np.array([[-1j * roots.roots[0]]])
+    return cls(mon, roots, tuple_coefficients(roots) if T is None else T, K, **fields)
 
 
 def make_system(p: Polynomial) -> GenTrigSystem:

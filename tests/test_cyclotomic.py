@@ -5,14 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polytrig import cyclotomic
+from polytrig import cyclotomic, gentrig
 from polytrig.cyclotomic import (CyclotomicError, addition_rule,
                                  apply_addition, det_M_constant,
                                  det_M_cyclo, eval_S_cyclo,
                                  factorial_identity_check, make_cyclotomic,
                                  matrix_A, rescale_consistency,
                                  taylor_eval_cyclo)
-from polytrig.gentrig import ArgumentOverflowError
+from polytrig.gentrig import ArgumentOverflowError, identity_certificate
+from polytrig.poly import Polynomial
+
+EPS = np.finfo(float).eps
 
 
 def test_m2_is_cos_sin():
@@ -61,6 +64,12 @@ def test_array_argument_matches_scalar_calls():
                 assert v == pytest.approx(scalar, abs=1e-14)
 
 
+def test_systems_compare_and_hash_by_identity():
+    # each system keeps its own memo slots, so two builds are two systems
+    a, b = make_cyclotomic(3), make_cyclotomic(3)
+    assert a == a and a != b and len({a, b, a}) == 2
+
+
 def test_overflow_uses_the_shared_guard():
     with pytest.raises(ArgumentOverflowError, match=r"beyond \+-700\)$"):
         eval_S_cyclo(make_cyclotomic(2), 0, 701j)
@@ -91,7 +100,7 @@ def test_index_must_be_an_integer_in_range(l, evaluate):
 @pytest.mark.parametrize("m", [2.5, 3.0, True, None, 0, -1, 25],
                          ids=["2.5", "3.0", "True", "None", "0", "-1", "25"])
 def test_order_must_be_an_integer_in_1_to_24(m):
-    # the weights are m by m, so an uncapped order could allocate without bound
+    # the T grid is m by m, so an uncapped order could allocate without bound
     with pytest.raises(CyclotomicError, match="order m"):
         make_cyclotomic(m)
 
@@ -193,6 +202,65 @@ class TestAddition:
     def test_order_mismatch(self):
         with pytest.raises(CyclotomicError):
             apply_addition(make_cyclotomic(3), addition_rule(4, 0), 0.1, 0.2)
+
+
+def test_values_against_a_40_digit_sum():
+    # the defining sum S_l(x) = sum_j zeta^(l j) / (m eta^l) exp(eta zeta^j x);
+    # m rounded terms of size |exp| / m each are off by about m eps of their sum
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    points = [0.7, -1.3 + 0.4j, 2j, 2.5 - 1j] + list(rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in range(1, 25):
+            sys = make_cyclotomic(m)
+            zeta, eta = mpmath.exp(2j * mpmath.pi / m), mpmath.exp(1j * mpmath.pi / m)
+            unit = [zeta ** j for j in range(m)]
+            for x in map(complex, points):
+                e = [mpmath.exp(eta * u * mpmath.mpc(x.real, x.imag)) for u in unit]
+                bound = 10 * m * EPS * float(mpmath.fsum(abs(v) for v in e)) / m
+                for l in range(m):
+                    ref = mpmath.fsum(unit[l * j % m] * v for j, v in enumerate(e)) / (m * eta ** l)
+                    got = eval_S_cyclo(sys, l, x)
+                    gap = float(abs(mpmath.mpc(got.real, got.imag) - ref))
+                    assert gap <= bound, (m, l, x, gap, bound)
+                    worst = max(worst, gap / bound)
+    assert worst > 1e-2, "the bound over 100 holds everywhere: too loose to see a change"
+
+
+class TestBinomialCertificate:
+    @staticmethod
+    def constant_holds(det_ref, constant, m):
+        """det_ref / m^m against det_M_constant(m), within 1e3 m eps."""
+        return abs(det_ref / m ** m - constant) <= 1e3 * m * EPS
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_det_ref_over_m_to_the_m_is_the_constant(self, m):
+        # L = e_0 and lam = -1 make the certificate's f_l exactly m zeta^l S_l
+        cert = make_cyclotomic(m)._certificate
+        assert cert.lam == -1 and cert.eigen_residual == 0
+        assert np.array_equal(cert.L, np.eye(m)[0])
+        constant = det_M_constant(m)
+        assert self.constant_holds(cert.det_ref, constant, m)
+        assert not self.constant_holds(cert.det_ref * (1 + 1e-9), constant, m)
+        assert not self.constant_holds(cert.det_ref, constant * (1 + 1e-9), m)
+
+    def test_built_in_closed_form(self, monkeypatch):
+        # no deflation grid and no polynomial rebuilt from floating roots
+        monkeypatch.setattr(gentrig, "tuple_coefficients", lambda *args: pytest.fail("deflation grid"))
+        monkeypatch.setattr(Polynomial, "from_roots", classmethod(lambda *args: pytest.fail("from_roots")))
+        for m in (1, 2, 7, 24):
+            assert make_cyclotomic(m).T.shape == cyclotomic._unit_system.__wrapped__(m).T.shape == (m, m)
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_unit_system_takes_the_exact_branch(self, m):
+        # x^m - 1 from its closed-form grid keeps a_1 .. a_(m-1) exactly zero
+        sys = cyclotomic._unit_system(m)
+        assert sys.poly.coeffs == (-1,) + (0,) * (m - 1) + (1,)
+        cert = identity_certificate(sys)
+        assert cert.lam == (1, -1j, -1, 1j)[m % 4]
+        assert cert.eigen_residual == 0
+        assert np.array_equal(cert.L, np.eye(m)[0])
 
 
 class TestDeterminant:

@@ -311,7 +311,8 @@ class TestLastPointMemo:
 
     ROOTS = [0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j, 1.4, -0.4 - 0.6j]
 
-    #: the slot names of the S_l (of either system class) and of the R_l
+    #: the slot names of the S_l and of the R_l; a cyclotomic system's S_l
+    #: are its own S_l scaled, and read the same slot
     SLOTS = ("S_row", "R_row")
 
     @staticmethod
@@ -385,7 +386,7 @@ class TestLastPointMemo:
         cert = identity_certificate(sys)
         x = 0.6 + 0.1j
         eval_S(sys, 1, x), series.eval_R(sys, 1, x), cyclotomic.eval_S_cyclo(cyclo, 1, x)
-        cyclotomic.det_M_cyclo(cyclo, 0.0)  # builds the cached spectral rows
+        cyclotomic.det_M_cyclo(cyclo, 0.0)  # builds the cached certificate
         before = [dict(s.__dict__) for s in (sys, cyclo)]
         for s in (sys, cyclo):
             E = s.exponentials(x)
@@ -468,6 +469,20 @@ class TestLastPointMemo:
         assert passes == [x, x, x] and len(rows) == 3
         eval_S_vector(sys, x)  # a pass of its own, and no row
         assert passes == [x] * 4 and len(rows) == 3
+
+    def test_cyclotomic_functions_share_the_system_row(self, monkeypatch):
+        # eval_S_cyclo is s_l times eval_S: one pass and one row per point for both
+        cyclo = cyclotomic.make_cyclotomic(4)
+        passes, rows = [], []
+        kernel, row = gentrig._guarded_exp, gentrig._row
+        monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: passes.append(args[0]) or kernel(*args))
+        monkeypatch.setattr(gentrig, "_row", lambda *args: rows.append(1) or row(*args))
+        for x in (0.3 - 0.2j, -1.1):
+            for l in range(cyclo.m):
+                value, unscaled = cyclotomic.eval_S_cyclo(cyclo, l, x), eval_S(cyclo, l, x)
+                assert type(value) is complex and value == cyclo._scale[l] * unscaled
+            assert passes == [x] and len(rows) == 1 and cyclo.__dict__["S_row"][0] is x
+            passes.clear(), rows.clear()
 
     @pytest.mark.parametrize("x", [0.3 - 0.2j, -1.1, 2, 0.0], ids=["complex", "float", "int", "zero"])
     def test_rows_match_the_vector_exactly(self, x):
@@ -880,8 +895,9 @@ class TestSpectralDeterminant:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_cyclotomic_matches_lu_fold(self, m):
+        # f_l = zeta^l S_l, and S_l is row l of the system times s_l
         sys = cyclotomic.make_cyclotomic(m)
-        F = (sys.zeta ** np.arange(m))[:, None] * sys.weights
+        F = (sys.zeta ** np.arange(m) * sys._scale)[:, None] * sys.T
         x = verify.sample_points(np.random.default_rng(300 + m), verify.SAMPLES, 2.0)
         if m == 1:  # [[exp(-x)]] has no wrap and no identity: refused
             with pytest.raises(cyclotomic.CyclotomicError):
