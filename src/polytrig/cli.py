@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--poly", help="polynomial expression, e.g. 'x^3+x^2+1'")
             p.add_argument("--coeffs", help="comma-separated ascending coefficients")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument("--text", action="store_true", help="force aligned text output")
 
     def sampled(p):
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
@@ -332,14 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _wants_json(args) -> bool:
-    if getattr(args, "json", False):
-        return True
-    if getattr(args, "text", False):
-        return False
-    return os.environ.get("POLYTRIG_FORMAT", "").lower() == "json"
-
-
 _COMMANDS = {
     "roots": cmd_roots,
     "eval": cmd_eval,
@@ -360,10 +350,10 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify":
             doc, code = cmd_verify(args)
-            emit(doc, _wants_json(args))
+            emit(doc, args.json)
             return code
         doc = _COMMANDS[args.subcommand](args)
-        emit(doc, _wants_json(args))
+        emit(doc, args.json)
         return EXIT_OK
     except (ParseError, cyclotomic.CyclotomicError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,11 +59,6 @@ class CyclotomicSystem(gentrig.GenTrigSystem):
         s[0] = 1 / self.m
         return s.tolist()
 
-    @cached_property
-    def _certificate(self) -> gentrig.IdentityCertificate:
-        """The binomial certificate, with L = e_0 and lam = -1."""
-        return gentrig.identity_certificate(self)
-
 
 def _order(m) -> int:
     """``m`` as an order, an integer in 1..``MAX_DEGREE``; anything else raises CyclotomicError."""
@@ -86,11 +81,11 @@ def _eval_all(sys: CyclotomicSystem, x) -> np.ndarray:
 
 
 def eval_S_cyclo(sys: CyclotomicSystem, l: int, x: complex) -> complex:
-    """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x), as s_l times
-    ``gentrig.eval_S``, whose row slot it shares; an array of x gives an array."""
+    """S_l(x) = (1/(m eta^l)) sum_j zeta^(l j) exp(eta zeta^j x), entry l of
+    :func:`_eval_all`; an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = gentrig._check_index(sys.m, l, CyclotomicError)
-    return sys._scale[l] * gentrig.eval_S(sys, l, x)
+    return gentrig._scalar(_eval_all(sys, x)[..., l])
 
 
 @lru_cache(maxsize=32)
@@ -177,7 +172,7 @@ def det_M_cyclo(sys: CyclotomicSystem, x: complex) -> complex:
     identity: :class:`CyclotomicError`.  An array of x gives an array."""
     if sys.m < 2:
         raise CyclotomicError("the determinant identity needs m at least 2")
-    return gentrig.eval_det_M(sys._certificate, sys, x) / sys.m ** sys.m
+    return gentrig.eval_det_M(gentrig.identity_certificate(sys), sys, x) / sys.m ** sys.m
 
 
 def factorial_identity_check(n: int):

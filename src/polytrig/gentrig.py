@@ -81,19 +81,13 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
     m = p.degree
     if m < 2:
         raise GenTrigError("derivative matrix needs degree at least 2")
-    a = p.monic().coeffs
+    a = np.array(p.monic().coeffs, dtype=complex)
     K = np.zeros((m, m), dtype=complex)
+    K.flat[1::m + 1] = 1j  # K[l, l + 1]
     K[0, 1] = -1j
-    for l in range(1, m - 1):
-        K[l, 1] = ((-1) ** (l + 1)) * 1j * a[m - l]
-        K[l, l + 1] = 1j
+    K[1:, 1] = (-1.0) ** np.arange(2, m + 1) * 1j * a[m - 1:0:-1]  # (-1)^(l+1) i a_(m-l)
     K[m - 1, 0] = ((-1) ** m) * 1j * a[0]
-    K[m - 1, 1] = ((-1) ** m) * 1j * a[1]
     return K
-
-
-#: the empty row slot: no argument is this object
-_NO_ROW = (object(), None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,32 +125,6 @@ class GenTrigSystem:
         a new array on every call."""
         return _guarded_exp(x, self)
 
-    def _value(self, slot: str, W: np.ndarray, l: int, x):
-        """(E(x) @ W.T)[l], function l of the family with weights W.
-
-        Each family (the S_l of ``eval_S``, the R_l of ``series.eval_R``) keeps
-        the ``(x, row)`` of its last scalar x in the slot of that name.  A call at
-        the very object x of the slot (``is``, so ``-0.0`` never meets ``0.0``'s
-        row, nor an int a complex's) reads its entry, a Python complex; any
-        other scalar takes the whole row E @ W.T and replaces the slot in one
-        assignment.  An array of x gives an array, from its own product with
-        W[l] (a 0-d array gives a complex); no array or raising call is stored.
-        """
-        last = self.__dict__.get(slot, _NO_ROW)
-        if last[0] is x:
-            return last[1][l]
-        E = _guarded_exp(x, self)
-        if not isinstance(x, _NUMBER):
-            return _scalar(E @ W[l])
-        row = _row(E, W)
-        self.__dict__[slot] = (x, row)
-        return row[l]
-
-
-def _row(E: np.ndarray, W: np.ndarray) -> list:
-    """The values E @ W.T of a family at one point, as Python complex numbers."""
-    return (E @ W.T).tolist()
-
 
 def _guarded_exp(x, sys: GenTrigSystem) -> np.ndarray:
     """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes).
@@ -188,8 +156,8 @@ def _guarded_exp(x, sys: GenTrigSystem) -> np.ndarray:
 
 
 def _scalar(value):
-    """``value`` as a Python complex, unless it is an array (an array of points)."""
-    return value if isinstance(value, np.ndarray) else complex(value)
+    """``value`` as a Python complex, unless it is an array of points (not 0-d)."""
+    return value if np.ndim(value) else complex(value)
 
 
 def _system(mon: Polynomial, roots: RootSet, T=None, cls=GenTrigSystem, **fields):
@@ -247,14 +215,14 @@ def _check_index(m: int, l, error=GenTrigError) -> int:
 
 
 def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
-    """S_l(x) as the direct exponential sum; an array of x gives an array."""
+    """S_l(x), entry l of :func:`eval_S_vector`; an array of x gives an array."""
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
-    return sys._value("S_row", sys.T, l, x)
+    return _scalar(eval_S_vector(sys, x)[..., l])
 
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
-    """S_l(x) for every l, a new array; ``eval_S`` at a scalar x reads the same products."""
+    """S_l(x) for every l, a new array with l on the last axis."""
     return sys.exponentials(x) @ sys.T.T
 
 

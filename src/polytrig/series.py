@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gentrig import GenTrigSystem, _check_index, _integer, deflation_matrix, make_system
+from .gentrig import (_NUMBER, GenTrigSystem, _check_index, _integer, _scalar, deflation_matrix,
+                      make_system)
 from .poly import Polynomial, horner
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
@@ -89,10 +90,20 @@ def _boundary_weights(sys: GenTrigSystem, E: np.ndarray) -> np.ndarray:
     return sys.T / (E[0] - E[1])
 
 
+#: the empty row slot: no argument is this object
+_NO_ROW = (object(), None)
+
+
 def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """R_l(x) = sum_j T[l][j] exp(-i r_j x) / (exp(-i r_j pi) - exp(i r_j pi)).
 
-    An array of x gives an array.
+    The system keeps the ``(x, row)`` of the last scalar x in its ``"R_row"``
+    slot.  A call at the very object x of the slot (``is``, so ``-0.0`` never
+    meets ``0.0``'s row, nor an int a complex's) reads its entry, a Python
+    complex; any other scalar takes the whole row E(x) @ W.T and replaces the
+    slot in one assignment.  An array of x gives an array, from its own
+    product with W[l] (a 0-d array gives a complex); no array or raising call
+    is stored.
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
@@ -101,7 +112,15 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
         _check_roots(sys)
         E = sys.exponentials(np.array([math.pi, -math.pi]))
         W = sys.__dict__.setdefault("boundary_weights", _boundary_weights(sys, E))
-    return sys._value("R_row", W, l, x)
+    last = sys.__dict__.get("R_row", _NO_ROW)
+    if last[0] is x:
+        return last[1][l]
+    E = sys.exponentials(x)
+    if not isinstance(x, _NUMBER):
+        return _scalar(E @ W[l])
+    row = (E @ W.T).tolist()
+    sys.__dict__["R_row"] = (x, row)
+    return row[l]
 
 
 def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:

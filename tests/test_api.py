@@ -58,14 +58,14 @@ def test_public_constants():
 
 #: every option of every ``polytrig`` subcommand, ``--help`` aside
 CLI_OPTIONS = {
-    "roots": {"--poly", "--coeffs", "--json", "--text"},
-    "eval": {"--poly", "--coeffs", "--json", "--text", "--l", "--x"},
-    "taylor": {"--poly", "--coeffs", "--json", "--text", "--l", "--order"},
-    "identity": {"--poly", "--coeffs", "--json", "--text", "--seed"},
-    "cyclo": {"--json", "--text", "--seed", "--m", "--l", "--x", "--check"},
-    "matrix-c": {"--poly", "--coeffs", "--json", "--text", "--descending-columns"},
-    "sum": {"--poly", "--coeffs", "--json", "--text", "--descending-columns", "--oracle-n"},
-    "verify": {"--json", "--text", "--seed"},
+    "roots": {"--poly", "--coeffs", "--json"},
+    "eval": {"--poly", "--coeffs", "--json", "--l", "--x"},
+    "taylor": {"--poly", "--coeffs", "--json", "--l", "--order"},
+    "identity": {"--poly", "--coeffs", "--json", "--seed"},
+    "cyclo": {"--json", "--seed", "--m", "--l", "--x", "--check"},
+    "matrix-c": {"--poly", "--coeffs", "--json", "--descending-columns"},
+    "sum": {"--poly", "--coeffs", "--json", "--descending-columns", "--oracle-n"},
+    "verify": {"--json", "--seed"},
 }
 
 

@@ -58,7 +58,7 @@ def test_cformat_has_no_signed_zero(z, text):
 
 
 def test_sum_text_lists_one_record_per_block(capsys):
-    code, out, _ = run(capsys, "sum", "--poly", "x^2+1", "--text")
+    code, out, _ = run(capsys, "sum", "--poly", "x^2+1")
     assert code == 0
     lines = out.splitlines()
     assert "-0" not in lines[lines.index("results:") + 2]  # A, with A_1 = 0-1.7e-16i
@@ -70,7 +70,7 @@ def test_sum_text_lists_one_record_per_block(capsys):
 
 
 def test_verify_text_lists_one_record_per_check(capsys):
-    code, out, _ = run(capsys, "verify", "--text")
+    code, out, _ = run(capsys, "verify")
     assert code == 1
     lines = out.splitlines()
     body = lines[lines.index("  checks:") + 1:lines.index("diagnostics:")]
@@ -160,17 +160,6 @@ def test_determinism(capsys):
     _, out1, _ = run(capsys, "identity", "--poly", "x^3+x^2+1", "--json")
     _, out2, _ = run(capsys, "identity", "--poly", "x^3+x^2+1", "--json")
     assert out1 == out2
-
-
-def test_env_var_default_format(capsys, monkeypatch):
-    monkeypatch.setenv("POLYTRIG_FORMAT", "json")
-    code, out, _ = run(capsys, "roots", "--poly", "x^2+1")
-    assert code == 0
-    json.loads(out)  # honored the env default
-    code, out, _ = run(capsys, "roots", "--poly", "x^2+1", "--text")
-    assert code == 0
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)  # explicit flag wins
 
 
 class TestExitCodes:

@@ -237,7 +237,7 @@ class TestBinomialCertificate:
     @pytest.mark.parametrize("m", range(2, 25))
     def test_det_ref_over_m_to_the_m_is_the_constant(self, m):
         # L = e_0 and lam = -1 make the certificate's f_l exactly m zeta^l S_l
-        cert = make_cyclotomic(m)._certificate
+        cert = identity_certificate(make_cyclotomic(m))
         assert cert.lam == -1 and cert.eigen_residual == 0
         assert np.array_equal(cert.L, np.eye(m)[0])
         constant = det_M_constant(m)

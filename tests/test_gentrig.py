@@ -105,6 +105,24 @@ class TestDerivativeMatrix:
                 if (i, j) not in allowed:
                     assert K[i, j] == 0
 
+    @pytest.mark.parametrize("m", [2, 3, 7, 24])
+    def test_matches_the_entrywise_formula(self, m):
+        # the sliced build against the entry-by-entry loop, bit for bit (signed zeros too)
+        rng = np.random.default_rng(m)
+        draws = rng.normal(size=(3, m + 1)) + 1j * rng.normal(size=(3, m + 1))
+        for c in (draws[0], draws[1].real, np.round(3 * draws[2].real) * (-1.0) ** np.arange(m + 1)):
+            c[-1] = 1
+            p = Polynomial(tuple(c.tolist()))
+            a = p.monic().coeffs
+            K = np.zeros((m, m), dtype=complex)
+            K[0, 1] = -1j
+            for l in range(1, m - 1):
+                K[l, 1] = ((-1) ** (l + 1)) * 1j * a[m - l]
+                K[l, l + 1] = 1j
+            K[m - 1, 0] = ((-1) ** m) * 1j * a[0]
+            K[m - 1, 1] = ((-1) ** m) * 1j * a[1]
+            assert derivative_matrix(p).tobytes() == K.tobytes()
+
     def test_eigenvalues_are_scaled_roots(self):
         p = parse_polynomial("x^3+x^2+1")
         sys = make_system(p)
@@ -307,13 +325,12 @@ class TestEvaluation:
 
 
 class TestLastPointMemo:
-    """Each function family keeps the (x, row) of its last scalar x in a slot of its own."""
+    """The R_l keep the (x, row) of their last scalar x in one slot; the S_l keep nothing."""
 
     ROOTS = [0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.9j, 1.4, -0.4 - 0.6j]
 
-    #: the slot names of the S_l and of the R_l; a cyclotomic system's S_l
-    #: are its own S_l scaled, and read the same slot
-    SLOTS = ("S_row", "R_row")
+    #: the one row slot, that of the R_l
+    SLOTS = ("R_row",)
 
     @staticmethod
     def values(sys, x):
@@ -386,7 +403,7 @@ class TestLastPointMemo:
         cert = identity_certificate(sys)
         x = 0.6 + 0.1j
         eval_S(sys, 1, x), series.eval_R(sys, 1, x), cyclotomic.eval_S_cyclo(cyclo, 1, x)
-        cyclotomic.det_M_cyclo(cyclo, 0.0)  # builds the cached certificate
+        cyclotomic.det_M_cyclo(cyclo, 0.0)
         before = [dict(s.__dict__) for s in (sys, cyclo)]
         for s in (sys, cyclo):
             E = s.exponentials(x)
@@ -437,67 +454,54 @@ class TestLastPointMemo:
             eval_S_vector(sys, x)
             for l in range(sys.m):
                 series.eval_R(sys, l, x)
-                eval_S(sys, l, x)
             eval_det_M(cert, sys, x)
+            cyclotomic._eval_all(cyclo, x)
+            cyclotomic.det_M_cyclo(cyclo, x)
+            # every S, every R, det M, every cyclotomic S and its det M: nothing shared
+            assert calls == [x] * 5
+            # a single S_l is an entry of its family, one pass per call
+            calls.clear()
+            for l in range(sys.m):
+                eval_S(sys, l, x)
             for l in range(cyclo.m):
                 cyclotomic.eval_S_cyclo(cyclo, l, x)
-            cyclotomic.det_M_cyclo(cyclo, x)
-            # the vector, R, S, det M, the cyclotomic S and its det M: nothing shared
-            assert calls == [x] * 6
+            assert calls == [x] * (sys.m + cyclo.m)
 
     def test_one_exponential_pass_and_one_row_per_family(self, monkeypatch):
         sys = from_roots(self.ROOTS)
         series.eval_R(sys, 0, 0.25)  # the boundary weights take a pass of their own
-        passes, rows, tables = [], [], []
-        kernel, row, weights = gentrig._guarded_exp, gentrig._row, gentrig._taylor_weights
+        passes, tables = [], []
+        kernel, weights = gentrig._guarded_exp, gentrig._taylor_weights
         monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: passes.append(args[0]) or kernel(*args))
-        monkeypatch.setattr(gentrig, "_row", lambda *args: rows.append(1) or row(*args))
         monkeypatch.setattr(gentrig, "_taylor_weights", lambda *args: tables.append(1) or weights(*args))
         x = 0.3 - 0.2j
+        series.eval_R(sys, 0, x)
+        slot = sys.__dict__["R_row"]  # the first call at x replaced the slot
+        assert slot[0] is x
         for _ in range(3):
             for l in range(sys.m):
                 series.eval_R(sys, l, x)
-        assert passes == [x] and len(rows) == 1
+        assert passes == [x] and sys.__dict__["R_row"] is slot
         for l in range(sys.m):
-            eval_S(sys, l, x)
             taylor_coeffs(sys, l, 20)
             series.eval_R(sys, l, x)
-        assert passes == [x, x] and len(rows) == 2 and len(tables) == 1
-        cyclo = cyclotomic.make_cyclotomic(4)
-        for l in range(cyclo.m):
-            cyclotomic.eval_S_cyclo(cyclo, l, x)
-        assert passes == [x, x, x] and len(rows) == 3
+        assert passes == [x] and sys.__dict__["R_row"] is slot and len(tables) == 1
         eval_S_vector(sys, x)  # a pass of its own, and no row
-        assert passes == [x] * 4 and len(rows) == 3
+        assert passes == [x, x] and sys.__dict__["R_row"] is slot
 
-    def test_cyclotomic_functions_share_the_system_row(self, monkeypatch):
-        # eval_S_cyclo is s_l times eval_S: one pass and one row per point for both
-        cyclo = cyclotomic.make_cyclotomic(4)
-        passes, rows = [], []
-        kernel, row = gentrig._guarded_exp, gentrig._row
-        monkeypatch.setattr(gentrig, "_guarded_exp", lambda *args: passes.append(args[0]) or kernel(*args))
-        monkeypatch.setattr(gentrig, "_row", lambda *args: rows.append(1) or row(*args))
-        for x in (0.3 - 0.2j, -1.1):
-            for l in range(cyclo.m):
-                value, unscaled = cyclotomic.eval_S_cyclo(cyclo, l, x), eval_S(cyclo, l, x)
-                assert type(value) is complex and value == cyclo._scale[l] * unscaled
-            assert passes == [x] and len(rows) == 1 and cyclo.__dict__["S_row"][0] is x
-            passes.clear(), rows.clear()
-
-    @pytest.mark.parametrize("x", [0.3 - 0.2j, -1.1, 2, 0.0], ids=["complex", "float", "int", "zero"])
+    @pytest.mark.parametrize("x", [0.3 - 0.2j, -1.1, 2, 0.0, np.array(0.4 + 0.1j),
+                                   np.array([[0.5, -2j], [0.3 - 0.4j, 0.0]])],
+                             ids=["complex", "float", "int", "zero", "0-d", "array"])
     def test_rows_match_the_vector_exactly(self, x):
-        # at every l, the call that builds the row (a fresh system) and then every hit
-        for l in range(5):
-            sys = from_roots(self.ROOTS)
-            first = eval_S(sys, l, x)
-            vector = eval_S_vector(sys, x)
-            assert self.same([first] + [eval_S(sys, k, x) for k in range(5)], [vector[l], *vector])
-        for l in range(4):
-            cyclo = cyclotomic.make_cyclotomic(4)
-            first = cyclotomic.eval_S_cyclo(cyclo, l, x)
-            every = cyclotomic._eval_all(cyclo, x)
-            assert self.same([first] + [cyclotomic.eval_S_cyclo(cyclo, k, x) for k in range(4)],
-                             [every[l], *every])
+        # S_l is entry l of all m functions, its type a complex for a scalar or 0-d x
+        kind = complex if np.ndim(x) == 0 else np.ndarray
+        sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(4)
+        for one, every, s in ((eval_S, eval_S_vector, sys),
+                              (cyclotomic.eval_S_cyclo, cyclotomic._eval_all, cyclo)):
+            values = [one(s, l, x) for l in range(s.m)]
+            assert all(type(v) is kind for v in values)
+            vector = every(s, x)
+            assert self.same(values, [vector[..., l] for l in range(s.m)])
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1 + 0j), (1 + 0j, 1),
                                                (float("0.5"), float("0.5"))],
@@ -527,7 +531,24 @@ class TestLastPointMemo:
             values = [eval_S(sys, 2, xs), series.eval_R(sys, 2, xs), cyclotomic.eval_S_cyclo(cyclo, 2, xs)]
             assert [np.shape(v) for v in values] == [xs.shape if xs.ndim else ()] * 3
         assert all(a is b for a, b in zip(self.slots(sys, cyclo), slots))
-        assert [slot[0] is x for slot in slots if slot] == [True] * 3  # S and R of sys, S of cyclo
+        assert [slot[0] is x for slot in slots if slot] == [True]  # R of sys
+
+    def test_only_the_R_family_keeps_a_point(self):
+        # S_l, the cyclotomic S_l and both determinants store nothing per point or
+        # per system; the first eval_R adds the boundary weights and its row slot
+        sys, cyclo = from_roots(self.ROOTS), cyclotomic.make_cyclotomic(3)
+        cert = identity_certificate(sys)
+        for s in (sys, cyclo):  # the cached properties every call reads
+            s.m, s.minus_ir, s.radius
+        cyclo._scale
+        before = [dict(s.__dict__) for s in (sys, cyclo)]
+        for x in (0.5, -0.25j, 0.5):
+            for l in range(3):
+                eval_S(sys, l, x), cyclotomic.eval_S_cyclo(cyclo, l, x)
+            eval_det_M(cert, sys, x), cyclotomic.det_M_cyclo(cyclo, x)
+        assert [s.__dict__ for s in (sys, cyclo)] == before
+        series.eval_R(sys, 0, 0.5)
+        assert sys.__dict__.keys() - before[0].keys() == {"boundary_weights", "R_row"}
 
     def test_certificate_rows_are_a_field(self, monkeypatch):
         sys = from_roots(self.ROOTS)

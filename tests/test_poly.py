@@ -230,6 +230,14 @@ class TestRoots:
             assert rs.backward_error <= bound
             assert max(backward_errors(p, rs)) <= 2 * bound  # reevaluated, own rounding
 
+    @pytest.mark.parametrize("degree", [15, 16, 18])
+    def test_polish_stops_within_the_backward_bound(self, degree):
+        # the roots 0, 1, 2, each repeated: the correction stops halving after two
+        # sweeps at a backward error up to 5e-12, so only the stop rule's
+        # |P(z)| <= 4 m eps scale test carries the polish on to the bound
+        rs = find_roots(Polynomial.from_roots([k % 3 for k in range(degree)]))
+        assert rs.backward_error <= 4 * degree * EPS
+
     def test_roots_at_zero(self):
         # coincident iterates at 0, where P and the scale both vanish
         rs = find_roots(parse_polynomial("x^3+x^2"))
