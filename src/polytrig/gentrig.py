@@ -8,14 +8,15 @@ certificates among the S_l.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .poly import Polynomial, RootSet, find_roots, horner
+from .poly import (MAX_DEGREE, Polynomial, PolynomialError, RootSet, _expand_roots, find_roots,
+                   horner)
 
 #: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
@@ -48,31 +49,68 @@ class CertificateUnavailableError(GenTrigError):
     pass
 
 
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """V[j, k] = z_j^k for k = 0..n-1, the running product of ``np.vander(z, n,
+    increasing=True)`` (the same values bit for bit) without its checks."""
+    V = np.empty((len(z), n), dtype=complex)
+    V[:, 0] = 1
+    rest = V[:, 1:]
+    rest[...] = z[:, None]
+    np.multiply.accumulate(rest, axis=1, out=rest)
+    return V
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE)
+def _gathers(m: int):
+    """Read-only index arrays of degree m into the coefficients a_0..a_m
+    followed by m - 1 zeros, and their negatives after that.
+
+    ``hankel[t, k] = t + k + 1`` (a_(t+k+1), zero past a_m) for t, k in
+    0..m-1; ``toeplitz[l-1, s-1]`` for l, s in 1..m-1 is a_(m-l+s) signed
+    (-1)^(l-1), zero for s > l.  The memo holds one entry per degree.
+    """
+    t = np.arange(m)
+    hankel = t[:, None] + t + 1
+    l, s = t[1:, None], t[1:]
+    toeplitz = np.where(s <= l, m - l + s + (l % 2 == 0) * 2 * m, m + 1)
+    for index in (hankel, toeplitz):
+        index.setflags(write=False)
+    return hankel, toeplitz
+
+
 def deflation_matrix(p: Polynomial, roots) -> np.ndarray:
-    """Q[j, k]: coefficient of x^k in P(x) / (x - r_j), one Horner sweep for all roots."""
+    """Q[j, k]: coefficient of x^k in P(x) / (x - r_j), that is
+    sum_(i>k) a_i r_j^(i-k-1): the powers r_j^t (t = 0..m-1) times the
+    Hankel matrix of a_1..a_m, one product for all roots."""
     r = np.asarray(roots, dtype=complex)
-    Q = np.empty((len(r), p.degree), dtype=complex)
-    Q[:, -1] = p.coeffs[-1]
-    for k in range(p.degree - 1, 0, -1):
-        Q[:, k - 1] = Q[:, k] * r + p.coeffs[k]
-    return Q
+    m = p.degree
+    return _powers(r, m) @ np.array(p.coeffs + (0j,) * (m - 1))[_gathers(m)[0]]
 
 
 def tuple_coefficients(roots: RootSet) -> np.ndarray:
     """The m-by-m grid T[l][j] of the monic polynomial with these roots.
 
-    Row 0 is all ones; row l >= 1 holds r_j times the
-    elementary symmetric function of order l-1 of the other roots, read off
-    the deflated quotient of P by (x - r_j): its coefficient of x^(m-1-k) is
-    (-1)^k e_k(other roots).
+    Row 0 is all ones; row l >= 1 holds r_j times the elementary symmetric
+    function of order l-1 of the other roots, (-1)^(l-1) times the
+    coefficient of x^(m-l) in the deflated quotient of the monic P rebuilt
+    from the roots by (x - r_j): sum_(s=1..l) a_(m-l+s) r_j^s.  So
+    T[1:] = signs * (Toeplitz matrix of a) @ (r_j^s, s = 1..m-1), one product
+    for all roots.  A rebuilt coefficient that is not finite raises
+    :class:`PolynomialError`.
     """
-    r = np.array(tuple(roots), dtype=complex)
-    m = len(r)
-    T = np.ones((m, m), dtype=complex)
+    rs = tuple(roots)
+    m = len(rs)
+    T = np.empty((m, m), dtype=complex)
+    T[0] = 1
     if m > 1:
-        Q = deflation_matrix(Polynomial.from_roots(r), r)
-        signs = (-1.0) ** np.arange(m - 1)
-        T[1:] = signs[:, None] * Q[:, :0:-1].T * r
+        a = _expand_roots(rs)
+        if not all(map(cmath.isfinite, a)):
+            raise PolynomialError("a coefficient rebuilt from the roots is not finite")
+        signed = np.array(a + [0j] * (m - 1) + [-c for c in a])
+        powers = T[1:]  # r_j^s for s = 1..m-1, a running product down the rows
+        powers[...] = rs
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        T[1:] = signed[_gathers(m)[1]] @ powers
     return T
 
 
@@ -92,33 +130,32 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GenTrigSystem:
-    """Monic polynomial, its roots, the T grid and the derivative matrix K, with
-    the functions S_l(x) = sum_j T[l][j] exp(-i r_j x), for l = 0..m-1; it keeps
-    per-object caches, so it compares and hashes by identity."""
+    """Monic polynomial, its roots and the T grid, with the functions
+    S_l(x) = sum_j T[l][j] exp(-i r_j x), for l = 0..m-1; it keeps per-object
+    caches, so it compares and hashes by identity.
+
+    Set once at construction: ``m``, the roots ``r`` as an array in the
+    column order of T, the exponent rates ``minus_ir`` = -i r and the root
+    radius ``radius`` = max |r_j|.  The derivative matrix ``K`` is built on
+    first use.
+    """
 
     poly: Polynomial
     roots: RootSet
     T: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
 
-    @cached_property
-    def m(self) -> int:
-        return self.poly.degree
+    def __post_init__(self):
+        r = np.array(self.roots.roots, dtype=complex)
+        put = functools.partial(object.__setattr__, self)
+        put("m", self.poly.degree)
+        put("r", r)
+        put("minus_ir", -1j * r)
+        put("radius", float(np.maximum.reduce(np.abs(r))))
 
-    @cached_property
-    def r(self) -> np.ndarray:
-        """The roots as an array, in the column order of T."""
-        return np.array(self.roots.roots, dtype=complex)
-
-    @cached_property
-    def minus_ir(self) -> np.ndarray:
-        """The exponent rates -i r_j."""
-        return -1j * self.r
-
-    @cached_property
-    def radius(self) -> float:
-        """The root radius max |r_j|."""
-        return float(np.max(np.abs(self.r)))
+    @functools.cached_property
+    def K(self) -> np.ndarray:
+        """The derivative matrix with S' = K S (:func:`derivative_matrix`); [-i r] at degree 1."""
+        return derivative_matrix(self.poly) if self.m >= 2 else self.minus_ir[:, None].copy()
 
     def exponentials(self, x) -> np.ndarray:
         """E[..., j] = exp(-i r_j x) for a scalar x or an array of them (leading axes),
@@ -162,9 +199,8 @@ def _scalar(value):
 
 def _system(mon: Polynomial, roots: RootSet, T=None, cls=GenTrigSystem, **fields):
     """The ``cls`` of monic ``mon`` with the given roots, T grid (by default
-    ``tuple_coefficients``) and further ``fields``; K = [-i r] at degree 1."""
-    K = derivative_matrix(mon) if mon.degree >= 2 else np.array([[-1j * roots.roots[0]]])
-    return cls(mon, roots, tuple_coefficients(roots) if T is None else T, K, **fields)
+    ``tuple_coefficients``) and further ``fields``."""
+    return cls(mon, roots, tuple_coefficients(roots) if T is None else T, **fields)
 
 
 def make_system(p: Polynomial) -> GenTrigSystem:
@@ -280,13 +316,13 @@ def _circulant_rows(F: np.ndarray, lam: complex) -> np.ndarray:
     its columns, a permutation of sign (-1)^(m(m-1)/2), leaves a
     lam-circulant whose eigenvalues are sum_d f[d] w_j^(m-1-d) at the m roots
     w_j of w^m = lam (Davis, *Circulant Matrices*, 1979).  So G = W F with
-    W[j, d] = w_j^(m-1-d), and the sign goes into row 0.  For a certificate,
-    row j of G vanishes up to roundoff unless w_j is one of the rates -i r_k,
-    so det M is zero unless P = x^m - c.
+    W[j, d] = w_j^(m-1-d) (:func:`_powers`, reversed), and the sign goes into
+    row 0.  For a certificate, row j of G vanishes up to roundoff unless w_j
+    is one of the rates -i r_k, so det M is zero unless P = x^m - c.
     """
     m = len(F)
     w = abs(lam) ** (1 / m) * np.exp(1j * (cmath.phase(lam) + 2 * np.pi * np.arange(m)) / m)
-    G = np.vander(w, m) @ F
+    G = _powers(w, m)[:, ::-1] @ F
     G[0] *= (-1) ** (m * (m - 1) // 2)
     return G
 
@@ -300,7 +336,7 @@ def _spectral_det(G: np.ndarray, E) -> complex:
 def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:
     """:func:`_circulant_rows` of the certificate rows F = (L K^l) T, with f = F E(x):
     K T = T diag(-i r) gives F[l, j] = (L T)_j (-i r_j)^l, with no power of K."""
-    F = np.vander(sys.minus_ir, sys.m, increasing=True).T * (L @ sys.T)
+    F = _powers(sys.minus_ir, sys.m).T * (L @ sys.T)
     return _circulant_rows(F, lam)
 
 

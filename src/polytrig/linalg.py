@@ -26,10 +26,18 @@ def solve(A: np.ndarray, B: np.ndarray | None = None):
     non-finite entries, or an inverse that overflows) is returned as is.
     """
     n = len(A)
-    eye = np.eye(n, dtype=A.dtype)
+    k = 0 if B is None else B.shape[1]
+    rhs = np.zeros((n, k + n), dtype=A.dtype if B is None else np.result_type(A, B))
+    if B is not None:
+        rhs[:, :k] = B
+    rhs.flat[k::k + n + 1] = 1  # [B | I]: entry (i, k + i)
     try:
-        Y = np.linalg.solve(A, eye if B is None else np.hstack([B, eye]))
+        Y = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:  # an exact zero pivot
         return None, math.inf
-    k = Y.shape[1] - n
-    return Y[:, :k], float(np.linalg.norm(A, 1) * np.linalg.norm(Y[:, k:], 1))
+    return Y[:, :k], float(_norm1(A) * _norm1(Y[:, k:]))
+
+
+def _norm1(M: np.ndarray):
+    """The largest column sum of moduli, by the reductions of ``np.linalg.norm(M, 1)``."""
+    return np.add.reduce(np.abs(M), axis=0).max(initial=0)

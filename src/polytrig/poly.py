@@ -88,13 +88,19 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
-        coeffs = [1 + 0j]
-        for r in map(complex, roots):
-            coeffs.append(0j)
-            for k in range(len(coeffs) - 1, 0, -1):
-                coeffs[k] = coeffs[k - 1] - r * coeffs[k]
-            coeffs[0] = -r * coeffs[0]
-        return cls(tuple(coeffs))
+        return cls(tuple(_expand_roots(roots)))
+
+
+def _expand_roots(roots: Sequence[complex]) -> list:
+    """The ascending coefficients of the monic polynomial with these roots, as
+    a list of complex, multiplied out one root at a time and not validated."""
+    coeffs = [1 + 0j]
+    for r in map(complex, roots):
+        coeffs.append(0j)
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] = coeffs[k - 1] - r * coeffs[k]
+        coeffs[0] = -r * coeffs[0]
+    return coeffs
 
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")

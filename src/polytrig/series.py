@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .gentrig import (_NUMBER, GenTrigSystem, _check_index, _integer, _scalar, deflation_matrix,
                       make_system)
-from .poly import Polynomial, horner
+from .poly import MAX_DEGREE, Polynomial, horner
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
@@ -41,6 +41,16 @@ _MAX_AUTO_HEAD = 2 ** 20
 _BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])
 
 _EPS = float(np.finfo(float).eps)
+
+#: the Cauchy radii g = 2, 4, ..., 2^12 the oracle tail tries, their
+#: logarithms, and their powers g^i for i = 1..MAX_DEGREE, one row per g
+_RADII = 2.0 ** np.arange(1, 13)
+_LOG_RADII = np.log(_RADII)
+_RADII_POWERS = _RADII[:, None] ** np.arange(1, MAX_DEGREE + 1)
+
+#: 0, -1, 1, -1, ...: entry i is (-1)^i, but 0 at i = 0
+_SIGNS = np.append(0.0, (-1.0) ** np.arange(1, MAX_DEGREE))
+_SIGNS.setflags(write=False)
 
 TWO_PI_I = 2j * math.pi
 
@@ -107,14 +117,14 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     """
     if type(l) is not int or not 0 <= l < sys.m:
         l = _check_index(sys.m, l)
+    last = sys.__dict__.get("R_row", _NO_ROW)  # set only after the weights
+    if last[0] is x:
+        return last[1][l]
     W = sys.__dict__.get("boundary_weights")  # once per system
     if W is None:
         _check_roots(sys)
         E = sys.exponentials(np.array([math.pi, -math.pi]))
         W = sys.__dict__.setdefault("boundary_weights", _boundary_weights(sys, E))
-    last = sys.__dict__.get("R_row", _NO_ROW)
-    if last[0] is x:
-        return last[1][l]
     E = sys.exponentials(x)
     if not isinstance(x, _NUMBER):
         return _scalar(E @ W[l])
@@ -151,10 +161,10 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
     """
     m, T = sys.m, sys.T
     C1 = T @ deflation_matrix(sys.poly, sys.r)
-    signs = np.append((-1.0) ** np.arange(m - 1, 0, -1), 0.0)  # (-1)^(m-k-1), none at k = m-1
-    C2 = np.outer(T.sum(axis=1), sys.poly.coeffs[1:]) - (T @ T[::-1].T) * signs
-    mismatch = float(np.max(np.abs(C1 - C2)))
-    bound = 1e3 * m * np.finfo(float).eps * float(np.max(np.abs(C1)))
+    signs = _SIGNS[m - 1::-1]  # (-1)^(m-k-1), none at k = m-1
+    C2 = T.sum(axis=1)[:, None] * sys.poly.coeffs[1:] - (T @ T[::-1].T) * signs
+    mismatch = float(np.maximum.reduce(np.abs(C1 - C2), axis=None))
+    bound = 1e3 * m * _EPS * float(np.maximum.reduce(np.abs(C1), axis=None))
     if not mismatch <= bound:
         raise CrossCheckError(
             f"associated-matrix cross-check failed (entrywise gap {mismatch:.3e} "
@@ -223,25 +233,58 @@ def _zeta_table(N: int, rows: int):
     return tables
 
 
+@functools.lru_cache(maxsize=64)
+def _tail_operators(N: int, m: int, J: int):
+    """The oracle tail as operators on the J Laurent coefficients, at head size N
+    and degree m.
+
+    With the zeta factors of :func:`_zeta_table` at the exponents
+    s = m + j - k, only the even ones surviving, and unit[k] = 2 sigma^(k+1-m),
+    returns ``(Z, Z_size, Z_error, remainder)``: Z[k, :, j] is unit[k] times
+    the zeta values (zero for an odd exponent), so that the tail sums are
+    Z @ c, Z_size and Z_error the same from the moduli and the
+    Euler-Maclaurin bounds, each ``(m, 2, J)``, and ``remainder`` the
+    ``(m, 1)`` column unit[k] (1/sigma + 1/(m+J-k-1)) of the Laurent
+    remainder.  All four are read-only.  They depend on N, m and J alone; at degree 24 (J <= 72) an
+    entry holds at most about 83 KB, so the memo of 64 entries holds at most
+    about 5.3 MB.
+    """
+    sigma = N + 1.0
+    k = np.arange(m)
+    unit = 2 * sigma ** (k + 1.0 - m)
+    exponent = m + np.arange(J) - k[:, None]  # s by k and j
+    scale = (unit[:, None] * (exponent % 2 == 0))[:, None, :]
+    operators = tuple(scale * table[exponent].transpose(0, 2, 1) for table in _zeta_table(N, m + J))
+    remainder = (unit * (1 / sigma + 1 / (m + J - k - 1)))[:, None]
+    for array in operators + (remainder,):
+        array.setflags(write=False)
+    return operators + (remainder,)
+
+
 def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     """Independent oracle for all 2m sums: an exact head and a summed asymptotic tail.
 
-    Head: the terms n = -N..N, from one Horner pass each for P(n) and P(-n),
-    where N is ``n_terms`` raised to ``HEAD_RADII`` Fujiwara root radii.  The
-    pair term n^k (1/P(n) + (-1)^k / P(-n)) serves every power k and both signs.
+    Head: the terms n = -N..N, from one Horner pass each for P(n), P(-n) and
+    P~(n) = sum |a_i| n^i, where N is ``n_terms`` raised to ``HEAD_RADII``
+    Fujiwara root radii.  The pair term n^k (1/P(n) + (-1)^k / P(-n)) serves
+    every power k and both signs.
 
     Tail: for n > N, 1/P(n) = n^-m sum_j d_j n^-j, with d the power-series
     inverse of the reversed coefficients of P.  In a pair term only the even
     exponents s = m + j - k >= 2 survive, each twice.  Summed over n > N,
     n^-s gives the Hurwitz zeta value zeta(s, N+1), and (-1)^n n^-s gives
     2^-s (zeta(s, e/2) - zeta(s, o/2)) for the first even e and odd o above N.
+    Those zeta factors, the mask and the scale of each sum form operators on
+    the J Laurent coefficients (:func:`_tail_operators`), the same for every
+    polynomial of this degree, head and J.
 
     The error bar is a bound, the sum of: a Cauchy estimate of the Laurent
     remainder, the Euler-Maclaurin remainder of the zeta values and the
     roundoff of head and tail.  Returns ``(oracle_A, oracle_B)``, each a tuple
     of ``(estimate, error_bar)`` pairs indexed by k.  An integer n with
     |P(n)| <= ``INTEGER_ROOT_TOL`` |P'(n)| raises :class:`IntegerRootError`
-    naming the Newton estimate n - P(n)/P'(n) of the root.
+    naming the Newton estimate n - P(n)/P'(n) of the root.  The P' pass of
+    that test runs only where a screen on P and P~ shows it could fire.
     """
     if n_terms < MIN_ORACLE_N:
         raise SeriesError(
@@ -263,22 +306,28 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
 
     n = np.arange(1.0, N + 1)
     values = horner(desc, np.array([n, -n]))  # P(n), P(-n)
+    bound = horner(np.abs(desc), n)  # P~(n) = sum |a_i| n^i
     # An integer beyond radius + 1 is at least 1 from every root, so its
     # Newton step |P/P'| is at least 1/m: only the nearer ones can be refused.
+    # For n >= 1, |P'(+-n)| <= m P~(n), so the exact test can fire only where
+    # |P(+-n)| <= tol m P~(n), or at n = 0 (a factor 2 covers the roundoff).
     near = min(N, int(radius) + 1)
-    x = np.concatenate(([0.0], n[:near], -n[:near]))
-    at_x = np.concatenate(([coeffs[0]], values[0, :near], values[1, :near]))
-    slope = horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
-    hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
-    if hit.any():
-        i = int(np.argmax(hit))
-        step = at_x[i] / slope[i] if at_x[i] != 0 else 0.0
-        raise IntegerRootError(complex(x[i] - step), float(abs(step)))
+    if (abs(coeffs[0]) <= INTEGER_ROOT_TOL * abs(coeffs[1])
+            or (np.abs(values[:, :near]) <= 2 * m * INTEGER_ROOT_TOL * bound[:near]).any()):
+        x = np.concatenate(([0.0], n[:near], -n[:near]))
+        at_x = np.concatenate(([coeffs[0]], values[0, :near], values[1, :near]))
+        slope = horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
+        hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
+        if hit.any():
+            i = int(np.argmax(hit))
+            step = at_x[i] / slope[i] if at_x[i] != 0 else 0.0
+            raise IntegerRootError(complex(x[i] - step), float(abs(step)))
 
     inv = 1 / values
-    # P~(|n|) / |P(+-n)|^2 with P~(x) = sum |a_i| x^i: at least 1/|P|, and the
-    # Horner error of P is at most about 3m eps P~ (complex arithmetic)
-    weight = ((horner(np.abs(desc), n) * np.abs(inv)) * np.abs(inv)).sum(axis=0)
+    size_inv = np.abs(inv)
+    # P~(|n|) / |P(+-n)|^2: at least 1/|P|, and the Horner error of P is at
+    # most about 3m eps P~ (complex arithmetic)
+    weight = ((bound * size_inv) * size_inv).sum(axis=0)
     pairs = (inv[0] + inv[1], inv[0] - inv[1])  # by parity of k
     sign = np.ones(N)
     sign[::2] = -1.0  # (-1)**n
@@ -312,14 +361,14 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     # only the largest unit / size over k matters, as the rest is monotone.
     # Every root is within sigma/4, so |P(n)| <= (1.5 n)^m for n >= N/2, the
     # head size is at least unit / (4 1.5^m), and J <= 72 at degree 24.
-    g = 2.0 ** np.arange(1, 13)
-    q_low = 1 - g * horner(np.abs(beta[:0:-1]), g)
-    g, cauchy = g[q_low > 0], 1 / q_low[q_low > 0]
+    q_low = 1 - _RADII_POWERS[:, :m] @ np.abs(beta[1:])
+    ok = q_low > 0
+    g, cauchy = _RADII[ok], 1 / q_low[ok]
     factor = cauchy / (1 - 1 / g)
-    needed = np.log(2 * factor * ((unit / size).max() / _EPS)) / np.log(g)  # 2 >= 1/sigma + 1
+    needed = np.log(2 * factor * ((unit / size).max() / _EPS)) / _LOG_RADII[ok]  # 2 >= 1/sigma + 1
     best = int(np.argmin(needed))
     J = max(1, math.ceil(needed[best]))
-    g, cauchy, factor = g[best], cauchy[best], factor[best]
+    g, cauchy, factor = float(g[best]), float(cauchy[best]), float(factor[best])
 
     c = np.zeros(J, dtype=beta.dtype)
     c[0] = 1.0
@@ -327,25 +376,16 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
         i = min(j, m)
         c[j] = -(beta[1:i + 1] @ c[j - 1::-1][:i])
 
-    zeta, zeta_size, zeta_error = _zeta_table(N, m + J)  # rows s <= m + J - 1 are read
-
-    exponent = m + np.arange(J) - k[:, None]  # s by k and j
-    surviving = exponent % 2 == 0
-    tail = unit[:, None] * (np.where(surviving, c, 0)[..., None] * zeta[exponent]).sum(axis=1)
+    Z, Z_size, Z_error, remainder = _tail_operators(N, m, J)
+    tail = Z @ c
     # |c_j| <= cauchy g^-j, and its recurrence adds at most about m (j+1) cauchy^2 g^-j eps
-    majorant = np.where(surviving, cauchy * g ** -np.arange(J, dtype=float), 0)
+    majorant = cauchy * g ** -np.arange(J, dtype=float)
     rounding = _EPS * (m + 4) * (J + 4) * cauchy
-    tail_error = unit[:, None] * (
-        (factor * g ** -J * (1 / sigma + 1 / (m + J - k - 1)))[:, None]
-        + (majorant[..., None] * (zeta_error[exponent] + rounding * zeta_size[exponent])).sum(axis=1))
+    tail_error = factor * g ** -J * remainder + (Z_error + rounding * Z_size) @ majorant
 
-    estimate = (head + tail) / lead
-    error = (head_error[:, None] + tail_error) / abs(lead)
-
-    def as_tuples(col):
-        return tuple((complex(v), float(b)) for v, b in zip(estimate[:, col], error[:, col]))
-
-    return as_tuples(0), as_tuples(1)
+    estimate = ((head + tail) / lead).T.tolist()
+    error = ((head_error[:, None] + tail_error) / abs(lead)).T.tolist()
+    return tuple(zip(estimate[0], error[0])), tuple(zip(estimate[1], error[1]))
 
 
 @dataclass(frozen=True)
@@ -381,7 +421,9 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     C = _cross_checked_C(sys)
     E = sys.exponentials(np.array([math.pi, -math.pi, 0.0]))  # the weights need pi and -pi
     R = E @ _boundary_weights(sys, E).T
-    AB, cond = linalg.solve(C, np.column_stack([(R[0] + R[1]) / 2, R[2]]))
+    R[0] += R[1]
+    R[0] /= 2  # the boundary average (R(pi) + R(-pi)) / 2
+    AB, cond = linalg.solve(C, R[0::2].T)
     if not cond * _EPS < 1:
         raise DegenerateMatrixError(cond)
     A, B = AB.T / lead

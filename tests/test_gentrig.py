@@ -1,6 +1,9 @@
 import cmath
+import dataclasses
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from polytrig.gentrig import (ArgumentOverflowError, GenTrigError,
                               eval_det_M, from_roots, identity_certificate,
                               make_system, taylor_coeffs, tuple_coefficients)
 from polytrig.poly import Polynomial, RootSet, parse_polynomial
+
+EPS = float(np.finfo(float).eps)
 
 
 def brute_tuple(roots, l, j):
@@ -51,15 +56,42 @@ def binomial(m, c):
     return make_system(Polynomial((-c,) + (0,) * (m - 1) + (1,)))
 
 
+def _exact_quotients(p, r):
+    """Coefficients of P(x) / (x - r), ascending, by synthetic division in exact
+    rationals on the real and imaginary parts of the float inputs."""
+    def parts(z):
+        return Fraction(z.real), Fraction(z.imag)
+
+    rr, ri = parts(complex(r))
+    acc = parts(p.coeffs[-1])
+    out = [acc]
+    for c in p.coeffs[-2:0:-1]:
+        cr, ci = parts(c)
+        acc = (acc[0] * rr - acc[1] * ri + cr, acc[0] * ri + acc[1] * rr + ci)
+        out.append(acc)
+    return np.array([complex(float(a), float(b)) for a, b in out[::-1]])
+
+
 def test_deflation_matrix_matches_synthetic_division():
-    rng = np.random.default_rng(24)
-    roots = rng.uniform(-1, 1, 24) + 1j * rng.uniform(-1, 1, 24)
-    p = Polynomial.from_roots(tuple(roots))
-    Q = gentrig.deflation_matrix(p, roots)
-    for r, row in zip(roots, Q):
-        quotient, _ = poly.synthetic_divide(p, r)
-        # same Horner steps in the same order
-        assert np.max(np.abs(row - quotient.coeffs)) <= 4 * np.finfo(float).eps * np.max(np.abs(row))
+    # Q[j, k] = sum_(i>k) a_i r_j^(i-k-1): the product route and the scalar Horner
+    # loop are each within m eps of the term sizes sum_(i>k) |a_i| |r_j|^(i-k-1)
+    # of the exact quotient (worst 0.095 of it for the product route)
+    for seed, m, scale in [(24, 24, 1.0), (5, 12, 3.0), (7, 6, 0.2), (8, 2, 1.0)]:
+        rng = np.random.default_rng(seed)
+        roots = (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) * scale
+        p = Polynomial.from_roots(tuple(roots))
+        Q = gentrig.deflation_matrix(p, roots)
+        size = np.abs(p.coeffs)
+        terms = np.array([[size[k + 1:] @ abs(r) ** np.arange(m - k) for k in range(m)]
+                          for r in roots])
+        exact = np.array([_exact_quotients(p, r) for r in roots])
+        assert np.all(np.abs(Q - exact) <= m * EPS * terms), m
+        horner = np.array([poly.synthetic_divide(p, r)[0].coeffs for r in roots])
+        assert np.all(np.abs(horner - exact) <= m * EPS * terms), m
+        # the bound can fail: one entry scaled by 1 + 1e-12
+        bent = Q.copy()
+        bent[0, m // 2] *= 1 + 1e-12
+        assert not np.all(np.abs(bent - exact) <= m * EPS * terms), m
 
 
 class TestTupleCoefficients:
@@ -80,6 +112,11 @@ class TestTupleCoefficients:
             for j in range(4):
                 assert T[l, j] == pytest.approx(brute_tuple(roots, l, j), abs=1e-12)
 
+    def test_non_finite_rebuilt_coefficient_is_refused(self):
+        # e_2 of three roots 1e200 overflows, as Polynomial.from_roots would refuse it
+        with pytest.raises(poly.PolynomialError, match="not finite"):
+            tuple_coefficients(RootSet((1e200, 1e200, 1e200), 0.0))
+
     def test_row_sums_are_symmetric(self):
         # summing T[l] over j counts each l-tuple once per member: l * e_l
         roots = [0.5, -1.5, 2 + 1j, -0.3j]
@@ -88,6 +125,49 @@ class TestTupleCoefficients:
             e_l = sum(math.prod(c, start=1 + 0j)
                       for c in itertools.combinations(roots, l))
             assert T[l].sum() == pytest.approx(l * e_l, abs=1e-12)
+
+
+class TestTupleCoefficientsAgainst50Digits:
+    """T of roots in the unit square, scaled by 10^-3..10^2, against T[l][j] =
+    r_j e_(l-1)(other roots) in 50-digit arithmetic.  The bound is m eps times
+    the term sizes sum_(s=1..l) e_(l-s)(|r|) |r_j|^s of the product route."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def case(m):
+        rng = np.random.default_rng(100 + m)
+        roots = (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) * 10.0 ** rng.uniform(-3, 2)
+        roots = tuple(sorted(roots.tolist(), key=lambda z: (z.real, z.imag)))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = np.ones((m, m), dtype=complex)
+            for j in range(m):
+                e = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)  # e_0..e_(m-1) of the others
+                for k, r in enumerate(roots):
+                    if k != j:
+                        for i in range(m - 1, 0, -1):
+                            e[i] += mpmath.mpc(r) * e[i - 1]
+                ref[1:, j] = [complex(mpmath.mpc(roots[j]) * e[l - 1]) for l in range(1, m)]
+        size = np.abs(roots)
+        e = np.zeros(m + 1)
+        e[0] = 1.0
+        for x in size:
+            e[1:] = e[1:] + x * e[:-1]
+        terms = np.ones((m, m))
+        for l in range(1, m):
+            terms[l] = sum(e[l - s] * size ** s for s in range(1, l + 1))
+        error = np.abs(tuple_coefficients(RootSet(roots, 0.0)) - ref)
+        return error, m * EPS * terms
+
+    @pytest.mark.parametrize("m", range(2, poly.MAX_DEGREE + 1))
+    def test_within_the_term_bound(self, m):
+        error, bound = self.case(m)
+        assert np.all(error <= bound)
+
+    def test_bound_fails_when_divided_by_1e3(self):
+        # worst ratio 0.081, at degree 3
+        assert max(float(np.max(error / bound)) for error, bound in map(
+            self.case, range(2, poly.MAX_DEGREE + 1))) > 1e-3
 
 
 class TestDerivativeMatrix:
@@ -142,6 +222,38 @@ class TestDerivativeMatrix:
     def test_degree_one_rejected(self):
         with pytest.raises(GenTrigError):
             derivative_matrix(parse_polynomial("x+1"))
+
+
+class TestSystemConstruction:
+    """The array views of the roots are set once, and K is built on first use."""
+
+    def test_attributes_set_at_construction(self):
+        sys = make_system(parse_polynomial("x^3+x^2+1"))
+        for name in ("m", "r", "minus_ir", "radius"):
+            assert name in vars(sys)
+        assert sys.m == 3 and sys.r.tolist() == list(sys.roots.roots)
+        assert np.array_equal(sys.minus_ir, -1j * sys.r)
+        assert sys.radius == float(np.max(np.abs(sys.r)))
+
+    def test_replace_recomputes_them(self):
+        sys = make_system(parse_polynomial("x^2+1"))
+        moved = dataclasses.replace(sys, roots=RootSet((2j, -2j), 0.0))
+        assert moved.r.tolist() == [2j, -2j] and moved.radius == 2.0
+
+    def test_K_is_built_on_first_use(self):
+        p = parse_polynomial("x^4+2x^3-x+5")
+        sys = make_system(p)
+        assert "K" not in vars(sys)
+        assert np.array_equal(sys.K, derivative_matrix(p))
+        assert sys.K is sys.K
+        line = from_roots([0.5 - 2j])
+        assert line.K.tolist() == [[-1j * (0.5 - 2j)]]
+
+    def test_K_is_not_a_constructor_argument(self):
+        sys = make_system(parse_polynomial("x^2+1"))
+        assert [f.name for f in dataclasses.fields(sys)] == ["poly", "roots", "T"]
+        with pytest.raises(TypeError):
+            gentrig.GenTrigSystem(sys.poly, sys.roots, sys.T, sys.K)
 
 
 class TestFromRoots:

@@ -162,6 +162,21 @@ def test_pivot_just_under_the_threshold(n):
             assert solve(A)[1] * n * PLANTED_RTOL > 1 - 1e-6  # the pivot shows
 
 
+def test_solve_is_numpy_on_the_stacked_identity():
+    # X and the estimate equal numpy.linalg.solve(A, [B | I]) and
+    # np.linalg.norm(., 1) bit for bit, with and without B, B real or complex
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 24):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for B in (None, rng.normal(size=(n, 2)), rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))):
+            eye = np.eye(n, dtype=complex)
+            Y = np.linalg.solve(A, eye if B is None else np.hstack([B, eye]))
+            k = Y.shape[1] - n
+            X, cond = solve(A, B)
+            assert X.tobytes() == Y[:, :k].tobytes() and X.shape == Y[:, :k].shape
+            assert cond == float(norm1(A) * norm1(Y[:, k:]))
+
+
 def test_failed_inverse_is_an_infinite_estimate(monkeypatch):
     # LAPACK's one LU fails on an exact zero pivot: no x, and the estimate
     # inf, which series refuses

@@ -266,15 +266,19 @@ class TestZetaTable:
             return repr((brute_force_sums(p), sums))
 
         series._zeta_table.cache_clear()
+        series._tail_operators.cache_clear()
         cold = both()
         warm = both()
-        assert series._zeta_table.cache_info().hits >= 1
+        assert series._tail_operators.cache_info().hits >= 1
         assert warm == cold
         monkeypatch.setattr(series, "_zeta_table", series._zeta_table.__wrapped__)
+        monkeypatch.setattr(series, "_tail_operators", series._tail_operators.__wrapped__)
         assert both() == cold
 
     def test_table_covers_the_worst_degree_24_input(self, monkeypatch):
-        # the tail reads rows s = m + j - k up to m + J - 1: one row fewer fails
+        # the tail reads rows s = m + j - k up to m + J - 1: one row fewer fails;
+        # the operator memo is bypassed, so every call reads the zeta table
+        monkeypatch.setattr(series, "_tail_operators", series._tail_operators.__wrapped__)
         table, asked, cut = series._zeta_table, [], [0]
         monkeypatch.setattr(series, "_zeta_table", lambda N, rows: asked.append(rows) or tuple(
             t[:rows - cut[0]] for t in table(N, rows)))
@@ -299,6 +303,77 @@ class TestZetaTable:
         assert series._zeta_table.cache_info().currsize == maxsize
         sizes = {t.nbytes for N in (1000, 2 ** 20, 10 ** 9) for t in series._zeta_table(N, 96)}
         assert sizes == {96 * 2 * 8}
+
+
+class TestTailOperators:
+    """The oracle tail as three operators on the Laurent coefficients, memoized
+    per head size, degree and term count."""
+
+    @staticmethod
+    def direct(N, m, J):
+        """The operators from the zeta table as the tail formula reads it: unit[k]
+        times the zeta factors at s = m + j - k, zero at an odd s."""
+        sigma = N + 1.0
+        k = np.arange(m)
+        unit = 2 * sigma ** (k + 1.0 - m)
+        s = m + np.arange(J) - k[:, None]
+        zeta, size, error = series._zeta_table(N, m + J)
+        keep = (s % 2 == 0)[..., None]
+        return [np.moveaxis(unit[:, None, None] * np.where(keep, t[s], 0), 1, 2)
+                for t in (zeta, size, error)] + [(unit * (1 / sigma + 1 / (m + J - k - 1)))[:, None]]
+
+    @pytest.mark.parametrize("N, m, J", [(1000, 2, 6), (1001, 5, 7), (1000, 8, 6), (565686, 2, 9),
+                                         (1000, 24, 72)])
+    def test_operators_equal_the_tail_formula(self, N, m, J):
+        got = series._tail_operators(N, m, J)
+        for a, b in zip(got, self.direct(N, m, J)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert got[0].shape == (m, 2, J) and got[3].shape == (m, 1)
+
+    def test_operators_are_read_only(self):
+        for t in series._tail_operators(MIN_ORACLE_N, 3, 8):
+            with pytest.raises(ValueError, match="read-only"):
+                t[0, 0] = 0.0
+
+    def test_memo_memory_is_bounded(self):
+        # a bounded number of entries, each at most 3 (m, 2, J) arrays and an
+        # (m, 1) column, m <= 24 and J <= 72, whatever N is
+        maxsize = series._tail_operators.cache_info().maxsize
+        per_entry = 3 * 24 * 2 * 72 * 8 + 24 * 8
+        assert maxsize is not None and maxsize * per_entry <= 6 * 2 ** 20
+        series._tail_operators.cache_clear()
+        for N in range(1000, 1000 + 2 * maxsize):
+            series._tail_operators(N, 2, 4)
+        assert series._tail_operators.cache_info().currsize == maxsize
+        assert sum(t.nbytes for t in series._tail_operators(10 ** 9, 24, 72)) == per_entry
+
+
+class TestIntegerScreen:
+    """The oracle runs the P' Horner pass of its integer check only where the
+    screen |P(+-n)| <= 2 m tol P~(n) says the exact test could fire; the
+    refusals stay as they were (``test_integer_root_refused`` and
+    ``test_near_integer_root_named_by_its_newton_step`` above)."""
+
+    @staticmethod
+    def horner_passes(monkeypatch, p):
+        calls = []
+        horner = series.horner
+        monkeypatch.setattr(series, "horner", lambda *args: calls.append(1) or horner(*args))
+        brute_force_sums(p)
+        return len(calls)
+
+    def test_no_pass_for_a_typical_polynomial(self, monkeypatch):
+        # P(+-n) and P~(n) only
+        assert self.horner_passes(monkeypatch, parse_polynomial("x^3+x^2+1")) == 2
+
+    def test_screen_fires_but_the_exact_test_does_not(self, monkeypatch):
+        # root 2 + 5e-8: |P(2)| = 2.0e-7 is below 2 m tol P~(2) = 3.2e-7, but the
+        # Newton step 5e-8 is above tol, so the sums come back, with the P' pass run
+        r = 2 + 5e-8
+        p = Polynomial((-r * r, 0.0, 1.0))
+        assert self.horner_passes(monkeypatch, p) == 3
+        oracle_a, _ = brute_force_sums(p)
+        assert all(math.isfinite(abs(v)) and math.isfinite(b) for v, b in oracle_a)
 
 
 class TestOracleAgainstMpmath:
