@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cyclotomic, gentrig, series, verify
 from .poly import (ParseError, Polynomial, PolynomialError, RootFindingError,
-                   find_roots, format_polynomial, parse_polynomial)
+                   find_roots, format_polynomial, parse_complex, parse_polynomial)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
@@ -104,26 +104,11 @@ def emit(doc: dict, as_json: bool):
 
 def _get_poly(args) -> Polynomial:
     if getattr(args, "coeffs", None):
-        coeffs = [complex(parse_complex(c)) for c in args.coeffs.split(",")]
+        coeffs = [parse_complex(c) for c in args.coeffs.split(",")]
         return Polynomial(tuple(coeffs))
     if not getattr(args, "poly", None):
         raise ParseError("one of --poly or --coeffs is required", 0)
     return parse_polynomial(args.poly)
-
-
-def parse_complex(text: str) -> complex:
-    """Parse a standalone complex literal such as ``0.3+0.1i`` or ``-2``."""
-    text = text.strip()
-    try:
-        p = parse_polynomial(text)
-    except ParseError as exc:
-        # the polynomial grammar has no zero constant; the literal grammar does
-        if "identically zero" in str(exc) and "x" not in text:
-            return 0j
-        raise
-    if p.degree != 0:
-        raise ParseError("expected a constant complex value", 0)
-    return p.coeffs[0]
 
 
 def _matrix_rows(M: np.ndarray):

@@ -103,134 +103,103 @@ def _expand_roots(roots: Sequence[complex]) -> list:
     return coeffs
 
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+#: a number literal (group 1) or any other character that is not a space
+_TOKEN_RE = re.compile(r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|\S")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _power_sums(text: str, max_power: int) -> dict:
+    """The summed coefficient of each power of x that a term of ``text`` names.
 
-    def fail(self, message: str):
-        raise ParseError(message, self.pos)
+    ``text`` is a sum of terms ``c``, ``c*x^k``, ``c x^k``, ``x^k`` or ``x``,
+    the first optionally negated, with k at most ``max_power``; ``c`` is
+    ``i``, a number literal, a number literal followed by ``i``, or a
+    parenthesized sum of those.  Whitespace is ignored.  A
+    :class:`ParseError` carries the offset of the first token that does not
+    fit, or ``len(text)`` if the text ends early.
+    """
+    # (kind, text, offset): kind is "number" or the character itself
+    tokens = [("number" if m.group(1) else m.group(), m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text)] + [("", "", len(text))]
+    at = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def fail(message):
+        raise ParseError(message, tokens[at][2])
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def take(kind):
+        nonlocal at
+        if tokens[at][0] != kind:
+            return None
+        at += 1
+        return tokens[at - 1][1]
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+    def sign():
+        return -1.0 if take("-") else 1.0 if take("+") else None
 
-    def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m is None:
-            self.fail("expected a numeric literal")
-        self.pos = m.end()
-        return float(m.group())
+    def literal():
+        if take("i"):
+            return 1j
+        number = take("number")
+        if number is None:
+            fail("expected a numeric literal")
+        return float(number) * 1j if take("i") else complex(float(number))
 
-
-def _parse_simple_coeff(s: _Scanner) -> complex:
-    # number, number followed by 'i', or a bare 'i'
-    if s.peek() == "i":
-        s.pos += 1
-        return 1j
-    value = s.number()
-    if s.peek() == "i":
-        s.pos += 1
-        return value * 1j
-    return complex(value)
-
-
-def _parse_paren_coeff(s: _Scanner) -> complex:
-    # '(' already consumed: a+bi, a-bi, bi, bi+a ...
-    total = 0j
-    sign = 1.0
-    if s.take("-"):
-        sign = -1.0
-    elif s.take("+"):
-        pass
-    total += sign * _parse_simple_coeff(s)
-    while s.peek() in "+-":
-        sign = -1.0 if s.take("-") else (s.take("+"), 1.0)[1]
-        total += sign * _parse_simple_coeff(s)
-    if not s.take(")"):
-        s.fail("expected ')'")
-    return total
-
-
-def _parse_x_part(s: _Scanner) -> int:
-    # 'x' already consumed; returns the exponent
-    if not s.take("^"):
-        return 1
-    s.skip_ws()
-    m = re.match(r"\d+", s.text[s.pos:])
-    if m is None:
-        s.fail("expected a non-negative integer exponent")
-    s.pos += m.end()
-    return int(m.group())
+    if tokens[0][0] in ("", "+"):
+        fail("empty input" if tokens[0][0] == "" else "unexpected leading '+'")
+    powers: dict[int, complex] = {}
+    term_sign = -1.0 if take("-") else 1.0
+    while True:
+        coeff = None
+        if take("("):
+            coeff, part_sign = 0j, sign() or 1.0
+            while True:
+                coeff += part_sign * literal()
+                if take(")"):
+                    break
+                part_sign = sign()
+                if part_sign is None:
+                    fail("expected ')'")
+        elif tokens[at][0] in ("i", "number"):
+            coeff = literal()
+        if coeff is not None and take("*") and tokens[at][0] != "x":
+            fail("expected 'x' after '*'")
+        power, power_offset = 0, tokens[at][2]
+        if take("x"):
+            power = 1
+            if take("^"):
+                kind, exponent, power_offset = tokens[at]
+                if kind != "number" or not exponent.isdecimal():
+                    fail("expected a non-negative integer exponent")
+                at += 1
+                power = int(exponent)
+        elif coeff is None:
+            fail("expected a term")
+        if power > max_power:
+            raise ParseError(f"exponent {power} exceeds the supported maximum {max_power}"
+                             if max_power else "expected a constant", power_offset)
+        powers[power] = powers.get(power, 0j) + term_sign * (1 + 0j if coeff is None else coeff)
+        if tokens[at][0] == "":
+            return powers
+        term_sign = sign()
+        if term_sign is None:
+            fail("expected '+' or '-' between terms")
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse a polynomial expression such as ``"x^3+x^2+1"`` or ``"(1+2i)x^2-3"``.
 
-    Terms are ``c``, ``c*x^k``, ``x^k`` or ``x`` with a real, imaginary or
-    parenthesized complex coefficient; whitespace is ignored.
+    The grammar is that of :func:`_power_sums`, up to ``x^MAX_DEGREE``; a
+    polynomial whose coefficients all cancel is a :class:`ParseError`.
     """
-    s = _Scanner(text)
-    powers: dict[int, complex] = {}
-    first = True
-    while True:
-        s.skip_ws()
-        if s.pos >= len(s.text):
-            if first:
-                s.fail("empty input")
-            break
-        sign = 1.0
-        if s.take("-"):
-            sign = -1.0
-        elif s.take("+"):
-            if first:
-                s.fail("unexpected leading '+'")
-        elif not first:
-            s.fail("expected '+' or '-' between terms")
-        first = False
-
-        ch = s.peek()
-        coeff = 1 + 0j
-        have_coeff = False
-        if ch == "(":
-            s.pos += 1
-            coeff = _parse_paren_coeff(s)
-            have_coeff = True
-        elif ch == "i" or ch.isdigit() or ch == ".":
-            coeff = _parse_simple_coeff(s)
-            have_coeff = True
-        exponent = 0
-        s.take("*") if have_coeff else None
-        if s.peek() == "x":
-            s.pos += 1
-            exponent = _parse_x_part(s)
-        elif not have_coeff:
-            s.fail("expected a term")
-        if exponent > MAX_DEGREE:
-            s.fail(f"exponent {exponent} exceeds the supported maximum {MAX_DEGREE}")
-        powers[exponent] = powers.get(exponent, 0j) + sign * coeff
-
-    degree = max(powers)
-    coeffs = [powers.get(k, 0j) for k in range(degree + 1)]
+    powers = _power_sums(text, MAX_DEGREE)
+    coeffs = [powers.get(k, 0j) for k in range(max(powers) + 1)]
     if all(c == 0 for c in coeffs):
         raise ParseError("polynomial is identically zero", 0)
-    while coeffs[-1] == 0:
-        coeffs.pop()
     return Polynomial(tuple(coeffs))
+
+
+def parse_complex(text: str) -> complex:
+    """Parse a constant of the polynomial grammar, such as ``0.3+0.1i``, ``-2`` or ``0``."""
+    return _require_finite(_power_sums(text, 0)[0])
 
 
 def _format_real(x: float) -> str:

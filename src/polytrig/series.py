@@ -204,33 +204,13 @@ def _fujiwara_radius(monic: np.ndarray) -> float:
     return 2 * float(np.max(c ** (1 / np.arange(1, len(c) + 1))))
 
 
-@functools.lru_cache(maxsize=32)
-def _zeta_table(N: int, rows: int):
-    """The oracle tail's zeta factors at head size N, for the exponents s = 0..rows-1.
-
-    With sigma = N + 1, column 0 is sigma^(s-1) zeta(s, N+1) and column 1 is
-    sigma^(s-1) 2^-s (zeta(s, e/2) - zeta(s, o/2)) for the first even e and
-    odd o above N, both from a^(s-1) zeta(s, a) at a = N + 1, e/2 and o/2
-    (:func:`_hurwitz_zeta`); rows s = 0 and 1 are zero, as they never survive
-    in a pair term.  Returns ``(zeta, zeta_size, zeta_error)``: the values,
-    the same mix of the moduli, and the mixed Euler-Maclaurin bounds, each
-    ``(rows, 2)`` and read-only.  They depend on N and ``rows`` alone, so
-    every polynomial with this head and row count shares them, and each is
-    the same computation at the same size as an unmemoized call would make.
-    """
-    sigma = N + 1.0
-    e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
-    s = np.arange(2, rows)[:, None]
-    z, z_error = _hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
-    rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
-    mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
-    pad = np.zeros((2, 2))
-    tables = (np.concatenate([pad, (z * rescale) @ mix]),
-              np.concatenate([pad, (z * rescale) @ np.abs(mix)]),
-              np.concatenate([pad, (z_error * rescale) @ np.abs(mix)]))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+def _cauchy_floor(size: np.ndarray) -> np.ndarray:
+    """q~(g) = 1 - sum_i |beta_i| g^i at each radius g, from ``size`` = |beta_i|
+    for i = 1..m, less (m + 3) eps (1 + sum): an allowance for the rounding of
+    |beta_i| (an ulp), of the sum (gamma_m of it) and of the differences, so
+    that q~ is a lower bound."""
+    total = _RADII_POWERS[:, :len(size)] @ size
+    return 1 - total - (len(size) + 3) * _EPS * (1 + total)
 
 
 @functools.lru_cache(maxsize=64)
@@ -238,23 +218,33 @@ def _tail_operators(N: int, m: int, J: int):
     """The oracle tail as operators on the J Laurent coefficients, at head size N
     and degree m.
 
-    With the zeta factors of :func:`_zeta_table` at the exponents
-    s = m + j - k, only the even ones surviving, and unit[k] = 2 sigma^(k+1-m),
-    returns ``(Z, Z_size, Z_error, remainder)``: Z[k, :, j] is unit[k] times
-    the zeta values (zero for an odd exponent), so that the tail sums are
-    Z @ c, Z_size and Z_error the same from the moduli and the
-    Euler-Maclaurin bounds, each ``(m, 2, J)``, and ``remainder`` the
-    ``(m, 1)`` column unit[k] (1/sigma + 1/(m+J-k-1)) of the Laurent
-    remainder.  All four are read-only.  They depend on N, m and J alone; at degree 24 (J <= 72) an
+    With sigma = N + 1, the zeta factors of an exponent s are
+    sigma^(s-1) zeta(s, N+1) and sigma^(s-1) 2^-s (zeta(s, e/2) - zeta(s, o/2))
+    for the first even e and odd o above N, from a^(s-1) zeta(s, a)
+    (:func:`_hurwitz_zeta`).  With those at s = m + j - k, only the even ones
+    surviving, and unit[k] = 2 sigma^(k+1-m), returns
+    ``(Z, Z_size, Z_error, remainder)``: Z[k, :, j] is unit[k] times the zeta
+    factors (zero for an odd exponent), so that the tail sums are Z @ c,
+    Z_size and Z_error the same from the moduli and the Euler-Maclaurin
+    bounds, each ``(m, 2, J)``, and ``remainder`` the ``(m, 1)`` column
+    unit[k] (1/sigma + 1/(m+J-k-1)) of the Laurent remainder.  All four are
+    read-only.  They depend on N, m and J alone; at degree 24 (J <= 72) an
     entry holds at most about 83 KB, so the memo of 64 entries holds at most
     about 5.3 MB.
     """
     sigma = N + 1.0
+    e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
+    s = np.arange(2, m + J)[:, None]  # s = 0 and 1 never survive: zero rows
+    z, z_error = _hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
+    rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
+    mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
+    tables = [np.concatenate([np.zeros((2, 2)), a @ b]) for a, b in (
+        (z * rescale, mix), (z * rescale, np.abs(mix)), (z_error * rescale, np.abs(mix)))]
     k = np.arange(m)
     unit = 2 * sigma ** (k + 1.0 - m)
     exponent = m + np.arange(J) - k[:, None]  # s by k and j
     scale = (unit[:, None] * (exponent % 2 == 0))[:, None, :]
-    operators = tuple(scale * table[exponent].transpose(0, 2, 1) for table in _zeta_table(N, m + J))
+    operators = tuple(scale * table[exponent].transpose(0, 2, 1) for table in tables)
     remainder = (unit * (1 / sigma + 1 / (m + J - k - 1)))[:, None]
     for array in operators + (remainder,):
         array.setflags(write=False)
@@ -361,7 +351,7 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     # only the largest unit / size over k matters, as the rest is monotone.
     # Every root is within sigma/4, so |P(n)| <= (1.5 n)^m for n >= N/2, the
     # head size is at least unit / (4 1.5^m), and J <= 72 at degree 24.
-    q_low = 1 - _RADII_POWERS[:, :m] @ np.abs(beta[1:])
+    q_low = _cauchy_floor(np.abs(beta[1:]))
     ok = q_low > 0
     g, cauchy = _RADII[ok], 1 / q_low[ok]
     factor = cauchy / (1 - 1 / g)

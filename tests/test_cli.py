@@ -44,6 +44,16 @@ def test_coeffs_input(capsys):
     assert doc["inputs"]["poly"] == "x^2+1"
 
 
+def test_constants_are_read_by_the_polynomial_grammar(capsys):
+    # --x 0 is the zero constant; each --coeffs entry is a constant too
+    code, doc = run_json(capsys, "eval", "--poly", "x^2-1", "--l", "0", "--x", "0")
+    assert code == 0 and doc["results"]["value"] == {"re": 2.0, "im": 0.0}
+    code, doc = run_json(capsys, "roots", "--coeffs", " 1, 0 ,(0.5+1i)+0.5-i")
+    assert code == 0 and doc["results"]["roots"] == [{"re": 0.0, "im": -1.0}, {"re": 0.0, "im": 1.0}]
+    code, out, err = run(capsys, "eval", "--poly", "x^2-1", "--l", "0", "--x", "2x")
+    assert code == 2 and "expected a constant (at position 1)" in err
+
+
 def test_eval_text_format(capsys):
     code, out, _ = run(capsys, "eval", "--poly", "x^2+1", "--l", "0", "--x", "1")
     assert code == 0

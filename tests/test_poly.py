@@ -49,6 +49,12 @@ class TestParsing:
     def test_whitespace(self):
         assert parse_polynomial("  x ^ 2  +  1 ") == parse_polynomial("x^2+1")
 
+    def test_leading_sign(self):
+        # a leading '-' negates the first term; a leading '+' is refused at
+        # the '+' (test_error_offsets), but a '+' opening a parenthesis is not
+        assert parse_polynomial("-x^2+1").coeffs == (1, 0, -1)
+        assert parse_polynomial("(+2-i)x").coeffs == (0, 2 - 1j)
+
     @pytest.mark.parametrize("text,offset", [
         ("", 0),
         ("x^", 2),
@@ -57,11 +63,43 @@ class TestParsing:
         ("(1+2i", 5),
         ("x 1", 2),
         ("x^2 + * 3", 6),
+        ("+x", 0),  # the offset of the '+'
+        (" + x", 1),
+        ("(1+2", 4),  # "expected ')'" (test_unclosed_parenthesis)
+        ("x^25 + 1", 2),  # the offset of the exponent above the cap
+        ("x^2.5", 2),  # a literal exponent that is not an integer, whole
+        ("x^1e3", 2),
+        ("2*", 2),  # a '*' not followed by x
+        ("2*+3", 2),
     ])
     def test_error_offsets(self, text, offset):
         with pytest.raises(ParseError) as exc:
             parse_polynomial(text)
         assert exc.value.offset == offset
+
+    def test_unclosed_parenthesis(self):
+        with pytest.raises(ParseError, match=r"expected '\)' \(at position 4\)"):
+            parse_polynomial("(1+2")
+
+    def test_non_finite_coefficient_is_not_a_parse_error(self):
+        # the text parses; the coefficient it names is refused
+        for text in ("1e999x", "1e999i", "x - 1e999"):
+            with pytest.raises(PolynomialError, match="non-finite") as exc:
+                parse_polynomial(text)
+            assert not isinstance(exc.value, ParseError)
+
+    def test_parse_complex(self):
+        # a constant of the same grammar: a sum of power-0 terms, zero included
+        for text, value in (("0", 0j), ("1 - 1", 0j), ("-0.5i", complex(0, -0.5)), ("(1-2i)", 1 - 2j),
+                            (" 2 - 3 ", -1 + 0j), ("x^0", 1 + 0j)):
+            got = poly.parse_complex(text)
+            assert type(got) is complex and repr(got) == repr(value), text
+        for text, offset in (("x", 0), ("", 0), ("2x", 1), (" 1 + x^2", 7), ("0*x", 2)):
+            with pytest.raises(ParseError) as exc:
+                poly.parse_complex(text)
+            assert exc.value.offset == offset, text
+        with pytest.raises(PolynomialError, match="non-finite"):
+            poly.parse_complex("1e999")
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ParseError):

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,12 +212,9 @@ class TestOracle:
         assert abs(est - math.pi / math.sinh(math.pi)) <= err
 
 
-def _same_bits(a, b) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestZetaTable:
-    """The oracle tail's zeta factors, memoized per head size and row count."""
+    """The oracle tail's zeta factors, computed inside the operator memo
+    (``_tail_operators``), which is the oracle's one memo."""
 
     #: (x^2 + 100^2)^12 needed the most Laurent terms, m + J = 51, in a sweep
     #: of degree-24 inputs (random, annulus, real and imaginary-axis roots of
@@ -225,8 +223,8 @@ class TestZetaTable:
 
     @staticmethod
     def direct(N, top):
-        """The zeta block computed inline for one call, at ``top`` rows: the
-        reference the memoized table must equal bit for bit."""
+        """The zeta block computed inline for one call, at ``top`` rows s < top:
+        the reference that the operators' zeta factors must equal."""
         sigma = N + 1.0
         e, o = (N + 2, N + 1) if N % 2 == 0 else (N + 1, N + 2)
         s = np.arange(2, top)[:, None]
@@ -241,15 +239,17 @@ class TestZetaTable:
     # 565686 is the head that x^2 + 1e10 forces: 4 Fujiwara radii of 141421.4
     @pytest.mark.parametrize("N", [1000, 1001, 565686], ids=["even", "odd", "large-radius"])
     def test_rows_equal_the_direct_computation(self, N):
-        for rows in (4, 5, 11, 51, 96):
-            want = self.direct(N, rows)
-            for table in (series._zeta_table.__wrapped__(N, rows), series._zeta_table(N, rows)):
-                assert all(_same_bits(got, ref) for got, ref in zip(table, want)), rows
+        # m + J rows of 4, 5, 11, 51 and 96, unmemoized and memoized; equal
+        # floats have equal bits, but for the sign of a masked-out zero
+        for m, J in ((2, 2), (2, 3), (5, 6), (24, 27), (24, 72)):
+            want = TestTailOperators.direct(N, m, J)
+            for got in (series._tail_operators.__wrapped__(N, m, J), series._tail_operators(N, m, J)):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (m, J)
 
     def test_large_radius_head(self, monkeypatch):
         asked = []
-        table = series._zeta_table
-        monkeypatch.setattr(series, "_zeta_table", lambda N, rows: asked.append(N) or table(N, rows))
+        tail = series._tail_operators
+        monkeypatch.setattr(series, "_tail_operators", lambda N, m, J: asked.append(N) or tail(N, m, J))
         brute_force_sums(Polynomial((1e10, 0.0, 1.0)))
         assert asked == [565686]
 
@@ -265,44 +265,63 @@ class TestZetaTable:
                 sums = f"{type(exc).__name__}: {exc}"
             return repr((brute_force_sums(p), sums))
 
-        series._zeta_table.cache_clear()
         series._tail_operators.cache_clear()
         cold = both()
         warm = both()
         assert series._tail_operators.cache_info().hits >= 1
         assert warm == cold
-        monkeypatch.setattr(series, "_zeta_table", series._zeta_table.__wrapped__)
         monkeypatch.setattr(series, "_tail_operators", series._tail_operators.__wrapped__)
         assert both() == cold
 
     def test_table_covers_the_worst_degree_24_input(self, monkeypatch):
-        # the tail reads rows s = m + j - k up to m + J - 1: one row fewer fails;
-        # the operator memo is bypassed, so every call reads the zeta table
-        monkeypatch.setattr(series, "_tail_operators", series._tail_operators.__wrapped__)
-        table, asked, cut = series._zeta_table, [], [0]
-        monkeypatch.setattr(series, "_zeta_table", lambda N, rows: asked.append(rows) or tuple(
-            t[:rows - cut[0]] for t in table(N, rows)))
+        # the tail reads the zeta factors at s = m + j - k up to m + J - 1, so
+        # the last Laurent term of the sum k = 0 reads row 50 of the block
+        asked = []
+        tail = series._tail_operators.__wrapped__
+        monkeypatch.setattr(series, "_tail_operators",
+                            lambda N, m, J: asked.append((N, m, J)) or tail(N, m, J))
         brute_force_sums(self.WORST_24)
-        assert asked == [51]  # m + J = 24 + 27, within the m + 72 <= 96 rows of degree 24
-        cut[0] = 1
-        with pytest.raises(IndexError):
-            brute_force_sums(self.WORST_24)
-
-    def test_tables_are_read_only(self):
-        for t in series._zeta_table(MIN_ORACLE_N, 16):
-            with pytest.raises(ValueError, match="read-only"):
-                t[2, 0] = 0.0
+        (N, m, J), = asked
+        assert (m, J) == (24, 27)  # m + J = 51, within the m + 72 <= 96 rows of degree 24
+        Z = tail(N, m, J)[0]
+        row = self.direct(N, m + J)[0][m + J - 1]
+        assert np.array_equal(Z[0, :, J - 1], 2 * (N + 1.0) ** (1.0 - m) * row) and row.all()
 
     def test_memo_memory_is_bounded(self):
-        # a bounded number of entries, each (rows, 2) with rows = m + J <= 96 whatever N is
-        maxsize = series._zeta_table.cache_info().maxsize
-        assert maxsize is not None and maxsize * 3 * 96 * 2 * 8 <= 2 ** 20
-        series._zeta_table.cache_clear()
-        for N in range(1000, 1000 + 3 * maxsize):
-            series._zeta_table(N, 96)
-        assert series._zeta_table.cache_info().currsize == maxsize
-        sizes = {t.nbytes for N in (1000, 2 ** 20, 10 ** 9) for t in series._zeta_table(N, 96)}
-        assert sizes == {96 * 2 * 8}
+        # the operators' memo is the oracle's only one, and many heads fill
+        # it to its bound and no further
+        assert [name for name, f in vars(series).items() if hasattr(f, "cache_info")] == \
+            ["_tail_operators"]
+        maxsize = series._tail_operators.cache_info().maxsize
+        series._tail_operators.cache_clear()
+        p = parse_polynomial("x^2+1")
+        for N in range(MIN_ORACLE_N, MIN_ORACLE_N + maxsize + 8):
+            brute_force_sums(p, N)
+        assert series._tail_operators.cache_info().currsize == maxsize
+
+
+class TestCauchyFloor:
+    """q~(g) = 1 - sum_i |beta_i| g^i, from which the oracle takes its Cauchy
+    factor 1/q~, is a lower bound."""
+
+    def test_floor_never_exceeds_the_exact_value(self, monkeypatch):
+        # in rationals from the same floats |beta_i|; rounded without an
+        # allowance, about half of these (input, g) pairs land above it
+        calls = []
+        floor = series._cauchy_floor
+        monkeypatch.setattr(series, "_cauchy_floor",
+                            lambda size: calls.append((size, floor(size))) or calls[-1][1])
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            m = int(rng.integers(1, 9))
+            scale = 0.3 * 2100 ** rng.uniform()  # 0.3 .. 630
+            brute_force_sums(Polynomial.from_roots(
+                scale * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))))
+        assert len(calls) == 40
+        for size, q in calls:
+            for g, q_g in zip(series._RADII, q):
+                exact = 1 - sum(Fraction(b) * Fraction(g) ** i for i, b in enumerate(size.tolist(), 1))
+                assert Fraction(q_g) <= exact, (size, g)
 
 
 class TestTailOperators:
@@ -311,13 +330,13 @@ class TestTailOperators:
 
     @staticmethod
     def direct(N, m, J):
-        """The operators from the zeta table as the tail formula reads it: unit[k]
+        """The operators from the zeta block as the tail formula reads it: unit[k]
         times the zeta factors at s = m + j - k, zero at an odd s."""
         sigma = N + 1.0
         k = np.arange(m)
         unit = 2 * sigma ** (k + 1.0 - m)
         s = m + np.arange(J) - k[:, None]
-        zeta, size, error = series._zeta_table(N, m + J)
+        zeta, size, error = TestZetaTable.direct(N, m + J)
         keep = (s % 2 == 0)[..., None]
         return [np.moveaxis(unit[:, None, None] * np.where(keep, t[s], 0), 1, 2)
                 for t in (zeta, size, error)] + [(unit * (1 / sigma + 1 / (m + J - k - 1)))[:, None]]
