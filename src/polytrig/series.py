@@ -52,6 +52,20 @@ _RADII_POWERS = _RADII[:, None] ** np.arange(1, MAX_DEGREE + 1)
 _SIGNS = np.append(0.0, (-1.0) ** np.arange(1, MAX_DEGREE))
 _SIGNS.setflags(write=False)
 
+#: 1/i for i = 1..MAX_DEGREE, the exponents of Fujiwara's bound
+_ROOT_EXPONENTS = 1 / np.arange(1, MAX_DEGREE + 1)
+
+#: (-1)^k for k = 0..MAX_DEGREE, the signs of the plain and alternating sums,
+#: and the rows that take x, y to x + y and x - y
+_ALTERNATING = (-1.0) ** np.arange(MAX_DEGREE + 1)
+_PLUS_MINUS = np.array([1.0, -1.0])
+_PAIR_MIX = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+#: the oracle head walks n = 1..N in blocks of at most this many integers; it
+#: is even, so n has one parity at a given column of every block, and a
+#: block's power matrix holds (m + 1) 2^14 floats, 3.3 MB at degree 24
+_HEAD_BLOCK = 2 ** 14
+
 TWO_PI_I = 2j * math.pi
 
 
@@ -201,7 +215,7 @@ def _fujiwara_radius(monic: np.ndarray) -> float:
     """Fujiwara's root-free bound 2 max |b_(m-i)|^(1/i), b_0 halved, on every |root|."""
     c = np.abs(monic[-2::-1])  # |b_(m-1)|, ..., |b_0|
     c[-1] /= 2
-    return 2 * float(np.max(c ** (1 / np.arange(1, len(c) + 1))))
+    return 2 * float((c ** _ROOT_EXPONENTS[:len(c)]).max())
 
 
 def _cauchy_floor(size: np.ndarray) -> np.ndarray:
@@ -251,13 +265,59 @@ def _tail_operators(N: int, m: int, J: int):
     return operators + (remainder,)
 
 
+def _refuse_integer_root(x: np.ndarray, at_x: np.ndarray, slope: np.ndarray):
+    """Raise :class:`IntegerRootError` at the first x with |P(x)| <= INTEGER_ROOT_TOL
+    |P'(x)|, naming its Newton estimate x - P(x)/P'(x); else return."""
+    hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
+    if hit.any():
+        i = int(np.argmax(hit))
+        step = at_x[i] / slope[i] if at_x[i] != 0 else 0.0
+        raise IntegerRootError(complex(x[i] - step), float(abs(step)))
+
+
+def _parity_sums(powers: np.ndarray, pairs: np.ndarray, out=None) -> tuple:
+    """The sums over even and over odd n of t = powers * pairs, in k order:
+    ``powers`` holds n^k as (k even, k odd) row pairs over a block that starts
+    at an odd n, ``pairs`` the pair terms by parity of k.  Each sum is a numpy
+    pairwise sum along the contiguous n axis, taken with stride 2."""
+    t = np.multiply(powers, pairs, out=out)
+    return t[..., 1::2].sum(axis=-1).ravel(), t[..., ::2].sum(axis=-1).ravel()
+
+
+def _pairwise_sum(parts: list) -> tuple:
+    """The entrywise sum of a list of equal tuples of arrays, as a balanced
+    tree: each term passes through at most ceil(log2 len(parts)) additions."""
+    while len(parts) > 1:
+        odd = parts[len(parts) // 2 * 2:]
+        parts = [tuple(a + b for a, b in zip(x, y)) for x, y in zip(parts[::2], parts[1::2])] + odd
+    return parts[0]
+
+
 def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     """Independent oracle for all 2m sums: an exact head and a summed asymptotic tail.
 
-    Head: the terms n = -N..N, from one Horner pass each for P(n), P(-n) and
-    P~(n) = sum |a_i| n^i, where N is ``n_terms`` raised to ``HEAD_RADII``
-    Fujiwara root radii.  The pair term n^k (1/P(n) + (-1)^k / P(-n)) serves
-    every power k and both signs.
+    Head: the terms n = -N..N, where N is ``n_terms`` raised to ``HEAD_RADII``
+    Fujiwara root radii, walked in blocks of at most ``_HEAD_BLOCK`` integers,
+    so the memory it holds is one block whatever N is.  In a block, the power
+    matrix V[k, i] = n_i^k (a running product) times the rows a_k, (-1)^k a_k
+    and |a_k| (real and imaginary parts apart for complex P) gives P(n), P(-n)
+    and P~(n) = sum |a_i| n^i in one product.  The pair term
+    n^k (1/P(n) + (-1)^k / P(-n)) serves every power k and both signs: its
+    sums over even and over odd n are two strided numpy pairwise sums, the
+    plain sum is even + odd and the alternating one even - odd, and the block
+    partials add up as a balanced tree.
+
+    Head roundoff, in units of size_k = sum n^k P~(n) / |P(+-n)|^2 >= sum
+    n^k / |P(+-n)|: the powers n^k carry at most k - 1 roundings, so the dot
+    product with the coefficients is within gamma_2m P~(n) <= 3m eps P~(n) of
+    P(n) (for complex P each of the real and imaginary parts is within
+    gamma_2m of its own sum of moduli, and the two add in quadrature to at
+    most P~).  The reciprocal, the pair and its product with n^k add a few eps.
+    A numpy pairwise sum of h terms passes each term through at most
+    18 + log2 h additions; with the sum over half a block of b <=
+    ``_HEAD_BLOCK`` terms, the even +- odd and the tree over ceil(N / b)
+    blocks, a head term passes through at most 18 + log2 N.  So the bound
+    eps (3m + k + 31 + log2 N) size_k still covers the head.
 
     Tail: for n > N, 1/P(n) = n^-m sum_j d_j n^-j, with d the power-series
     inverse of the reversed coefficients of P.  In a pair term only the even
@@ -271,19 +331,27 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     The error bar is a bound, the sum of: a Cauchy estimate of the Laurent
     remainder, the Euler-Maclaurin remainder of the zeta values and the
     roundoff of head and tail.  Returns ``(oracle_A, oracle_B)``, each a tuple
-    of ``(estimate, error_bar)`` pairs indexed by k.  An integer n with
+    of ``(estimate, error_bar)`` pairs indexed by k.  A degree below 1, an
+    ``n_terms`` that is not an integer (a bool included) or is below
+    ``MIN_ORACLE_N``, and roots too large for a head of ``max(n_terms,
+    _MAX_AUTO_HEAD)`` terms raise :class:`SeriesError`.  An integer n with
     |P(n)| <= ``INTEGER_ROOT_TOL`` |P'(n)| raises :class:`IntegerRootError`
-    naming the Newton estimate n - P(n)/P'(n) of the root.  The P' pass of
-    that test runs only where a screen on P and P~ shows it could fire.
+    naming the Newton estimate n - P(n)/P'(n) of the root, for the first such n
+    in the order 0, 1, -1, 2, -2, ....  The P' pass of that test runs only
+    where a screen on P and P~ shows it could fire.
     """
+    n_terms = _integer(n_terms, "oracle size", SeriesError)
     if n_terms < MIN_ORACLE_N:
         raise SeriesError(
             f"oracle size {n_terms} is below {MIN_ORACLE_N}; "
             f"its zeta tail would lose precision"
         )
+    if p.degree < 1:
+        raise SeriesError("the oracle needs a polynomial of degree at least 1")
     m, lead = p.degree, p.coeffs[-1]
     coeffs = np.array(p.monic().coeffs, dtype=complex)  # the sums are divided by lead at the end
-    if not coeffs.imag.any():
+    real = not coeffs.imag.any()
+    if real:
         coeffs = coeffs.real  # real arithmetic for real coefficients: same values up to rounding
     desc = coeffs[::-1]
     radius = _fujiwara_radius(coeffs)
@@ -294,46 +362,55 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
         )
     N = max(n_terms, math.ceil(HEAD_RADII * radius))
 
-    n = np.arange(1.0, N + 1)
-    values = horner(desc, np.array([n, -n]))  # P(n), P(-n)
-    bound = horner(np.abs(desc), n)  # P~(n) = sum |a_i| n^i
+    rows = np.array([coeffs, _ALTERNATING[:m + 1] * coeffs, np.abs(coeffs)])  # P(n), P(-n), P~(n)
+    if not real:
+        rows = np.concatenate((rows.real, rows.imag[:2]))  # real rows, imaginary parts last
     # An integer beyond radius + 1 is at least 1 from every root, so its
     # Newton step |P/P'| is at least 1/m: only the nearer ones can be refused.
     # For n >= 1, |P'(+-n)| <= m P~(n), so the exact test can fire only where
     # |P(+-n)| <= tol m P~(n), or at n = 0 (a factor 2 covers the roundoff).
+    if abs(coeffs[0]) <= INTEGER_ROOT_TOL * abs(coeffs[1]):
+        _refuse_integer_root(np.zeros(1), coeffs[:1], coeffs[1:2])  # P'(0) = a_1
     near = min(N, int(radius) + 1)
-    if (abs(coeffs[0]) <= INTEGER_ROOT_TOL * abs(coeffs[1])
-            or (np.abs(values[:, :near]) <= 2 * m * INTEGER_ROOT_TOL * bound[:near]).any()):
-        x = np.concatenate(([0.0], n[:near], -n[:near]))
-        at_x = np.concatenate(([coeffs[0]], values[0, :near], values[1, :near]))
-        slope = horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
-        hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
-        if hit.any():
-            i = int(np.argmax(hit))
-            step = at_x[i] / slope[i] if at_x[i] != 0 else 0.0
-            raise IntegerRootError(complex(x[i] - step), float(abs(step)))
+    even_rows = m + m % 2  # the powers k < m, and n^m for odd m, as (k even, k odd) row pairs
+    parts = []
+    for start in range(0, N, _HEAD_BLOCK):  # start is even, so n = start + 1 + i is odd at even i
+        n = np.arange(start + 1.0, min(start + _HEAD_BLOCK, N) + 1)
+        V = np.empty((m + 1, len(n)))
+        V[0] = 1.0
+        V[1] = n
+        for k in range(2, m + 1):  # one multiply per row: accumulate along k is 4x slower
+            np.multiply(V[k - 1], n, out=V[k])
+        Y = rows @ V
+        values = Y[:2] if real else Y[:2] + 1j * Y[3:]  # P(n), P(-n)
+        bound = Y[2]  # P~(n)
+        if start < near and (np.abs(values[:, :near - start])
+                             <= 2 * m * INTEGER_ROOT_TOL * bound[:near - start]).any():
+            x = (n[:near - start, None] * _PLUS_MINUS).ravel()  # 1, -1, 2, -2, ...
+            slope = horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
+            _refuse_integer_root(x, values[:, :near - start].T.ravel(), slope)
 
-    inv = 1 / values
-    size_inv = np.abs(inv)
-    # P~(|n|) / |P(+-n)|^2: at least 1/|P|, and the Horner error of P is at
-    # most about 3m eps P~ (complex arithmetic)
-    weight = ((bound * size_inv) * size_inv).sum(axis=0)
-    pairs = (inv[0] + inv[1], inv[0] - inv[1])  # by parity of k
-    sign = np.ones(N)
-    sign[::2] = -1.0  # (-1)**n
-    head = np.zeros((m, 2), dtype=complex)
-    size = np.empty(m)
-    power = np.ones(N)
-    for k in range(m):
-        t = power * pairs[k % 2]
-        head[k] = t.sum(), (t * sign).sum()
-        size[k] = power @ weight
-        power *= n
+        inv = 1 / values
+        size_inv = np.square(inv if real else np.abs(inv))
+        # P~(n) / |P(+-n)|^2 over both signs: at least 1/|P|, and the error of P
+        # is at most 3m eps P~
+        weight = (size_inv[0] + size_inv[1]) * bound
+        pairs = _PAIR_MIX @ inv  # by parity of k: 1/P(n) +- 1/P(-n), one rounding each
+        size = V[:m] @ weight
+        powers = V[:even_rows].reshape(-1, 2, len(n))
+        if real:
+            even, odd = _parity_sums(powers, pairs, out=powers)  # V is not read again
+        else:  # two real products: a complex t would take twice the memory of V
+            even, odd = _parity_sums(powers, pairs.real)
+            even_im, odd_im = _parity_sums(powers, pairs.imag, out=powers)
+            even, odd = even + 1j * even_im, odd + 1j * odd_im
+        parts.append((even, odd, size))
+    even, odd, size = _pairwise_sum(parts)
+    head = even[:m, None] + odd[:m, None] * _PLUS_MINUS  # (-1)^n: even - odd
     head[0] += 1 / coeffs[0]  # n = 0; 0**0 == 1
     size[0] += 1 / abs(coeffs[0])
     k = np.arange(m)
-    # Horner, then the reciprocal, n^k, the pair and a pairwise sum of depth <= 20 + log2 N
-    head_error = _EPS * (3 * m + k + 31 + math.log2(N)) * size
+    head_error = (3 * m + 31 + math.log2(N) + k) * (_EPS * size)
 
     # Tail.  P(n) = n^m q(sigma/n) with q(t) = sum_i beta_i t^i and
     # sigma = N + 1, so t <= 1 on the tail, and 1/P has the Laurent

@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +192,22 @@ class TestOracle:
         with pytest.raises(SeriesError, match="oracle size"):
             evaluate_sums(p, oracle_n=n_terms)
 
+    @pytest.mark.parametrize("n_terms", [1000.0, 1000.5, True, "1000"])
+    def test_oracle_size_must_be_an_integer(self, n_terms):
+        p = parse_polynomial("x^2+1")
+        with pytest.raises(SeriesError, match="oracle size .* is not an integer"):
+            brute_force_sums(p, n_terms)
+        with pytest.raises(SeriesError, match="oracle size .* is not an integer"):
+            evaluate_sums(p, oracle_n=n_terms)
+
+    def test_numpy_integer_oracle_size_accepted(self):
+        p = parse_polynomial("x^2+1")
+        assert brute_force_sums(p, np.int64(1001)) == brute_force_sums(p, 1001)
+
+    def test_degree_zero_refused(self):
+        with pytest.raises(SeriesError, match="degree at least 1"):
+            brute_force_sums(Polynomial((5.0,)))
+
     @pytest.mark.parametrize("text, root", [("x^2-4", 2.0), ("x^4-6x^3+10x^2-6x+9", 3.0)])
     def test_integer_root_refused(self, text, root):
         # x^2 - 4 and (x-3)^2 (x^2+1): P(n) = 0 at a head integer, before any division
@@ -203,6 +221,16 @@ class TestOracle:
             brute_force_sums(Polynomial((-r * r, 0.0, 1.0)))
         assert exc.value.root.real == pytest.approx(r, abs=1e-15)
         assert exc.value.distance == pytest.approx(1e-10, rel=1e-5)
+
+    @pytest.mark.parametrize("roots, named", [
+        ((2.0, -1.0), -1.0),  # 1, -1, 2, -2, ...: |n| = 1 comes first
+        ((20000.0, 1j, -1j), 20000.0),  # N = 160,000; n = 20000 is in the second block
+    ])
+    def test_integer_roots_named_nearest_zero_first(self, roots, named):
+        p = Polynomial(tuple(complex(c) for c in np.poly(roots)[::-1]))
+        with pytest.raises(IntegerRootError) as exc:
+            brute_force_sums(p)
+        assert exc.value.root == named and exc.value.distance == 0.0
 
     def test_smallest_oracle_is_honest(self):
         oracle_a, oracle_b = brute_force_sums(parse_polynomial("x^2+1"), MIN_ORACLE_N)
@@ -368,9 +396,10 @@ class TestTailOperators:
 
 
 class TestIntegerScreen:
-    """The oracle runs the P' Horner pass of its integer check only where the
-    screen |P(+-n)| <= 2 m tol P~(n) says the exact test could fire; the
-    refusals stay as they were (``test_integer_root_refused`` and
+    """P(+-n) and P~(n) come from one product with the power block, so the one
+    Horner pass left is the P' pass of the integer check, and the oracle runs it
+    only where the screen |P(+-n)| <= 2 m tol P~(n) says the exact test could
+    fire; the refusals stay as they were (``test_integer_root_refused`` and
     ``test_near_integer_root_named_by_its_newton_step`` above)."""
 
     @staticmethod
@@ -382,15 +411,14 @@ class TestIntegerScreen:
         return len(calls)
 
     def test_no_pass_for_a_typical_polynomial(self, monkeypatch):
-        # P(+-n) and P~(n) only
-        assert self.horner_passes(monkeypatch, parse_polynomial("x^3+x^2+1")) == 2
+        assert self.horner_passes(monkeypatch, parse_polynomial("x^3+x^2+1")) == 0
 
     def test_screen_fires_but_the_exact_test_does_not(self, monkeypatch):
         # root 2 + 5e-8: |P(2)| = 2.0e-7 is below 2 m tol P~(2) = 3.2e-7, but the
         # Newton step 5e-8 is above tol, so the sums come back, with the P' pass run
         r = 2 + 5e-8
         p = Polynomial((-r * r, 0.0, 1.0))
-        assert self.horner_passes(monkeypatch, p) == 3
+        assert self.horner_passes(monkeypatch, p) == 1
         oracle_a, _ = brute_force_sums(p)
         assert all(math.isfinite(abs(v)) and math.isfinite(b) for v, b in oracle_a)
 
@@ -433,18 +461,55 @@ class TestOracleAgainstMpmath:
                 assert abs(est - complex(ref)) <= err, f"k = {k}"
                 assert err <= 1e-10 * (1 + abs(est))
 
-    @pytest.mark.parametrize("a", [50, 300])
+    @pytest.mark.parametrize("a", [50, 300, 10 ** 4])
     def test_large_roots(self, mp, a):
         # sum 1/(n^2+a^2) = (pi/a) coth(pi a), alternating (pi/a)/sinh(pi a); every
         # term is positive, so both are measured against the first, the size of
         # the terms.  The closed form overflows at a = 300, so this goes through
-        # brute_force_sums.
+        # brute_force_sums.  At a = 10^4 the head is N = 56,569, four blocks.
         oracle_a, oracle_b = brute_force_sums(parse_polynomial(f"x^2+{a * a}"), MIN_ORACLE_N)
         ref_a = mp.pi / a / mp.tanh(mp.pi * a)
         ref_b = mp.pi / a / mp.sinh(mp.pi * a)
         for (est, err), ref in ((oracle_a[0], ref_a), (oracle_b[0], ref_b)):
             assert abs(est - complex(ref)) <= 1e-14 * ref_a
             assert abs(est - complex(ref)) <= err
+
+
+class TestHeadBlocks:
+    """The head walks n = 1..N in blocks of ``_HEAD_BLOCK`` integers."""
+
+    @pytest.mark.parametrize("text", ["x^3+x^2+1", "x^2+1"])
+    def test_heads_across_block_boundaries(self, text):
+        # one block short of full, one full, one full and one of a single n,
+        # and two full and one of a single n: a partial last block dropped or
+        # counted twice moves A_0 of x^2 + 1 by 2/(n^2 + 1) >= 1.8e-9 for some
+        # n <= 2B + 1, far above the bars
+        p = parse_polynomial(text)
+        closed = evaluate_sums(p, run_oracle=False)
+        B = series._HEAD_BLOCK
+        runs = [brute_force_sums(p, n) for n in (B - 1, B, B + 1, 2 * B + 1)]
+        for oracle_a, oracle_b in runs:
+            for exact, (est, bar) in zip(closed.A + closed.B, oracle_a + oracle_b):
+                assert abs(est - exact) <= bar
+        for (a_a, a_b), (b_a, b_b) in itertools.combinations(runs, 2):
+            for (est_a, bar_a), (est_b, bar_b) in zip(a_a + a_b, b_a + b_b):
+                assert abs(est_a - est_b) <= bar_a + bar_b
+
+    @pytest.mark.parametrize("coeffs, limit", [
+        ((1e10, 0.0, 1.0), 8e6),  # x^2 + 1e10: N = 565,686 (length-N head arrays took 68 MB)
+        ((1e115,) + (0.0,) * 23 + (1.0,), 32e6),  # x^24 + 1e115: N = 481,077
+    ])
+    def test_memory_is_one_block(self, coeffs, limit):
+        p = Polynomial(coeffs)
+        assert series.HEAD_RADII * series._fujiwara_radius(np.array(coeffs)) >= 1e5
+        brute_force_sums(p)  # the tail operators are memoized on the first call
+        tracemalloc.start()
+        try:
+            brute_force_sums(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestEvaluateSums:
