@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gentrig
-from .poly import MAX_DEGREE, Polynomial, RootSet
+from .poly import MAX_DEGREE, Polynomial, RootSet, _measure
 
 
 class CyclotomicError(ValueError):
@@ -32,15 +32,14 @@ def _unit(k, m: int) -> np.ndarray:
 def _binomial(m: int, c: complex, k: np.ndarray, cls=gentrig.GenTrigSystem, **fields):
     """The system of x^m - c from its exact roots q^k[j] (:func:`_unit`) in
     lexicographic order.  (x^m - c) / (x - r_j) = sum_k r_j^k x^(m-1-k), so the
-    T grid is T[0] = 1 and T[l][j] = (-1)^(l-1) r_j^l = -(-r_j)^l, and the
-    backward error of r_j is |r_j^m - c| over |r_j|^m + |c| = 2."""
+    T grid is T[0] = 1 and T[l][j] = (-1)^(l-1) r_j^l = -(-r_j)^l."""
     r = _unit(k, m)
     k = k[np.lexsort((r.imag, r.real))]
     r, T = _unit(k, m), -_unit(np.outer(np.arange(m), k + 2 * m), m)
     T[0] = 1
-    residual = float(np.abs(r ** m - c).max())
-    roots = RootSet(tuple(r.tolist()), residual, residual / 2)
-    return gentrig._system(Polynomial((-c,) + (0,) * (m - 1) + (1,)), roots, T, cls, **fields)
+    mon = Polynomial((-c,) + (0,) * (m - 1) + (1,))
+    roots = RootSet(tuple(r.tolist()), *_measure(r, np.array(mon.coeffs))[2:])
+    return gentrig._system(mon, roots, T, cls, **fields)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import (MAX_DEGREE, Polynomial, PolynomialError, RootSet, _expand_roots, find_roots,
-                   horner)
+from .poly import (MAX_DEGREE, Polynomial, PolynomialError, RootSet, _expand_roots, _measure,
+                   _powers, find_roots)
 
 #: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
@@ -47,17 +47,6 @@ class ArgumentOverflowError(GenTrigError):
 
 class CertificateUnavailableError(GenTrigError):
     pass
-
-
-def _powers(z: np.ndarray, n: int) -> np.ndarray:
-    """V[j, k] = z_j^k for k = 0..n-1, the running product of ``np.vander(z, n,
-    increasing=True)`` (the same values bit for bit) without its checks."""
-    V = np.empty((len(z), n), dtype=complex)
-    V[:, 0] = 1
-    rest = V[:, 1:]
-    rest[...] = z[:, None]
-    np.multiply.accumulate(rest, axis=1, out=rest)
-    return V
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE)
@@ -107,10 +96,7 @@ def tuple_coefficients(roots: RootSet) -> np.ndarray:
         if not all(map(cmath.isfinite, a)):
             raise PolynomialError("a coefficient rebuilt from the roots is not finite")
         signed = np.array(a + [0j] * (m - 1) + [-c for c in a])
-        powers = T[1:]  # r_j^s for s = 1..m-1, a running product down the rows
-        powers[...] = rs
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        T[1:] = signed[_gathers(m)[1]] @ powers
+        T[1:] = signed[_gathers(m)[1]] @ _powers(np.array(rs), m)[:, 1:].T
     return T
 
 
@@ -209,8 +195,8 @@ def make_system(p: Polynomial) -> GenTrigSystem:
 
 
 def from_roots(roots) -> GenTrigSystem:
-    """System from explicitly known roots, bypassing the root finder; one Horner pass
-    gives the root set max |P(r)| and the backward error max |P(r)| / sum |a_k| |r|^k.
+    """System from explicitly known roots, bypassing the root finder; the root
+    set's residual and backward error are those of ``poly._measure``.
 
     P is rebuilt from the roots in floating point, so the roots of x^m - c
     give a_1 .. a_(m-1) of roundoff size rather than zero, and the
@@ -221,11 +207,7 @@ def from_roots(roots) -> GenTrigSystem:
     if not rs:
         raise GenTrigError("a system needs at least one root")
     mon = Polynomial.from_roots(rs)
-    desc, z = np.array(mon.coeffs[::-1]), np.array(rs)
-    size, scale = np.abs(horner(desc, z)), horner(np.abs(desc), np.abs(z))
-    with np.errstate(invalid="ignore"):  # 0 / 0 at a root 0 of P(0) = 0
-        backward = float(np.maximum.reduce(size / scale, where=scale > 0, initial=0.0))
-    return _system(mon, RootSet(rs, float(np.maximum.reduce(size)), backward))
+    return _system(mon, RootSet(rs, *_measure(np.array(rs), np.array(mon.coeffs))[2:]))
 
 
 def _integer(n, what: str, error) -> int:
@@ -316,7 +298,7 @@ def _circulant_rows(F: np.ndarray, lam: complex) -> np.ndarray:
     its columns, a permutation of sign (-1)^(m(m-1)/2), leaves a
     lam-circulant whose eigenvalues are sum_d f[d] w_j^(m-1-d) at the m roots
     w_j of w^m = lam (Davis, *Circulant Matrices*, 1979).  So G = W F with
-    W[j, d] = w_j^(m-1-d) (:func:`_powers`, reversed), and the sign goes into
+    W[j, d] = w_j^(m-1-d) (``poly._powers``, reversed), and the sign goes into
     row 0.  For a certificate, row j of G vanishes up to roundoff unless w_j
     is one of the rates -i r_k, so det M is zero unless P = x^m - c.
     """

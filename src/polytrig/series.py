@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .gentrig import (_NUMBER, GenTrigSystem, _check_index, _integer, _scalar, deflation_matrix,
                       make_system)
-from .poly import MAX_DEGREE, Polynomial, horner
+from .poly import MAX_DEGREE, Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
@@ -265,14 +265,24 @@ def _tail_operators(N: int, m: int, J: int):
     return operators + (remainder,)
 
 
-def _refuse_integer_root(x: np.ndarray, at_x: np.ndarray, slope: np.ndarray):
-    """Raise :class:`IntegerRootError` at the first x with |P(x)| <= INTEGER_ROOT_TOL
-    |P'(x)|, naming its Newton estimate x - P(x)/P'(x); else return."""
-    hit = np.abs(at_x) <= INTEGER_ROOT_TOL * np.abs(slope)
-    if hit.any():
-        i = int(np.argmax(hit))
-        step = at_x[i] / slope[i] if at_x[i] != 0 else 0.0
-        raise IntegerRootError(complex(x[i] - step), float(abs(step)))
+def _exact_value(coeffs, n: int) -> complex:
+    """P(n) / a_m correctly rounded, for ascending ``coeffs`` and an integer n, or
+    :class:`IntegerRootError` naming n - P(n)/P'(n) if |P(n)| <= INTEGER_ROOT_TOL
+    |P'(n)|.  Exact: 2^1074 x is an int for every float x, so 2^1074 P(n) and
+    2^1074 P'(n) are (real, imaginary) pairs of ints."""
+    def quotient(u, w):  # u / w for such pairs, each part correctly rounded (int / int is)
+        q = w[0] * w[0] + w[1] * w[1]
+        return complex((u[0] * w[0] + u[1] * w[1]) / q, (u[1] * w[0] - u[0] * w[1]) / q)
+
+    ratios = [x.as_integer_ratio() for c in coeffs for x in (c.real, c.imag)]
+    parts = [[num * (2 ** 1074 // den) for num, den in ratios[i::2]] for i in (0, 1)]
+    value = [sum(c * n ** k for k, c in enumerate(part)) for part in parts]
+    slope = [sum(k * c * n ** (k - 1) for k, c in enumerate(part) if k) for part in parts]
+    num, den = INTEGER_ROOT_TOL.as_integer_ratio()
+    if (value[0] ** 2 + value[1] ** 2) * den ** 2 <= num ** 2 * (slope[0] ** 2 + slope[1] ** 2):
+        step = quotient(value, slope) if any(value) else 0j
+        raise IntegerRootError(n - step, abs(step))
+    return quotient(value, [part[-1] for part in parts])
 
 
 def _parity_sums(powers: np.ndarray, pairs: np.ndarray, out=None) -> tuple:
@@ -335,10 +345,10 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     ``n_terms`` that is not an integer (a bool included) or is below
     ``MIN_ORACLE_N``, and roots too large for a head of ``max(n_terms,
     _MAX_AUTO_HEAD)`` terms raise :class:`SeriesError`.  An integer n with
-    |P(n)| <= ``INTEGER_ROOT_TOL`` |P'(n)| raises :class:`IntegerRootError`
-    naming the Newton estimate n - P(n)/P'(n) of the root, for the first such n
-    in the order 0, 1, -1, 2, -2, ....  The P' pass of that test runs only
-    where a screen on P and P~ shows it could fire.
+    |P(n)| <= ``INTEGER_ROOT_TOL`` |P'(n)|, decided exactly where a float screen
+    says it could hold (:func:`_exact_value`), raises :class:`IntegerRootError`
+    naming n - P(n)/P'(n), for the first such n in the order 0, 1, -1, 2, -2, ...;
+    a screened n that is not refused enters the head with its exact P(n).
     """
     n_terms = _integer(n_terms, "oracle size", SeriesError)
     if n_terms < MIN_ORACLE_N:
@@ -353,7 +363,6 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     real = not coeffs.imag.any()
     if real:
         coeffs = coeffs.real  # real arithmetic for real coefficients: same values up to rounding
-    desc = coeffs[::-1]
     radius = _fujiwara_radius(coeffs)
     if not HEAD_RADII * radius <= max(n_terms, _MAX_AUTO_HEAD):
         raise SeriesError(
@@ -368,9 +377,9 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     # An integer beyond radius + 1 is at least 1 from every root, so its
     # Newton step |P/P'| is at least 1/m: only the nearer ones can be refused.
     # For n >= 1, |P'(+-n)| <= m P~(n), so the exact test can fire only where
-    # |P(+-n)| <= tol m P~(n), or at n = 0 (a factor 2 covers the roundoff).
-    if abs(coeffs[0]) <= INTEGER_ROOT_TOL * abs(coeffs[1]):
-        _refuse_integer_root(np.zeros(1), coeffs[:1], coeffs[1:2])  # P'(0) = a_1
+    # |P(+-n)| <= tol m P~(n) (a factor 2 covers the roundoff).
+    if abs(coeffs[0]) <= 2 * INTEGER_ROOT_TOL * abs(coeffs[1]):  # n = 0: P = a_0, P' = a_1
+        _exact_value(p.coeffs, 0)
     near = min(N, int(radius) + 1)
     even_rows = m + m % 2  # the powers k < m, and n^m for odd m, as (k even, k odd) row pairs
     parts = []
@@ -384,14 +393,18 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
         Y = rows @ V
         values = Y[:2] if real else Y[:2] + 1j * Y[3:]  # P(n), P(-n)
         bound = Y[2]  # P~(n)
-        if start < near and (np.abs(values[:, :near - start])
-                             <= 2 * m * INTEGER_ROOT_TOL * bound[:near - start]).any():
-            x = (n[:near - start, None] * _PLUS_MINUS).ravel()  # 1, -1, 2, -2, ...
-            slope = horner(desc[:-1] * np.arange(m, 0, -1), x)  # P'
-            _refuse_integer_root(x, values[:, :near - start].T.ravel(), slope)
+        below = max(near - start, 0)  # the integers of the block below near
+        screen = np.abs(values[:, :below]) <= 2 * m * INTEGER_ROOT_TOL * bound[:below]
+        exact = []  # an exact P(+-n) is within eps |P| of P: its weight below is 1/|P|
+        for i, sign in zip(*np.nonzero(screen.T)):  # in the order 1, -1, 2, -2, ...
+            value = _exact_value(p.coeffs, (start + 1 + int(i)) * (1 - 2 * int(sign)))
+            values[sign, i] = value.real if real else value  # P(x) / lead, as in rows
+            exact.append((sign, i, 1 / (abs(value) * bound[i])))
 
         inv = 1 / values
         size_inv = np.square(inv if real else np.abs(inv))
+        for sign, i, weight in exact:
+            size_inv[sign, i] = weight
         # P~(n) / |P(+-n)|^2 over both signs: at least 1/|P|, and the error of P
         # is at most 3m eps P~
         weight = (size_inv[0] + size_inv[1]) * bound
@@ -416,7 +429,7 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     # sigma = N + 1, so t <= 1 on the tail, and 1/P has the Laurent
     # coefficients d_j = sigma^j c_j for 1/q(t) = sum_j c_j t^j.
     sigma = N + 1.0
-    beta = desc / sigma ** np.arange(m + 1)
+    beta = coeffs[::-1] / sigma ** np.arange(m + 1)
     unit = 2 * sigma ** (k + 1.0 - m)  # the pair's 2 times sigma^j / sigma^(s-1)
     # Cauchy: on |t| = g with q~(g) = 1 - sum_(i>=1) |beta_i| g^i > 0,
     # |1/q| <= 1/q~(g) =: cauchy, so |c_j| <= cauchy g^-j, and past J terms

@@ -270,14 +270,20 @@ class TestFromRoots:
 
     @pytest.mark.parametrize("m", [2, 5, 12, 24])
     def test_backward_error_against_a_recomputation(self, m):
-        # max |P(r)| / sum |a_k| |r|^k over the given roots, recomputed with
-        # numpy's polyval; the default 0.0 would fail for these roots
+        # max |P(r)| / sum |a_k| |r|^k over the given roots, recomputed from
+        # numpy's vander with the same product shapes, V @ [a | a'] and
+        # |V| @ |a|; the default 0.0 would fail for these roots
         rng = np.random.default_rng(m)
         sys = from_roots(rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m))
-        desc = np.array(sys.poly.coeffs[::-1])
-        expected = np.max(np.abs(np.polyval(desc, sys.r)) / np.polyval(np.abs(desc), np.abs(sys.r)))
+        a = np.array(sys.poly.coeffs)
+        V = np.vander(sys.r, m + 1, increasing=True)
+        coef = np.zeros((m + 1, 2), dtype=complex)
+        coef[:, 0] = a
+        coef[:-1, 1] = a[1:] * np.arange(1, m + 1)
+        size = np.abs((V @ coef)[:, 0])
+        expected = np.max(size / (np.abs(V) @ np.abs(a)))
         assert sys.roots.backward_error == expected > 0
-        assert sys.roots.residual == np.max(np.abs(np.polyval(desc, sys.r)))  # the numerator
+        assert sys.roots.residual == np.max(size)  # the numerator
 
     @pytest.mark.parametrize("roots", [[1, 2, 3], [0.0, 0.0], [0.0, 1j]])
     def test_exact_roots_have_no_backward_error(self, roots):
@@ -1082,3 +1088,4 @@ class TestSpectralDeterminant:
             rows, matched = self.live_rows(sys, identity_certificate(sys))
             assert rows == matched < sys.m
             verify.sample_points(rng, verify.SAMPLES, 1.0)  # the check's draws, to stay in step
+

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrig import poly
+from polytrig.cyclotomic import make_cyclotomic
+from polytrig.gentrig import from_roots
 from polytrig.poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
                            RootFindingError, find_roots, format_polynomial,
                            parse_polynomial, synthetic_divide)
@@ -177,22 +179,40 @@ class TestPolynomial:
         assert all(type(c) is complex for c in p.coeffs)
 
 
-class TestHorner:
-    def test_scalar_coefficients_match_polyval(self):
-        x = np.linspace(-3, 3, 7) + 0.5j
-        desc = np.array([2.0, -1.0, 0.5, 3.0])
-        assert np.array_equal(poly.horner(desc, x), np.polyval(desc, x))
-        assert poly.horner(desc, 2.0) == np.polyval(desc, 2.0)
+class TestMeasure:
+    """One power matrix of a point set (``poly._powers``) and one measurement of
+    a root set (``poly._measure``) serve every layer."""
 
-    def test_coefficient_rows_broadcast(self):
-        # one pass evaluates three polynomials, each at its own row of points
-        rng = np.random.default_rng(3)
-        rows = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-        x = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        y = poly.horner(rows.T[:, :, None], x)
-        assert y.shape == (3, 5)
-        for i in range(3):
-            assert np.array_equal(y[i], np.polyval(rows[i], x[i]))
+    def test_powers_are_numpy_vander(self):
+        rng = np.random.default_rng(27)
+        for size in (1, 2, 7, 24):
+            z = rng.normal(size=size) + 1j * rng.normal(size=size)
+            for n in (1, 2, size, size + 1):
+                assert poly._powers(z, n).tobytes() == np.vander(z, n, increasing=True).tobytes()
+
+    @staticmethod
+    def measured(rs, a, lead=1.0):
+        _, _, residual, backward = poly._measure(np.array(rs.roots, dtype=complex), np.array(a))
+        return lead * residual, backward
+
+    @pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+    def test_found_roots_are_their_measurement(self, degree):
+        # the residual scales with |lead|; the backward error does not
+        rng = np.random.default_rng(degree)
+        for lead in (1.0, 2.5 - 1j):
+            roots = rng.uniform(-2, 2, degree) + 1j * rng.uniform(-2, 2, degree)
+            p = Polynomial(tuple(complex(c) * lead for c in np.poly(roots)[::-1]))
+            rs = find_roots(p)
+            assert (rs.residual, rs.backward_error) == self.measured(rs, p.monic().coeffs, abs(lead))
+
+    def test_given_and_cyclotomic_roots_are_their_measurement(self):
+        rng = np.random.default_rng(24)
+        for m in range(1, MAX_DEGREE + 1):
+            given = from_roots(rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m))
+            for sys in (given, make_cyclotomic(m)):
+                rs = sys.roots
+                assert (rs.residual, rs.backward_error) == self.measured(rs, sys.poly.coeffs), m
+            assert 0 < rs.backward_error <= 4 * m * EPS  # exact roots, rounded once
 
 
 class TestRoots:

@@ -396,31 +396,43 @@ class TestTailOperators:
 
 
 class TestIntegerScreen:
-    """P(+-n) and P~(n) come from one product with the power block, so the one
-    Horner pass left is the P' pass of the integer check, and the oracle runs it
-    only where the screen |P(+-n)| <= 2 m tol P~(n) says the exact test could
-    fire; the refusals stay as they were (``test_integer_root_refused`` and
-    ``test_near_integer_root_named_by_its_newton_step`` above)."""
+    """P(+-n) and P~(n) come from one product with the power block; the integer
+    check decides in exact arithmetic (ints on the coefficients), with one
+    exact pass of P and P' at each n where a screen says it could fire:
+    |a_0| <= 2 tol |a_1| at n = 0, and |P(+-n)| <= 2 m tol P~(n) beyond; the
+    refusals stay as they were (``test_integer_root_refused``,
+    ``test_near_integer_root_named_by_its_newton_step`` and
+    ``test_integer_roots_named_nearest_zero_first`` above)."""
 
     @staticmethod
-    def horner_passes(monkeypatch, p):
+    def exact_passes(monkeypatch, p):
         calls = []
-        horner = series.horner
-        monkeypatch.setattr(series, "horner", lambda *args: calls.append(1) or horner(*args))
+        exact = series._exact_value
+        monkeypatch.setattr(series, "_exact_value", lambda c, n: calls.append(n) or exact(c, n))
         brute_force_sums(p)
-        return len(calls)
+        return calls
 
     def test_no_pass_for_a_typical_polynomial(self, monkeypatch):
-        assert self.horner_passes(monkeypatch, parse_polynomial("x^3+x^2+1")) == 0
+        assert self.exact_passes(monkeypatch, parse_polynomial("x^3+x^2+1")) == []
 
     def test_screen_fires_but_the_exact_test_does_not(self, monkeypatch):
         # root 2 + 5e-8: |P(2)| = 2.0e-7 is below 2 m tol P~(2) = 3.2e-7, but the
-        # Newton step 5e-8 is above tol, so the sums come back, with the P' pass run
+        # Newton step 5e-8 is above tol, so the sums come back, with one exact
+        # pass at each integer the screen names: 2, then -2 (P is even)
         r = 2 + 5e-8
         p = Polynomial((-r * r, 0.0, 1.0))
-        assert self.horner_passes(monkeypatch, p) == 1
+        assert self.exact_passes(monkeypatch, p) == [2, -2]
         oracle_a, _ = brute_force_sums(p)
         assert all(math.isfinite(abs(v)) and math.isfinite(b) for v, b in oracle_a)
+
+    def test_zero_has_its_own_screen(self, monkeypatch):
+        # (x - 1.5e-8)(x + 1/2): |a_0| = 7.5e-9 is within 2 tol |a_1|, but the
+        # Newton step 1.5e-8 is above tol: one exact pass, at n = 0; x (x + 1/2)
+        # is refused there
+        assert self.exact_passes(monkeypatch, Polynomial((-0.75e-8, 0.5 - 1.5e-8, 1.0))) == [0]
+        with pytest.raises(IntegerRootError) as exc:
+            brute_force_sums(Polynomial((0.0, 0.5, 1.0)))
+        assert exc.value.root == 0 and exc.value.distance == 0.0
 
 
 class TestOracleAgainstMpmath:
@@ -460,6 +472,31 @@ class TestOracleAgainstMpmath:
             for (est, err), ref in ((oracle_a[k], ref_a), (oracle_b[k], ref_b)):
                 assert abs(est - complex(ref)) <= err, f"k = {k}"
                 assert err <= 1e-10 * (1 + abs(est))
+
+    def test_roots_clustered_near_an_integer(self, mp):
+        # a draw of roots clustered near -5..5, each 1e-11..1e-7 from an
+        # integer; P, with its coefficients rounded, has the roots
+        # 3 + (2.3 - 1.1i)e-8 and 3 - (3.2 + 1.5i)e-8.  |P(3)| is below the rounding
+        # bound of its float evaluation, whose Newton step 2.1e-11 was refused;
+        # the exact step |P(3)/P'(3)| is 3.3e-8, above tol, so the sums come
+        # back, the exact P(3) in the head and its bar from eps |P(3)|
+        rng = np.random.default_rng(42)
+        m = int(rng.integers(2, 9))
+        c = int(rng.integers(-5, 6))
+        roots = [c + int(rng.integers(-1, 2)) + 10 ** rng.uniform(-11, -7)
+                 * np.exp(2j * np.pi * rng.uniform()) for _ in range(m)]
+        p = Polynomial(tuple(complex(x) for x in np.poly(roots)[::-1]))
+        assert m == 2 and np.allclose(roots, 3, atol=1e-7)
+        desc = [mp.mpc(x.real, x.imag) for x in p.coeffs[::-1]]
+        exact = mp.polyroots(desc, maxsteps=200, extraprec=200)
+        weight = [-mp.pi / (2 * r + desc[1]) for r in exact]
+        oracle_a, oracle_b = brute_force_sums(p)
+        for k in range(m):
+            ref_a = mp.fsum(w * r ** k * mp.cot(mp.pi * r) for w, r in zip(weight, exact))
+            ref_b = mp.fsum(w * r ** k / mp.sin(mp.pi * r) for w, r in zip(weight, exact))
+            for (est, err), ref in ((oracle_a[k], ref_a), (oracle_b[k], ref_b)):
+                assert abs(est - complex(ref)) <= err, f"k = {k}"
+                assert err <= 1e-12 * abs(est)
 
     @pytest.mark.parametrize("a", [50, 300, 10 ** 4])
     def test_large_roots(self, mp, a):
