@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,37 +32,23 @@ def cformat(z: complex) -> str:
     return f"{re}{sign}{im}i"
 
 
-def cjson(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def _jsonify(value):
-    if isinstance(value, complex):
-        return cjson(value)
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, np.complexfloating):
-        return cjson(complex(value))
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    return value
+def cjson(value) -> dict:
+    """The JSON object ``{"re", "im"}`` of a complex: ``json.dumps`` calls it for
+    each value it cannot write itself, and any value but a complex raises
+    TypeError, since a document holds plain Python values only."""
+    if not isinstance(value, complex):
+        raise TypeError(f"{type(value).__name__} {value!r} is not a plain document value")
+    return {"re": value.real, "im": value.imag}
 
 
 def _textify(value, indent=""):
     """Text for ``value``: a dict as one ``key: value`` line per key, each
     starting with ``indent``; any other value's continuation lines start
     with ``indent``."""
-    if isinstance(value, (complex, np.complexfloating)):
-        return cformat(complex(value))
+    if isinstance(value, complex):
+        return cformat(value)
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, np.ndarray):
-        return _textify(value.tolist(), indent)
     if isinstance(value, (list, tuple)):
         if value and all(isinstance(v, dict) for v in value):
             # records, one block each under the key, opened by "- "
@@ -89,7 +74,7 @@ def emit(doc: dict, as_json: bool):
     so a non-finite field raises ArithmeticError, a numerical failure."""
     if as_json:
         try:
-            text = json.dumps(_jsonify(doc), indent=2, sort_keys=False, allow_nan=False)
+            text = json.dumps(doc, indent=2, allow_nan=False, default=cjson)
         except ValueError as exc:
             raise ArithmeticError(
                 f"{doc['command']} has a field that is not finite; JSON cannot carry it"
@@ -109,10 +94,6 @@ def _get_poly(args) -> Polynomial:
     if not getattr(args, "poly", None):
         raise ParseError("one of --poly or --coeffs is required", 0)
     return parse_polynomial(args.poly)
-
-
-def _matrix_rows(M: np.ndarray):
-    return [[complex(v) for v in row] for row in M]
 
 
 def cmd_roots(args) -> dict:
@@ -162,7 +143,7 @@ def cmd_identity(args) -> dict:
         "inputs": {"poly": format_polynomial(p), "seed": args.seed},
         "results": {
             "eigenvalue": cert.lam,
-            "left_vector": [complex(v) for v in cert.L],
+            "left_vector": cert.L.tolist(),
             "det_reference": cert.det_ref,
         },
         "diagnostics": {
@@ -216,7 +197,7 @@ def cmd_matrix_c(args) -> dict:
         "command": "matrix-c",
         "inputs": {"poly": format_polynomial(p),
                    "column_order": "descending" if args.descending_columns else "ascending"},
-        "results": {"C": _matrix_rows(C), "two_pi_i_C": _matrix_rows(scaled)},
+        "results": {"C": C.tolist(), "two_pi_i_C": scaled.tolist()},
         "diagnostics": {"condition_estimate": am.condition_estimate},
     }
 
@@ -249,18 +230,17 @@ def cmd_verify(args) -> tuple[dict, int]:
     checks = verify.run_all(seed=args.seed)
     for c in checks:
         print(c.line(), file=sys.stderr)
+    # the checks compute numpy scalars: their records hold them as plain values
+    records = [{"name": c.name, "passed": bool(c.passed), "measured": float(c.measured),
+                "threshold": c.threshold, "detail": c.detail} for c in checks]
+    passed = sum(r["passed"] for r in records)
     doc = {
         "command": "verify",
         "inputs": {"seed": args.seed},
-        "results": {
-            "passed": sum(c.passed for c in checks),
-            "failed": sum(not c.passed for c in checks),
-            "checks": [{"name": c.name, "passed": c.passed, "measured": c.measured,
-                        "threshold": c.threshold, "detail": c.detail} for c in checks],
-        },
+        "results": {"passed": passed, "failed": len(records) - passed, "checks": records},
         "diagnostics": {"total_seconds": sum(c.seconds for c in checks)},
     }
-    return doc, EXIT_OK if all(c.passed for c in checks) else EXIT_FAILED_CHECKS
+    return doc, EXIT_OK if passed == len(records) else EXIT_FAILED_CHECKS
 
 
 def build_parser() -> argparse.ArgumentParser:

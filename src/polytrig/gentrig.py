@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import (MAX_DEGREE, Polynomial, PolynomialError, RootSet, _expand_roots, _measure,
-                   _powers, find_roots)
+from .poly import (MAX_DEGREE, Polynomial, PolynomialError, RootFindingError, RootSet,
+                   _expand_roots, _measure, _powers, find_roots)
 
 #: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
@@ -196,7 +196,9 @@ def make_system(p: Polynomial) -> GenTrigSystem:
 
 def from_roots(roots) -> GenTrigSystem:
     """System from explicitly known roots, bypassing the root finder; the root
-    set's residual and backward error are those of ``poly._measure``.
+    set's residual and backward error are those of ``poly._measure``.  A
+    residual that is not finite (a power of a root overflows) raises
+    :class:`poly.RootFindingError`.
 
     P is rebuilt from the roots in floating point, so the roots of x^m - c
     give a_1 .. a_(m-1) of roundoff size rather than zero, and the
@@ -207,7 +209,12 @@ def from_roots(roots) -> GenTrigSystem:
     if not rs:
         raise GenTrigError("a system needs at least one root")
     mon = Polynomial.from_roots(rs)
-    return _system(mon, RootSet(rs, *_measure(np.array(rs), np.array(mon.coeffs))[2:]))
+    with np.errstate(all="ignore"):  # an overflow shows in the measurement
+        residual, backward = _measure(np.array(rs), np.array(mon.coeffs))[2:]
+    if not math.isfinite(residual):  # else the backward error, residual / scale, is finite
+        raise RootFindingError(f"given roots: residual max|P(r)| = {residual:.3e} is not "
+                               f"finite, a power of a root overflows", rs, residual)
+    return _system(mon, RootSet(rs, residual, backward))
 
 
 def _integer(n, what: str, error) -> int:
@@ -362,7 +369,9 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     moduli = np.abs(values)
     scale = float(moduli.max())
     if not scale > 1e-12 * (scale + 1.0):
-        raise CertificateUnavailableError("no nonzero eigenvalue; certificate unavailable")
+        raise CertificateUnavailableError(
+            f"no nonzero eigenvalue of K^{sys.m}: the largest modulus {scale:.3e} is not above "
+            f"1e-12 (1 + {scale:.3e}); certificate unavailable")
     j = min(np.flatnonzero(moduli >= (1 - 1e-12) * scale), key=lambda j: cmath.phase(values[j]))
     lam = complex(values[j])
     if binomial:

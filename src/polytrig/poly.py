@@ -298,9 +298,12 @@ def find_roots(p: Polynomial) -> RootSet:
     (:func:`_measure`, as the RootSet returned carries it) is at most 4 m eps
     and the largest correction no longer halves (or is zero); that correction
     is not applied, and the seed always gets at least one.  Raises
-    :class:`RootFindingError` when LAPACK returns no eigenvalues, when |z|^m
-    overflows at a seed, or after ``MAX_SWEEPS`` sweeps; its ``best_roots``,
-    residual and backward error then describe the last iterate.
+    :class:`RootFindingError`, naming the rule that fired, when LAPACK returns
+    no eigenvalues, when |z|^m overflows at a seed, at a fixed point (a sweep
+    above the bound that would leave every iterate as it is), after
+    ``MAX_SWEEPS`` sweeps, or when the residual max|P(r)| |a_m| is not finite;
+    its ``best_roots``, residual and backward error then describe the last
+    iterate.  No floating-point warning escapes.
     """
     m = p.degree
     if m < 1:
@@ -316,14 +319,15 @@ def find_roots(p: Polynomial) -> RootSet:
     except np.linalg.LinAlgError as exc:  # non-finite companion, or no QR convergence
         raise RootFindingError(f"roots: no companion eigenvalues ({exc})", (), math.inf) from exc
 
-    coef = np.zeros((m + 1, 2), dtype=complex)  # [a | a'], as _measure takes them
-    coef[:, 0] = a
-    coef[:-1, 1] = a[1:] * np.arange(1, m + 1)
-    gap = np.empty((m, m), dtype=complex)
     bound = 4 * m * float(np.finfo(float).eps)
     half_step = np.inf
     converged = False
-    with np.errstate(all="ignore"):  # 0 * inf at coincident iterates, 0 / 0 at a zero root
+    # 0 * inf at coincident iterates, 0 / 0 at a zero root, and a' or |z|^m overflowing
+    with np.errstate(all="ignore"):
+        coef = np.zeros((m + 1, 2), dtype=complex)  # [a | a'], as _measure takes them
+        coef[:, 0] = a
+        coef[:-1, 1] = a[1:] * np.arange(1, m + 1)
+        gap = np.empty((m, m), dtype=complex)
         top = np.maximum.reduce(np.abs(z))
         if not np.isfinite(top ** m):  # V would hold inf, and no scale bounds |P(z)|
             raise RootFindingError(f"roots: |z|^{m} overflows at |z| = {top:.3e}",
@@ -341,15 +345,21 @@ def find_roots(p: Polynomial) -> RootSet:
                 _, _, residual, backward = _measure(np.sort(z), a)
                 if converged := not backward > bound:  # so is nan (inf / inf): raised below
                     break
+                if np.array_equal(z - corr, z):  # every later sweep would repeat this one
+                    stop = "the polish stalls at a fixed point"
+                    break
             z -= corr
             half_step = 0.5 * step
         else:  # the cap: measure the corrected iterate that is returned
+            stop = "no convergence"
             _, _, residual, backward = _measure(np.sort(z), a)
     residual *= abs(p.coeffs[-1])
     roots = tuple((np.sort(z) + 0).tolist())  # + 0 turns -0.0 into 0.0
     if not (converged and math.isfinite(residual)):
-        raise RootFindingError(f"roots: no convergence after {sweep} sweeps, backward "
-                               f"error {backward:.3e} (bound {bound:.3e})", roots, residual)
+        if converged:
+            stop = f"residual max|P(r)| |a_m| = {residual:.3e} is not finite"
+        raise RootFindingError(f"roots: {stop} after {sweep} sweeps, backward error "
+                               f"{backward:.3e} (bound {bound:.3e})", roots, residual)
     return RootSet(roots, residual, backward, sweep)
 
 

@@ -313,3 +313,58 @@ class TestExitCodes:
     def test_coeffs_at_the_degree_cap_are_accepted(self, capsys):
         code, doc = run_json(capsys, "roots", "--coeffs", ",".join(["1"] * 25))
         assert code == 0 and len(doc["results"]["roots"]) == 24
+
+    def test_cyclo_evaluation_needs_l_and_x(self, capsys):
+        code, out, err = run(capsys, "cyclo", "--m", "3")
+        assert code == 2 and out == ""
+        assert err == "error: cyclo evaluation needs --l and --x (or use --check) (at position 0)\n"
+
+
+def plain(value):
+    """True when ``value`` is a tree of plain Python values, no subclass included."""
+    if type(value) is dict:
+        return all(map(plain, value.values()))
+    if type(value) is list:
+        return all(map(plain, value))
+    return type(value) in (str, int, float, bool, complex, type(None))
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--poly", "x^3+x^2+1"], ["identity", "--poly", "x^3+x^2+1"],
+    ["matrix-c", "--poly", "x^3+x^2+1"], ["sum", "--poly", "x^2+1"],
+    ["cyclo", "--m", "6", "--check", "matrix-a"], ["verify"],
+], ids=lambda argv: argv[0])
+def test_documents_hold_plain_values(capsys, argv):
+    args = cli.build_parser().parse_args(argv)
+    if args.subcommand == "verify":
+        doc, code = cli.cmd_verify(args)  # numpy bools and floats in its check records
+        assert code == 1 and doc["results"]["passed"] == 18
+    else:
+        doc = cli._COMMANDS[args.subcommand](args)
+    assert plain(doc)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(1), np.zeros(2), np.complex64(1j),
+                                   object()], ids=lambda v: type(v).__name__)
+def test_cjson_refuses_a_value_that_is_not_plain(value):
+    with pytest.raises(TypeError, match="is not a plain document value"):
+        cli.cjson(value)
+    with pytest.raises(TypeError, match="is not a plain document value"):
+        json.dumps({"value": value}, default=cli.cjson)
+
+
+def test_cjson_writes_a_complex():
+    assert cli.cjson(1 - 2j) == {"re": 1.0, "im": -2.0}
+    assert json.dumps([np.complex128(0.5j)], default=cli.cjson) == '[{"re": 0.0, "im": 0.5}]'
+
+
+def test_text_breaks_a_long_list_one_item_a_line(capsys):
+    # the rows of an 8 x 8 C(P) are longer than 40 characters
+    code, out, _ = run(capsys, "matrix-c", "--poly", "x^8+x+2")
+    assert code == 0
+    lines = out.splitlines()
+    for key in ("C", "two_pi_i_C"):
+        at = lines.index(f"  {key}: [")
+        rows = lines[at + 1:at + 9]
+        assert all(row.startswith("      [") and row.endswith("]") for row in rows)
+        assert rows[0].count(", ") == 7 and lines[at + 9] == "    ]"

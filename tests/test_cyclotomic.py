@@ -346,6 +346,10 @@ def jump(sys, l):
 
 
 class TestBoundaryJump:
+    def test_order_above_12_is_refused(self):
+        with pytest.raises(CyclotomicError, match=r"order m = 13 is above the supported 12$"):
+            matrix_A(make_cyclotomic(13))
+
     def test_delta_m2(self):
         sys = make_cyclotomic(2)
         assert jump(sys, 0) == pytest.approx(0.0, abs=1e-13)  # cos is periodic

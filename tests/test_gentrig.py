@@ -285,6 +285,16 @@ class TestFromRoots:
         assert sys.roots.backward_error == expected > 0
         assert sys.roots.residual == np.max(size)  # the numerator
 
+    def test_non_finite_residual_is_refused(self):
+        # r^3 near 1e309 overflows the power matrix: residual nan, refused; at
+        # +-1e154 only the scale sum |a_k| |r|^k overflows, and P(r) is exactly 0
+        with pytest.raises(poly.RootFindingError, match=r"^given roots: residual "
+                           r"max\|P\(r\)\| = nan is not finite, a power of a root overflows$") as exc:
+            from_roots([1e103, 1.5e103, 1e102])
+        assert exc.value.best_roots == (1e102, 1e103, 1.5e103) and math.isnan(exc.value.residual)
+        rs = from_roots([1e154, -1e154]).roots
+        assert rs.residual == 0 and rs.backward_error == 0
+
     @pytest.mark.parametrize("roots", [[1, 2, 3], [0.0, 0.0], [0.0, 1j]])
     def test_exact_roots_have_no_backward_error(self, roots):
         # P(r) is exactly 0; at r = 0 with P(0) = 0 the scale is 0 as well,
@@ -780,6 +790,13 @@ class TestIdentityCertificate:
     def test_degree_one_rejected(self):
         with pytest.raises(GenTrigError):
             identity_certificate(from_roots([2.0]))
+
+    def test_no_nonzero_eigenvalue_is_refused(self):
+        # the eigenvalues (-i r)^2 of K^2 are 1e-14 and 4e-14, both within
+        # 1e-12 (1 + 4e-14) of zero
+        with pytest.raises(gentrig.CertificateUnavailableError,
+                           match=r"^no nonzero eigenvalue of K\^2: the largest modulus 4\.000e-14 "):
+            identity_certificate(from_roots([1e-7, -2e-7]))
 
     def test_overflowing_constant_is_refused(self):
         # degree 24, roots in [-10, 10]^2: the product of the 24 spectral

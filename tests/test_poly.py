@@ -79,6 +79,11 @@ class TestParsing:
             parse_polynomial(text)
         assert exc.value.offset == offset
 
+    def test_missing_literal_in_a_parenthesized_sum(self):
+        with pytest.raises(ParseError, match=r"^expected a numeric literal \(at position 3\)$") as exc:
+            parse_polynomial("(1+)x")
+        assert exc.value.offset == 3
+
     def test_unclosed_parenthesis(self):
         with pytest.raises(ParseError, match=r"expected '\)' \(at position 4\)"):
             parse_polynomial("(1+2")
@@ -160,6 +165,10 @@ class TestPolynomial:
     def test_nonfinite_rejected(self):
         with pytest.raises(PolynomialError):
             Polynomial((math.inf, 1))
+
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(PolynomialError, match="^empty coefficient sequence$"):
+            Polynomial(())
 
     def test_eval_and_derivative(self):
         p = Polynomial((1, 0, 1, 1))  # x^3 + x^2 + 1
@@ -335,6 +344,34 @@ class TestRoots:
         assert len(exc.value.best_roots) == 2 and exc.value.residual == math.inf
         rs = find_roots(Polynomial((-1e300,) + (0,) * 23 + (1,)))  # |z|^24 = 1e300 fits
         assert rs.backward_error <= 4 * 24 * EPS
+
+    def test_fixed_point_is_refused_at_once(self):
+        # the root -1e-400 underflows to 0, where the correction 1e-300 / 1e100
+        # rounds to 0: every later sweep would repeat the one that found it
+        with pytest.raises(RootFindingError, match=r"^roots: the polish stalls at a fixed point "
+                           r"after \d+ sweeps, backward error 1\.000e\+00 ") as exc:
+            find_roots(Polynomial((1e-300, 1e100, 1)))
+        assert int(re.search(r"after (\d+) sweeps", str(exc.value)).group(1)) <= 3
+        assert exc.value.best_roots == (-1e100, 0) and exc.value.residual == 1e-300
+
+    def test_overflowing_derivative_row_warns_nothing(self):
+        # a'_1 = 2e308 overflows in [a | a']; a warning would be an error here
+        with pytest.raises(RootFindingError,
+                           match=r"^roots: \|z\|\^3 overflows at \|z\| = 1\.000e\+308$"):
+            find_roots(Polynomial((1, 0, 1e308, 1)))
+
+    def test_overflowing_residual_names_its_rule(self):
+        # the monic polish converges within its bound, but the residual
+        # max|P(r)| |a_m| of coefficients up to 1.3e288 overflows
+        p = Polynomial((complex(-1.412431114941114e-286, -1.844136406119404e-286),
+                        complex(-1.2054094825238261e+288, 5.5203483611197465e+287),
+                        complex(-2.137710784285715e+183, 9.69056769267374e+183),
+                        complex(-1.6782390989492118e+193, 2.9266115213127854e+193)))
+        with pytest.raises(RootFindingError, match=r"^roots: residual max\|P\(r\)\| \|a_m\| = inf "
+                           r"is not finite after 3 sweeps, backward error 1\.303e-16 "
+                           r"\(bound 2\.665e-15\)$") as exc:
+            find_roots(p)
+        assert exc.value.residual == math.inf and len(exc.value.best_roots) == 3
 
     def test_nonmonic_and_linear(self):
         assert find_roots(Polynomial((6, 3))).roots == (-2,)

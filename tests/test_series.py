@@ -192,6 +192,13 @@ class TestOracle:
         with pytest.raises(SeriesError, match="oracle size"):
             evaluate_sums(p, oracle_n=n_terms)
 
+    def test_roots_too_large_for_the_head(self):
+        # the roots +-1e6 i have Fujiwara's bound 2 (1e12 / 2)^(1/2) = 1.414e6, and
+        # a head of four such radii is above the 2^20 terms a radius may force
+        with pytest.raises(SeriesError, match=r"^roots of modulus up to 1\.414e\+06 need an "
+                           r"oracle head of 5\.657e\+06 terms; pass that many"):
+            brute_force_sums(parse_polynomial("x^2+1e12"))
+
     @pytest.mark.parametrize("n_terms", [1000.0, 1000.5, True, "1000"])
     def test_oracle_size_must_be_an_integer(self, n_terms):
         p = parse_polynomial("x^2+1")
