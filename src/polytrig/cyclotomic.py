@@ -39,7 +39,7 @@ def _binomial(m: int, c: complex, k: np.ndarray, cls=gentrig.GenTrigSystem, **fi
     T[0] = 1
     mon = Polynomial((-c,) + (0,) * (m - 1) + (1,))
     roots = RootSet(tuple(r.tolist()), *_measure(r, np.array(mon.coeffs))[2:])
-    return gentrig._system(mon, roots, T, cls, **fields)
+    return cls(mon, roots, T, **fields)
 
 
 @dataclass(frozen=True, eq=False)

@@ -183,15 +183,10 @@ def _scalar(value):
     return value if np.ndim(value) else complex(value)
 
 
-def _system(mon: Polynomial, roots: RootSet, T=None, cls=GenTrigSystem, **fields):
-    """The ``cls`` of monic ``mon`` with the given roots, T grid (by default
-    ``tuple_coefficients``) and further ``fields``."""
-    return cls(mon, roots, tuple_coefficients(roots) if T is None else T, **fields)
-
-
 def make_system(p: Polynomial) -> GenTrigSystem:
     mon = p.monic()
-    return _system(mon, find_roots(mon))
+    roots = find_roots(mon)
+    return GenTrigSystem(mon, roots, tuple_coefficients(roots))
 
 
 def from_roots(roots) -> GenTrigSystem:
@@ -214,7 +209,8 @@ def from_roots(roots) -> GenTrigSystem:
     if not math.isfinite(residual):  # else the backward error, residual / scale, is finite
         raise RootFindingError(f"given roots: residual max|P(r)| = {residual:.3e} is not "
                                f"finite, a power of a root overflows", rs, residual)
-    return _system(mon, RootSet(rs, residual, backward))
+    roots = RootSet(rs, residual, backward)
+    return GenTrigSystem(mon, roots, tuple_coefficients(roots))
 
 
 def _integer(n, what: str, error) -> int:

@@ -84,7 +84,8 @@ class Polynomial:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+        # the lead is set, not divided: a complex lead / lead can round off 1
+        return Polynomial(tuple(c / lead for c in self.coeffs[:-1]) + (1,))
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":

@@ -170,9 +170,10 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
 
     Route 1 is T Q for the deflated quotients Q of P; route 2 uses the Vieta
     substitution directly on the T grid.  A gap beyond 1e3 m eps max|C| means
-    the inputs are inconsistent and raises :class:`CrossCheckError`.  The
-    caller has checked the roots (:func:`_check_roots`).
+    the inputs are inconsistent and raises :class:`CrossCheckError`.  An
+    integer root raises first (:func:`_check_roots`).
     """
+    _check_roots(sys)
     m, T = sys.m, sys.T
     C1 = T @ deflation_matrix(sys.poly, sys.r)
     signs = _SIGNS[m - 1::-1]  # (-1)^(m-k-1), none at k = m-1
@@ -189,7 +190,6 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
 
 def associated_matrix(sys: GenTrigSystem) -> AssociatedMatrix:
     """C(P), cross-checked by two routes, with the condition estimate of its solve."""
-    _check_roots(sys)
     C = _cross_checked_C(sys)
     return AssociatedMatrix(sys.m, C, linalg.solve(C)[1])
 
@@ -497,7 +497,6 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
         raise SeriesError("degree must be at least 2 for the sums to converge")
     sys = make_system(p)
     lead = p.coeffs[-1]  # solve against the monic system, then undo the scaling
-    _check_roots(sys)
     C = _cross_checked_C(sys)
     E = sys.exponentials(np.array([math.pi, -math.pi, 0.0]))  # the weights need pi and -pi
     R = E @ _boundary_weights(sys, E).T

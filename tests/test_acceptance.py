@@ -10,7 +10,9 @@ both determinant routes lie within roundoff of the terms that build A_m, and
 the vanishing factors are exactly those two.
 """
 import cmath
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -98,3 +100,46 @@ def test_12_derivative_system():
 
 def test_13_even_power_family():
     report(verify.even_power_family())
+
+
+#: the names of ``verify.run_all()``, in order
+CHECK_NAMES = [
+    "associated-matrix reproduction",
+    "cubic closed forms",
+    "known quadratic sums",
+    "certificate constancy",
+    "cyclotomic determinant identity",
+    "order-3 explicit identity",
+    "addition theorem",
+    "evaluation route agreement",
+    "factorial identity",
+    *(f"boundary-jump matrix m={m}" for m in range(1, 9)),
+    "fourier closed form vs quadrature",
+    "derivative system",
+    "even-power family sums",
+]
+
+#: the two checks that fail for mathematical reasons (criterion 10)
+SINGULAR = ["boundary-jump matrix m=2", "boundary-jump matrix m=6"]
+
+
+def test_run_all_names_and_failures():
+    checks = verify.run_all()
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert [c.name for c in checks if not c.passed] == SINGULAR
+
+
+def test_time_limits_fail_their_checks(monkeypatch):
+    # a clock that advances 100 s per read: the four checks with a time limit
+    # (0.1 s, 5 s, 10 s and 2 s) fail on time alone, every measured value and
+    # detail as before, and every other check keeps its verdict
+    baseline = verify.run_all()
+    reads = itertools.count(step=100.0)
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: next(reads)))
+    slow = verify.run_all()
+    assert [c.seconds for c in slow] == [100.0] * len(CHECK_NAMES)
+    assert ([(c.name, c.measured, c.threshold, c.detail) for c in slow]
+            == [(c.name, c.measured, c.threshold, c.detail) for c in baseline])
+    timed = ["associated-matrix reproduction", "cubic closed forms",
+             "certificate constancy", "factorial identity"]
+    assert [c.name for c in slow if not c.passed] == sorted(timed + SINGULAR, key=CHECK_NAMES.index)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polytrig import poly
 from polytrig.cyclotomic import make_cyclotomic
-from polytrig.gentrig import from_roots
+from polytrig.gentrig import from_roots, make_system
 from polytrig.poly import (MAX_DEGREE, ParseError, Polynomial, PolynomialError,
                            RootFindingError, find_roots, format_polynomial,
                            parse_polynomial, synthetic_divide)
@@ -186,6 +186,20 @@ class TestPolynomial:
         p = Polynomial.from_roots(roots)
         assert [repr(c) for c in p.coeffs] == [repr(c) for c in Polynomial.from_roots(roots.tolist()).coeffs]
         assert all(type(c) is complex for c in p.coeffs)
+
+    def test_monic_lead_is_exactly_one(self):
+        # lead / lead gives 1 + 1.1e-20i for this lead; monic() sets the lead
+        # to 1, so a system's polynomial is monic and the root finder divides
+        # by its lead no second time
+        lead = complex(-1.3446230625272966e-05, -0.15259712443881257)
+        p = Polynomial((3e10 + 1e-6j, -2 + 5e-7j, 1e5 + 2e-9j, lead))
+        m = p.monic()
+        assert m.coeffs[-1] == 1 and m.monic() is m
+        assert m.coeffs[:-1] == tuple(c / lead for c in p.coeffs[:-1])
+        rs, own = make_system(p).roots, find_roots(p)  # the residuals differ by |lead|
+        assert (rs.roots, rs.backward_error) == (own.roots, own.backward_error)
+        # a negative real lead gives 1 + 0i, not 1 - 0i
+        assert math.copysign(1, Polynomial((1, -2)).monic().coeffs[-1].imag) == 1
 
 
 class TestMeasure:
