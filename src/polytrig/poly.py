@@ -245,16 +245,34 @@ def format_polynomial(p: Polynomial) -> str:
     return out
 
 
-def _powers(z: np.ndarray, n: int) -> np.ndarray:
+def _powers(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """V[j, k] = z_j^k for k = 0..n-1, the one power matrix of a point set: the running
-    product of ``np.vander(z, n, increasing=True)``, bit for bit, without its checks.  The
-    oracle head fills its integer powers n-major instead, one row per multiply: 4x faster."""
-    V = np.empty((len(z), n), dtype=complex)
+    product of ``np.vander(z, n, increasing=True)``, bit for bit, without its checks,
+    written into ``out`` when given.  The oracle head fills its integer powers n-major
+    instead, one row per multiply: 4x faster."""
+    V = np.empty((len(z), n), dtype=complex) if out is None else out
     V[:, 0] = 1
     rest = V[:, 1:]
     rest[...] = z[:, None]
     np.multiply.accumulate(rest, axis=1, out=rest)
     return V
+
+
+def _with_slope(a: np.ndarray) -> np.ndarray:
+    """[a | a']: the ascending coefficients of P and P' as the columns of one matrix."""
+    coef = np.zeros((len(a), 2), dtype=complex)
+    coef[:, 0] = a
+    coef[:-1, 1] = a[1:] * np.arange(1, len(a))
+    return coef
+
+
+def _sizes(V: np.ndarray, value: np.ndarray, scale: np.ndarray):
+    """``(residual, backward_error)`` of the values P(z): max |P(z)| and
+    max |P(z)| / sum |a_k| |z|^k, the sums being |V| @ ``scale`` for the power
+    matrix V of z and ``scale`` = |a|."""
+    size = np.abs(value)
+    backward = size / np.maximum(np.abs(V) @ scale, 5e-324)  # scale 0 has P = 0: counts 0
+    return float(np.maximum.reduce(size)), float(np.maximum.reduce(backward))
 
 
 def _measure(z: np.ndarray, a: np.ndarray):
@@ -263,14 +281,9 @@ def _measure(z: np.ndarray, a: np.ndarray):
     backward error max |P(z)| / sum |a_k| |z|^k (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 2002, section 5.1), from V = ``_powers(z, m + 1)``
     in the products V @ [a | a'] and |V| @ |a|."""
-    coef = np.zeros((len(a), 2), dtype=complex)
-    coef[:, 0] = a
-    coef[:-1, 1] = a[1:] * np.arange(1, len(a))
     V = _powers(z, len(a))
-    value, slope = (V @ coef).T
-    size = np.abs(value)
-    backward = size / np.maximum(np.abs(V) @ np.abs(a), 5e-324)  # scale 0 has P = 0: counts 0
-    return value, slope, float(np.maximum.reduce(size)), float(np.maximum.reduce(backward))
+    value, slope = (V @ _with_slope(a)).T
+    return (value, slope) + _sizes(V, value, np.abs(a))
 
 
 @dataclass(frozen=True)
@@ -293,18 +306,23 @@ class RootSet:
 def find_roots(p: Polynomial) -> RootSet:
     """All roots: companion eigenvalues (backward stable) polished by Aberth sweeps.
 
-    Each sweep takes P(z) and P'(z) at every iterate from one product of the
-    power matrix (:func:`_powers`), then makes one Aberth correction of them
-    all.  The polish stops when the backward error of the sorted iterate
-    (:func:`_measure`, as the RootSet returned carries it) is at most 4 m eps
-    and the largest correction no longer halves (or is zero); that correction
-    is not applied, and the seed always gets at least one.  Raises
-    :class:`RootFindingError`, naming the rule that fired, when LAPACK returns
-    no eigenvalues, when |z|^m overflows at a seed, at a fixed point (a sweep
-    above the bound that would leave every iterate as it is), after
-    ``MAX_SWEEPS`` sweeps, or when the residual max|P(r)| |a_m| is not finite;
-    its ``best_roots``, residual and backward error then describe the last
-    iterate.  No floating-point warning escapes.
+    The iterate is kept in the order in which it is returned: the seeds are
+    sorted, and so is each corrected iterate.  Each sweep takes P(z) and P'(z)
+    at every iterate from one product of the power matrix V (:func:`_powers`),
+    then makes one Aberth correction of them all.  The polish stops when the
+    largest correction no longer halves (or is zero) and the backward error
+    read off that sweep's own V, which is :func:`_measure` of the sorted
+    iterate bit for bit, is at most 4 m eps; that correction is not applied,
+    and the seed always gets at least one.  Raises :class:`RootFindingError`,
+    naming the rule that fired, when LAPACK returns no eigenvalues, when |z|^m
+    overflows at a seed, at a fixed point (a sweep above the bound that would
+    leave every iterate as it is), at a cycle (a sweep above the bound that
+    reaches an iterate an earlier one reached), after ``MAX_SWEEPS`` sweeps,
+    or when the residual max|P(r)| |a_m| is not finite; its ``best_roots``,
+    residual and backward error then describe the last iterate.  A sweep is a
+    function of the iterate alone, and the halving test's threshold one of the
+    iterate before, so once an iterate recurs the polish repeats that stretch
+    of sweeps up to the cap.  No floating-point warning escapes.
     """
     m = p.degree
     if m < 1:
@@ -323,18 +341,19 @@ def find_roots(p: Polynomial) -> RootSet:
     bound = 4 * m * float(np.finfo(float).eps)
     half_step = np.inf
     converged = False
+    seen = {}  # iterate bytes -> the sweep that measured it above the bound
     # 0 * inf at coincident iterates, 0 / 0 at a zero root, and a' or |z|^m overflowing
     with np.errstate(all="ignore"):
-        coef = np.zeros((m + 1, 2), dtype=complex)  # [a | a'], as _measure takes them
-        coef[:, 0] = a
-        coef[:-1, 1] = a[1:] * np.arange(1, m + 1)
+        coef, scale = _with_slope(a), np.abs(a)
+        V = np.empty((m, m + 1), dtype=complex)
         gap = np.empty((m, m), dtype=complex)
+        z.sort()  # in the returned order: a row's bits in V @ [a | a'] depend on its place
         top = np.maximum.reduce(np.abs(z))
         if not np.isfinite(top ** m):  # V would hold inf, and no scale bounds |P(z)|
             raise RootFindingError(f"roots: |z|^{m} overflows at |z| = {top:.3e}",
-                                   (np.sort(z) + 0).tolist(), math.inf)
+                                   (z + 0).tolist(), math.inf)
         for sweep in range(1, MAX_SWEEPS + 1):
-            value, slope = (_powers(z, m + 1) @ coef).T
+            value, slope = (_powers(z, m + 1, V) @ coef).T
             np.subtract.outer(z, z, out=gap)
             gap.flat[::m + 1] = np.inf  # drops k = j from the Aberth sum
             corr = value / (slope - value * np.add.reduce(np.reciprocal(gap, out=gap), 1))
@@ -342,20 +361,25 @@ def find_roots(p: Polynomial) -> RootSet:
             if math.isnan(step):  # 0 * inf or 0 / 0: such an iterate stays put
                 corr[np.isnan(corr)] = 0
                 step = np.maximum.reduce(np.abs(corr))
-            if step > half_step or step == 0:  # measured sorted: a row's bits depend on its place
-                _, _, residual, backward = _measure(np.sort(z), a)
+            if step > half_step or step == 0:
+                residual, backward = _sizes(V, value, scale)
                 if converged := not backward > bound:  # so is nan (inf / inf): raised below
                     break
                 if np.array_equal(z - corr, z):  # every later sweep would repeat this one
                     stop = "the polish stalls at a fixed point"
                     break
+                first = seen.setdefault(z.tobytes(), sweep)
+                if first != sweep:  # every later sweep repeats sweeps first..sweep - 1
+                    stop = f"the polish cycles (sweeps {first} and {sweep} reach one iterate)"
+                    break
             z -= corr
+            z.sort()
             half_step = 0.5 * step
         else:  # the cap: measure the corrected iterate that is returned
             stop = "no convergence"
-            _, _, residual, backward = _measure(np.sort(z), a)
+            _, _, residual, backward = _measure(z, a)
     residual *= abs(p.coeffs[-1])
-    roots = tuple((np.sort(z) + 0).tolist())  # + 0 turns -0.0 into 0.0
+    roots = tuple((z + 0).tolist())  # + 0 turns -0.0 into 0.0
     if not (converged and math.isfinite(residual)):
         if converged:
             stop = f"residual max|P(r)| |a_m| = {residual:.3e} is not finite"

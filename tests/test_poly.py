@@ -237,6 +237,25 @@ class TestMeasure:
                 assert (rs.residual, rs.backward_error) == self.measured(rs, sys.poly.coeffs), m
             assert 0 < rs.backward_error <= 4 * m * EPS  # exact roots, rounded once
 
+    @pytest.mark.parametrize("p", [Polynomial((1, 0, 1)),
+                                   in_domain_poly(np.random.default_rng(12), 12),
+                                   Polynomial((1, 0, 2, 0, 1))],
+                             ids=["x^2+1", "degree 12", "(x^2+1)^2"])
+    def test_converged_polish_measures_its_own_sweeps(self, monkeypatch, p):
+        # one power matrix a sweep, the stop test's among them; no second measurement
+        calls = {"_powers": 0, "_measure": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(poly, name, counting(name, getattr(poly, name)))
+        rs = find_roots(p)
+        assert calls == {"_powers": rs.sweeps, "_measure": 0}
+
 
 class TestRoots:
     def test_quadratic(self):
@@ -367,6 +386,24 @@ class TestRoots:
             find_roots(Polynomial((1e-300, 1e100, 1)))
         assert int(re.search(r"after (\d+) sweeps", str(exc.value)).group(1)) <= 3
         assert exc.value.best_roots == (-1e100, 0) and exc.value.residual == 1e-300
+
+    def test_cycle_is_refused_at_its_first_repeat(self):
+        # the iterate of sweep 5 is the one of sweep 3, so sweeps 3 and 4 would
+        # repeat up to the cap; a warning would be an error here
+        p = Polynomial((1.7874389004141485e-20, 7.143809126011949e-27, -4.979832996242469e+161,
+                        6.501680065893538e+123, -2.3106397337144413e+186))
+        with pytest.raises(RootFindingError, match=r"^roots: the polish cycles \(sweeps 3 and 5 "
+                           r"reach one iterate\) after 5 sweeps, backward error 1\.000e\+00 "
+                           r"\(bound 3\.553e-15\)$") as exc:
+            find_roots(p)
+        # residual and backward error are those of best_roots, the iterate measured
+        best = exc.value.best_roots
+        _, _, residual, backward = poly._measure(np.array(best), np.array(p.monic().coeffs))
+        assert exc.value.residual == residual * abs(p.coeffs[-1]) and backward == 1
+        assert max(backward_errors(p, best)) == 1  # the two zero roots
+        # |P(z)| at the nonzero pair cancels from 1e137: direct summation agrees to its rounding
+        scale = max(sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs)) for z in best)
+        assert abs(exc.value.residual - max(abs(p(z)) for z in best)) <= 4 * 4 * EPS * scale
 
     def test_overflowing_derivative_row_warns_nothing(self):
         # a'_1 = 2e308 overflows in [a | a']; a warning would be an error here
