@@ -121,9 +121,10 @@ def taylor_eval_cyclo(sys: CyclotomicSystem, l: int, x: complex, terms: int) -> 
     k = np.arange(terms) + (l > 0)
     p = k * sys.m - l
     x = np.asarray(x, dtype=complex)
-    steps = np.ones(x.shape + (p.max(initial=0) + 1,), dtype=complex)
+    steps = np.ones(x.shape + (np.maximum.reduce(p, initial=0) + 1,), dtype=complex)
     steps[..., 1:] = x[..., None] / np.arange(1.0, steps.shape[-1])
-    return gentrig._scalar(np.cumprod(steps, axis=-1)[..., p] @ (-1.0) ** k / sys.zeta ** l)
+    powers = np.multiply.accumulate(steps, axis=-1)[..., p]  # x^p / p!
+    return gentrig._scalar(powers @ (-1.0) ** k / sys.zeta ** l)
 
 
 @dataclass(frozen=True)
@@ -222,11 +223,11 @@ def matrix_A(sys: CyclotomicSystem):
     if m > 12:
         raise CyclotomicError(f"boundary-jump matrix: order m = {m} is above the supported 12")
     E = sys.exponentials(np.array([math.pi, -math.pi]))
-    S = E @ sys.T.T * sys._scale
+    S = E.dot(sys.T.T) * sys._scale
     d = S[0] - S[1]  # every jump S_l(pi) - S_l(-pi)
     l, k = np.ogrid[:m, :m]
     idx = (m - 1 - k + l) % m
     J = eta ** (m - 1 - k - l + idx) * d[idx]
     A = (-1.0) ** (k + 1) * J * np.array([1, 1j, -1, -1j])[(k + m * (k % 2)) % 4]
     a = E[0] - E[1]
-    return A, complex(np.linalg.det(A)), float(abs(np.prod(a)))
+    return A, complex(np.linalg.det(A)), float(abs(np.multiply.reduce(a)))

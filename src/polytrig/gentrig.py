@@ -73,7 +73,7 @@ def deflation_matrix(p: Polynomial, roots) -> np.ndarray:
     Hankel matrix of a_1..a_m, one product for all roots."""
     r = np.asarray(roots, dtype=complex)
     m = p.degree
-    return _powers(r, m) @ np.array(p.coeffs + (0j,) * (m - 1))[_gathers(m)[0]]
+    return _powers(r, m).dot(np.array(p.coeffs + (0j,) * (m - 1))[_gathers(m)[0]])
 
 
 def tuple_coefficients(roots: RootSet) -> np.ndarray:
@@ -96,7 +96,7 @@ def tuple_coefficients(roots: RootSet) -> np.ndarray:
         if not all(map(cmath.isfinite, a)):
             raise PolynomialError("a coefficient rebuilt from the roots is not finite")
         signed = np.array(a + [0j] * (m - 1) + [-c for c in a])
-        T[1:] = signed[_gathers(m)[1]] @ _powers(np.array(rs), m)[:, 1:].T
+        T[1:] = signed[_gathers(m)[1]].dot(_powers(np.array(rs), m)[:, 1:].T)
     return T
 
 
@@ -164,14 +164,14 @@ def _guarded_exp(x, sys: GenTrigSystem) -> np.ndarray:
             return np.exp(x * sys.minus_ir)
     else:
         x = np.asarray(x, dtype=complex)
-        if float(np.abs(x).max(initial=0.0)) * sys.radius <= _BOUND_GUARD:
+        if float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0)) * sys.radius <= _BOUND_GUARD:
             return np.exp(np.multiply.outer(x, sys.minus_ir))
     # the bound failed, or an argument is nan or infinite
     x = np.asarray(x, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         z = np.multiply.outer(x, sys.minus_ir)
         size = np.abs(z.real)
-    worst = np.argmax(size)  # the first nan, if any
+    worst = size.argmax()  # the first nan, if any
     if not size.flat[worst] <= EXP_GUARD:
         *at, j = np.unravel_index(worst, size.shape)
         raise ArgumentOverflowError(complex(sys.r[j]), complex(x[tuple(at)]))
@@ -179,8 +179,9 @@ def _guarded_exp(x, sys: GenTrigSystem) -> np.ndarray:
 
 
 def _scalar(value):
-    """``value`` as a Python complex, unless it is an array of points (not 0-d)."""
-    return value if np.ndim(value) else complex(value)
+    """The numpy scalar or array ``value`` as a Python complex, unless it is an
+    array of points (not 0-d)."""
+    return value if value.ndim else complex(value)
 
 
 def make_system(p: Polynomial) -> GenTrigSystem:
@@ -266,7 +267,7 @@ def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
             raise GenTrigError("order above 170 overflows double-precision factorials")
         if order < 0:
             raise GenTrigError(f"Taylor order {order} is negative")
-        table = tables[order] = (_taylor_weights(sys, order) @ sys.T.T).T.tolist()
+        table = tables[order] = _taylor_weights(sys, order).dot(sys.T.T).T.tolist()
     return table[l][:]
 
 
@@ -274,7 +275,7 @@ def _taylor_weights(sys: GenTrigSystem, order: int) -> np.ndarray:
     """W[k, j] = (-i r_j)^k / k! for k = 0..order, as one running product."""
     steps = np.ones((order + 1, sys.m), dtype=complex)
     steps[1:] = sys.minus_ir / np.arange(1.0, order + 1)[:, None]
-    return np.cumprod(steps, axis=0)
+    return np.multiply.accumulate(steps, axis=0)
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def _circulant_rows(F: np.ndarray, lam: complex) -> np.ndarray:
     """
     m = len(F)
     w = abs(lam) ** (1 / m) * np.exp(1j * (cmath.phase(lam) + 2 * np.pi * np.arange(m)) / m)
-    G = _powers(w, m)[:, ::-1] @ F
+    G = _powers(w, m)[:, ::-1].dot(F)
     G[0] *= (-1) ** (m * (m - 1) // 2)
     return G
 
@@ -321,7 +322,7 @@ def _spectral_det(G: np.ndarray, E) -> complex:
 def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:
     """:func:`_circulant_rows` of the certificate rows F = (L K^l) T, with f = F E(x):
     K T = T diag(-i r) gives F[l, j] = (L T)_j (-i r_j)^l, with no power of K."""
-    F = _powers(sys.minus_ir, sys.m).T * (L @ sys.T)
+    F = _powers(sys.minus_ir, sys.m).T * L.dot(sys.T)
     return _circulant_rows(F, lam)
 
 
@@ -337,7 +338,7 @@ def _left_eigenvector(K: np.ndarray, mu: complex) -> np.ndarray:
     y = np.empty(m, dtype=complex)
     y[1:] = (1j / mu) ** np.arange(m - 1)
     y[0] = y[m - 1] * K[m - 1, 0] / mu
-    return y / y[np.argmax(np.abs(y))]
+    return y / y[np.abs(y).argmax()]
 
 
 def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
@@ -363,18 +364,18 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     binomial = not any(a[1:-1])
     values = np.array([(-1j) ** sys.m * -a[0] + 0]) if binomial else sys.minus_ir ** sys.m
     moduli = np.abs(values)
-    scale = float(moduli.max())
+    scale = float(np.maximum.reduce(moduli))
     if not scale > 1e-12 * (scale + 1.0):
         raise CertificateUnavailableError(
             f"no nonzero eigenvalue of K^{sys.m}: the largest modulus {scale:.3e} is not above "
             f"1e-12 (1 + {scale:.3e}); certificate unavailable")
-    j = min(np.flatnonzero(moduli >= (1 - 1e-12) * scale), key=lambda j: cmath.phase(values[j]))
+    j = min((moduli >= (1 - 1e-12) * scale).nonzero()[0], key=lambda j: cmath.phase(values[j]))
     lam = complex(values[j])
     if binomial:
         L, residual = np.eye(sys.m, dtype=complex)[0], 0.0
     else:
         L = _left_eigenvector(sys.K, sys.minus_ir[j])
-        residual = float(np.max(np.abs(L @ sys.K - sys.minus_ir[j] * L)))
+        residual = float(np.maximum.reduce(np.abs(L.dot(sys.K) - sys.minus_ir[j] * L)))
     G = _certificate_rows(sys, L, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones

@@ -40,4 +40,4 @@ def solve(A: np.ndarray, B: np.ndarray | None = None):
 
 def _norm1(M: np.ndarray):
     """The largest column sum of moduli, by the reductions of ``np.linalg.norm(M, 1)``."""
-    return np.add.reduce(np.abs(M), axis=0).max(initial=0)
+    return np.maximum.reduce(np.add.reduce(np.abs(M), axis=0), initial=0)

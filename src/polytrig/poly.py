@@ -271,7 +271,7 @@ def _sizes(V: np.ndarray, value: np.ndarray, scale: np.ndarray):
     max |P(z)| / sum |a_k| |z|^k, the sums being |V| @ ``scale`` for the power
     matrix V of z and ``scale`` = |a|."""
     size = np.abs(value)
-    backward = size / np.maximum(np.abs(V) @ scale, 5e-324)  # scale 0 has P = 0: counts 0
+    backward = size / np.maximum(np.abs(V).dot(scale), 5e-324)  # scale 0 has P = 0: counts 0
     return float(np.maximum.reduce(size)), float(np.maximum.reduce(backward))
 
 
@@ -282,7 +282,7 @@ def _measure(z: np.ndarray, a: np.ndarray):
     of Numerical Algorithms*, 2002, section 5.1), from V = ``_powers(z, m + 1)``
     in the products V @ [a | a'] and |V| @ |a|."""
     V = _powers(z, len(a))
-    value, slope = (V @ _with_slope(a)).T
+    value, slope = V.dot(_with_slope(a)).T
     return (value, slope) + _sizes(V, value, np.abs(a))
 
 
@@ -347,15 +347,16 @@ def find_roots(p: Polynomial) -> RootSet:
         coef, scale = _with_slope(a), np.abs(a)
         V = np.empty((m, m + 1), dtype=complex)
         gap = np.empty((m, m), dtype=complex)
+        diagonal = gap.reshape(-1)[::m + 1]  # a view of gap's diagonal
         z.sort()  # in the returned order: a row's bits in V @ [a | a'] depend on its place
         top = np.maximum.reduce(np.abs(z))
         if not np.isfinite(top ** m):  # V would hold inf, and no scale bounds |P(z)|
             raise RootFindingError(f"roots: |z|^{m} overflows at |z| = {top:.3e}",
                                    (z + 0).tolist(), math.inf)
         for sweep in range(1, MAX_SWEEPS + 1):
-            value, slope = (_powers(z, m + 1, V) @ coef).T
+            value, slope = _powers(z, m + 1, V).dot(coef).T
             np.subtract.outer(z, z, out=gap)
-            gap.flat[::m + 1] = np.inf  # drops k = j from the Aberth sum
+            diagonal.fill(np.inf)  # drops k = j from the Aberth sum
             corr = value / (slope - value * np.add.reduce(np.reciprocal(gap, out=gap), 1))
             step = np.maximum.reduce(np.abs(corr))
             if math.isnan(step):  # 0 * inf or 0 / 0: such an iterate stays put

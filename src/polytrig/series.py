@@ -102,8 +102,8 @@ class CrossCheckError(SeriesError, ArithmeticError):
 
 
 def _check_roots(sys: GenTrigSystem):
-    distance = np.abs(sys.r - np.round(sys.r.real))
-    j = int(np.argmin(distance))
+    distance = np.abs(sys.r - np.rint(sys.r.real))
+    j = int(distance.argmin())
     if distance[j] < INTEGER_ROOT_TOL:
         raise IntegerRootError(complex(sys.r[j]), float(distance[j]))
 
@@ -153,7 +153,7 @@ def fourier_coefficient(sys: GenTrigSystem, l: int, n: int) -> complex:
     l = _check_index(sys.m, l)
     n = _integer(n, "Fourier index", SeriesError)
     _check_roots(sys)
-    return ((-1) ** n) * (sys.T[l] @ (1 / (n - sys.r))) / TWO_PI_I
+    return ((-1) ** n) * sys.T[l].dot(1 / (n - sys.r)) / TWO_PI_I
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ def _cross_checked_C(sys: GenTrigSystem) -> np.ndarray:
     """
     _check_roots(sys)
     m, T = sys.m, sys.T
-    C1 = T @ deflation_matrix(sys.poly, sys.r)
+    C1 = T.dot(deflation_matrix(sys.poly, sys.r))
     signs = _SIGNS[m - 1::-1]  # (-1)^(m-k-1), none at k = m-1
-    C2 = T.sum(axis=1)[:, None] * sys.poly.coeffs[1:] - (T @ T[::-1].T) * signs
+    C2 = np.add.reduce(T, axis=1)[:, None] * sys.poly.coeffs[1:] - T.dot(T[::-1].T) * signs
     mismatch = float(np.maximum.reduce(np.abs(C1 - C2), axis=None))
     bound = 1e3 * m * _EPS * float(np.maximum.reduce(np.abs(C1), axis=None))
     if not mismatch <= bound:
@@ -207,15 +207,16 @@ def _hurwitz_zeta(s, a):
     # (s)_(2k-1) / ((2k)! a^2k) = (s-1)_2k / ((2k)! a^2k) / (s-1), one running product
     ratio = ((s[..., None] + 2 * k - 3) * (s[..., None] + 2 * k - 2)
              / ((2 * k - 1) * (2 * k) * a[..., None] ** 2))
-    terms = _BERNOULLI * np.cumprod(ratio, axis=-1) / (s[..., None] - 1)
-    return 1 / (s - 1) + 1 / (2 * a) + terms[..., :-1].sum(axis=-1), np.abs(terms[..., -1])
+    terms = _BERNOULLI * np.multiply.accumulate(ratio, axis=-1) / (s[..., None] - 1)
+    body = np.add.reduce(terms[..., :-1], axis=-1)
+    return 1 / (s - 1) + 1 / (2 * a) + body, np.abs(terms[..., -1])
 
 
 def _fujiwara_radius(monic: np.ndarray) -> float:
     """Fujiwara's root-free bound 2 max |b_(m-i)|^(1/i), b_0 halved, on every |root|."""
     c = np.abs(monic[-2::-1])  # |b_(m-1)|, ..., |b_0|
     c[-1] /= 2
-    return 2 * float((c ** _ROOT_EXPONENTS[:len(c)]).max())
+    return 2 * float(np.maximum.reduce(c ** _ROOT_EXPONENTS[:len(c)]))
 
 
 def _cauchy_floor(size: np.ndarray) -> np.ndarray:
@@ -223,7 +224,7 @@ def _cauchy_floor(size: np.ndarray) -> np.ndarray:
     for i = 1..m, less (m + 3) eps (1 + sum): an allowance for the rounding of
     |beta_i| (an ulp), of the sum (gamma_m of it) and of the differences, so
     that q~ is a lower bound."""
-    total = _RADII_POWERS[:, :len(size)] @ size
+    total = _RADII_POWERS[:, :len(size)].dot(size)
     return 1 - total - (len(size) + 3) * _EPS * (1 + total)
 
 
@@ -252,7 +253,7 @@ def _tail_operators(N: int, m: int, J: int):
     z, z_error = _hurwitz_zeta(s, np.array([sigma, e / 2, o / 2]))
     rescale = (sigma / np.array([sigma, e, o])) ** (s - 1.0)
     mix = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
-    tables = [np.concatenate([np.zeros((2, 2)), a @ b]) for a, b in (
+    tables = [np.concatenate([np.zeros((2, 2)), a.dot(b)]) for a, b in (
         (z * rescale, mix), (z * rescale, np.abs(mix)), (z_error * rescale, np.abs(mix)))]
     k = np.arange(m)
     unit = 2 * sigma ** (k + 1.0 - m)
@@ -291,7 +292,7 @@ def _parity_sums(powers: np.ndarray, pairs: np.ndarray, out=None) -> tuple:
     at an odd n, ``pairs`` the pair terms by parity of k.  Each sum is a numpy
     pairwise sum along the contiguous n axis, taken with stride 2."""
     t = np.multiply(powers, pairs, out=out)
-    return t[..., 1::2].sum(axis=-1).ravel(), t[..., ::2].sum(axis=-1).ravel()
+    return np.add.reduce(t[..., 1::2], axis=-1).ravel(), np.add.reduce(t[..., ::2], axis=-1).ravel()
 
 
 def _pairwise_sum(parts: list) -> tuple:
@@ -390,7 +391,7 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
         V[1] = n
         for k in range(2, m + 1):  # one multiply per row: accumulate along k is 4x slower
             np.multiply(V[k - 1], n, out=V[k])
-        Y = rows @ V
+        Y = rows.dot(V)
         values = Y[:2] if real else Y[:2] + 1j * Y[3:]  # P(n), P(-n)
         bound = Y[2]  # P~(n)
         below = max(near - start, 0)  # the integers of the block below near
@@ -408,8 +409,8 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
         # P~(n) / |P(+-n)|^2 over both signs: at least 1/|P|, and the error of P
         # is at most 3m eps P~
         weight = (size_inv[0] + size_inv[1]) * bound
-        pairs = _PAIR_MIX @ inv  # by parity of k: 1/P(n) +- 1/P(-n), one rounding each
-        size = V[:m] @ weight
+        pairs = _PAIR_MIX.dot(inv)  # by parity of k: 1/P(n) +- 1/P(-n), one rounding each
+        size = V[:m].dot(weight)
         powers = V[:even_rows].reshape(-1, 2, len(n))
         if real:
             even, odd = _parity_sums(powers, pairs, out=powers)  # V is not read again
@@ -445,8 +446,9 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     ok = q_low > 0
     g, cauchy = _RADII[ok], 1 / q_low[ok]
     factor = cauchy / (1 - 1 / g)
-    needed = np.log(2 * factor * ((unit / size).max() / _EPS)) / _LOG_RADII[ok]  # 2 >= 1/sigma + 1
-    best = int(np.argmin(needed))
+    worst = np.maximum.reduce(unit / size)
+    needed = np.log(2 * factor * (worst / _EPS)) / _LOG_RADII[ok]  # 2 >= 1/sigma + 1
+    best = int(needed.argmin())
     J = max(1, math.ceil(needed[best]))
     g, cauchy, factor = float(g[best]), float(cauchy[best]), float(factor[best])
 
@@ -454,7 +456,7 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     c[0] = 1.0
     for j in range(1, J):
         i = min(j, m)
-        c[j] = -(beta[1:i + 1] @ c[j - 1::-1][:i])
+        c[j] = -beta[1:i + 1].dot(c[j - 1::-1][:i])
 
     Z, Z_size, Z_error, remainder = _tail_operators(N, m, J)
     tail = Z @ c
@@ -499,7 +501,7 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     lead = p.coeffs[-1]  # solve against the monic system, then undo the scaling
     C = _cross_checked_C(sys)
     E = sys.exponentials(np.array([math.pi, -math.pi, 0.0]))  # the weights need pi and -pi
-    R = E @ _boundary_weights(sys, E).T
+    R = E.dot(_boundary_weights(sys, E).T)
     R[0] += R[1]
     R[0] /= 2  # the boundary average (R(pi) + R(-pi)) / 2
     AB, cond = linalg.solve(C, R[0::2].T)

@@ -777,6 +777,41 @@ def test_closed_sums_pass_the_bench_gate_or_are_refused(bench_workloads, bench_p
     assert refused == [24]
 
 
+#: numpy's Python-level wrappers; a per-call path uses ``.ndim``,
+#: ``np.maximum.reduce``, ``.argmax()``, ``.argmin()``, ``np.rint``,
+#: ``np.multiply.accumulate`` and ``.nonzero()[0]`` instead
+NUMPY_WRAPPERS = ("ndim", "max", "argmax", "argmin", "round", "cumprod", "flatnonzero")
+
+
+@pytest.mark.parametrize("p", [parse_polynomial("x^2+1"),
+                               _random_poly(np.random.default_rng(3), 3, real=False),
+                               _random_poly(np.random.default_rng(12), 12, real=False)],
+                         ids=["x^2+1", "degree 3", "degree 12"])
+def test_per_call_paths_skip_numpy_wrappers(monkeypatch, p):
+    # the system, its certificate and determinant, S, R and Taylor data at a
+    # scalar and the closed sums with their oracle reach no wrapper
+    reached = []
+
+    def refusing(name):
+        def stub(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError(f"np.{name} reached")
+        return stub
+
+    for name in NUMPY_WRAPPERS:
+        monkeypatch.setattr(np, name, refusing(name))
+    x = 0.3 - 0.2j
+    sys = gentrig.make_system(p)
+    cert = gentrig.identity_certificate(sys)
+    gentrig.eval_det_M(cert, sys, x)
+    for l in range(sys.m):
+        gentrig.eval_S(sys, l, x)
+        eval_R(sys, l, x)
+        gentrig.taylor_coeffs(sys, l, 20)
+    evaluate_sums(p)
+    assert reached == []
+
+
 def _cross_check_gap(sys):
     """The cross-check's entrywise gap between its two routes to 2 pi i C(P),
     and max |2 pi i C(P)|, recomputed from T and the coefficients."""
