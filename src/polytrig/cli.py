@@ -4,12 +4,13 @@ Subcommands: roots, eval, taylor, identity, cyclo, matrix-c, sum, verify.
 Every command emits either aligned text or a JSON document with the stable
 top-level keys {command, inputs, results, diagnostics}.  Exit codes: 0 on
 success, 2 on input errors, 3 on numerical failures, 1 when verify finds
-failing checks.
+failing checks, 141 (128 + SIGPIPE) when the reader of stdout has closed it.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def cformat(z: complex) -> str:
@@ -315,11 +317,17 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify":
             doc, code = cmd_verify(args)
-            emit(doc, args.json)
-            return code
-        doc = _COMMANDS[args.subcommand](args)
+        else:
+            doc, code = _COMMANDS[args.subcommand](args), EXIT_OK
         emit(doc, args.json)
-        return EXIT_OK
+        sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to the null device, so that the
+        # interpreter's final flush cannot raise again, and the exit code is
+        # the shell's for a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ParseError, cyclotomic.CyclotomicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

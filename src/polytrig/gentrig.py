@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import (MAX_DEGREE, Polynomial, PolynomialError, RootFindingError, RootSet,
-                   _expand_roots, _measure, _powers, find_roots)
+from .poly import (_EXPONENTS, MAX_DEGREE, Polynomial, PolynomialError, RootFindingError,
+                   RootSet, _expand_roots, _measure, _powers, find_roots)
 
 #: per-term bound on the modulus of the real part of every exponent taken
 EXP_GUARD = 700.0
@@ -28,6 +28,21 @@ _BOUND_GUARD = EXP_GUARD * (1 - 8 * np.finfo(float).eps)
 
 #: scalar arguments, which take the kernel's path without array conversion
 _NUMBER = (complex, float, int, np.number)
+
+#: read-only tables sliced by the degree m (the divisors by the Taylor
+#: order), so that no call rebuilds them: K's band (i above the diagonal,
+#: -i at K[0, 1]) and column-1 factors (-1)^(l+1) i for l = 1..MAX_DEGREE-1,
+#: the angles 2 pi k of the roots of w^m = lam, E(0)'s ones, the divisors
+#: k = 1..170 of the Taylor weights, and the zero coefficients that pad a gather
+_K_BAND = np.eye(MAX_DEGREE, k=1) * 1j
+_K_BAND[0, 1] = -1j
+_K_SIGNS = (-1.0) ** np.arange(2, MAX_DEGREE + 1) * 1j
+_TURNS = 2 * np.pi * np.arange(MAX_DEGREE)
+_ONES = np.ones(MAX_DEGREE)
+_DIVISORS = np.arange(1.0, 171)
+for _table in (_K_BAND, _K_SIGNS, _TURNS, _ONES, _DIVISORS):
+    _table.setflags(write=False)
+_ZERO_PAD = (0j,) * (MAX_DEGREE - 1)
 
 
 class GenTrigError(ValueError):
@@ -73,7 +88,7 @@ def deflation_matrix(p: Polynomial, roots) -> np.ndarray:
     Hankel matrix of a_1..a_m, one product for all roots."""
     r = np.asarray(roots, dtype=complex)
     m = p.degree
-    return _powers(r, m).dot(np.array(p.coeffs + (0j,) * (m - 1))[_gathers(m)[0]])
+    return _powers(r, m).dot(np.array(p.coeffs + _ZERO_PAD[:m - 1])[_gathers(m)[0]])
 
 
 def tuple_coefficients(roots: RootSet) -> np.ndarray:
@@ -95,7 +110,7 @@ def tuple_coefficients(roots: RootSet) -> np.ndarray:
         a = _expand_roots(rs)
         if not all(map(cmath.isfinite, a)):
             raise PolynomialError("a coefficient rebuilt from the roots is not finite")
-        signed = np.array(a + [0j] * (m - 1) + [-c for c in a])
+        signed = np.array([*a, *_ZERO_PAD[:m - 1], *[-c for c in a]])
         T[1:] = signed[_gathers(m)[1]].dot(_powers(np.array(rs), m)[:, 1:].T)
     return T
 
@@ -106,10 +121,8 @@ def derivative_matrix(p: Polynomial) -> np.ndarray:
     if m < 2:
         raise GenTrigError("derivative matrix needs degree at least 2")
     a = np.array(p.monic().coeffs, dtype=complex)
-    K = np.zeros((m, m), dtype=complex)
-    K.flat[1::m + 1] = 1j  # K[l, l + 1]
-    K[0, 1] = -1j
-    K[1:, 1] = (-1.0) ** np.arange(2, m + 1) * 1j * a[m - 1:0:-1]  # (-1)^(l+1) i a_(m-l)
+    K = _K_BAND[:m, :m].copy()  # K[l, l + 1] = i, but K[0, 1] = -i
+    K[1:, 1] = _K_SIGNS[:m - 1] * a[m - 1:0:-1]  # (-1)^(l+1) i a_(m-l)
     K[m - 1, 0] = ((-1) ** m) * 1j * a[0]
     return K
 
@@ -132,11 +145,8 @@ class GenTrigSystem:
 
     def __post_init__(self):
         r = np.array(self.roots.roots, dtype=complex)
-        put = functools.partial(object.__setattr__, self)
-        put("m", self.poly.degree)
-        put("r", r)
-        put("minus_ir", -1j * r)
-        put("radius", float(np.maximum.reduce(np.abs(r))))
+        self.__dict__.update(m=self.poly.degree, r=r, minus_ir=-1j * r,
+                             radius=float(np.maximum.reduce(np.abs(r))))
 
     @functools.cached_property
     def K(self) -> np.ndarray:
@@ -185,9 +195,10 @@ def _scalar(value):
 
 
 def make_system(p: Polynomial) -> GenTrigSystem:
-    mon = p.monic()
-    roots = find_roots(mon)
-    return GenTrigSystem(mon, roots, tuple_coefficients(roots))
+    """The system of the monic P with the roots of :func:`poly.find_roots` of P,
+    whose residual is that of P as given."""
+    roots = find_roots(p)
+    return GenTrigSystem(p.monic(), roots, tuple_coefficients(roots))
 
 
 def from_roots(roots) -> GenTrigSystem:
@@ -245,7 +256,7 @@ def eval_S(sys: GenTrigSystem, l: int, x: complex) -> complex:
 
 def eval_S_vector(sys: GenTrigSystem, x: complex) -> np.ndarray:
     """S_l(x) for every l, a new array with l on the last axis."""
-    return sys.exponentials(x) @ sys.T.T
+    return _guarded_exp(x, sys) @ sys.T.T
 
 
 def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
@@ -273,8 +284,9 @@ def taylor_coeffs(sys: GenTrigSystem, l: int, order: int) -> list:
 
 def _taylor_weights(sys: GenTrigSystem, order: int) -> np.ndarray:
     """W[k, j] = (-i r_j)^k / k! for k = 0..order, as one running product."""
-    steps = np.ones((order + 1, sys.m), dtype=complex)
-    steps[1:] = sys.minus_ir / np.arange(1.0, order + 1)[:, None]
+    steps = np.empty((order + 1, sys.m), dtype=complex)
+    steps[0] = 1
+    steps[1:] = sys.minus_ir / _DIVISORS[:order, None]
     return np.multiply.accumulate(steps, axis=0)
 
 
@@ -307,16 +319,10 @@ def _circulant_rows(F: np.ndarray, lam: complex) -> np.ndarray:
     is one of the rates -i r_k, so det M is zero unless P = x^m - c.
     """
     m = len(F)
-    w = abs(lam) ** (1 / m) * np.exp(1j * (cmath.phase(lam) + 2 * np.pi * np.arange(m)) / m)
+    w = abs(lam) ** (1 / m) * np.exp(1j * (cmath.phase(lam) + _TURNS[:m]) / m)
     G = _powers(w, m)[:, ::-1].dot(F)
     G[0] *= (-1) ** (m * (m - 1) // 2)
     return G
-
-
-def _spectral_det(G: np.ndarray, E) -> complex:
-    """det M for f = F E, with G from :func:`_circulant_rows`; E on the last
-    axis, so an array of points gives an array."""
-    return _scalar(np.multiply.reduce(E @ G.T, -1))
 
 
 def _certificate_rows(sys: GenTrigSystem, L: np.ndarray, lam: complex) -> np.ndarray:
@@ -336,7 +342,7 @@ def _left_eigenvector(K: np.ndarray, mu: complex) -> np.ndarray:
     """
     m = len(K)
     y = np.empty(m, dtype=complex)
-    y[1:] = (1j / mu) ** np.arange(m - 1)
+    y[1:] = (1j / mu) ** _EXPONENTS[:m - 1]
     y[0] = y[m - 1] * K[m - 1, 0] / mu
     return y / y[np.abs(y).argmax()]
 
@@ -372,13 +378,14 @@ def identity_certificate(sys: GenTrigSystem) -> IdentityCertificate:
     j = min((moduli >= (1 - 1e-12) * scale).nonzero()[0], key=lambda j: cmath.phase(values[j]))
     lam = complex(values[j])
     if binomial:
-        L, residual = np.eye(sys.m, dtype=complex)[0], 0.0
+        L, residual = np.zeros(sys.m, dtype=complex), 0.0
+        L[0] = 1
     else:
         L = _left_eigenvector(sys.K, sys.minus_ir[j])
         residual = float(np.maximum.reduce(np.abs(L.dot(sys.K) - sys.minus_ir[j] * L)))
     G = _certificate_rows(sys, L, lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        det_ref = _spectral_det(G, np.ones(sys.m))  # E(0) is all ones
+        det_ref = complex(np.multiply.reduce(_ONES[:sys.m] @ G.T))  # E(0) is all ones
     if not cmath.isfinite(det_ref):
         raise CertificateUnavailableError(
             f"det M(0) = {det_ref} is not finite: the product of the {sys.m} "
@@ -392,4 +399,5 @@ def eval_det_M(cert: IdentityCertificate, sys: GenTrigSystem, x: complex) -> com
     The product of the eigenvalues ``cert.rows @ E(x)`` (:func:`_circulant_rows`);
     an array of x gives an array.
     """
-    return _spectral_det(cert.rows, sys.exponentials(x))
+    value = np.multiply.reduce(_guarded_exp(x, sys) @ cert.rows.T, -1)
+    return value if value.ndim else complex(value)

@@ -15,10 +15,17 @@ import math
 
 import numpy as np
 
+from .poly import MAX_DEGREE
+
+#: the identity columns of ``[B | I]``, read-only and sliced by the order n
+_IDENTITY = np.eye(MAX_DEGREE)
+_IDENTITY.setflags(write=False)
+
 
 def solve(A: np.ndarray, B: np.ndarray | None = None):
     """Solve ``A X = B`` for the columns of ``B`` (shape ``(n, k)``; none if
-    omitted) by one LU of ``A``; returns ``(X, condition_estimate)``.
+    omitted) by one LU of ``A``, of order n at most ``MAX_DEGREE``; returns
+    ``(X, condition_estimate)``.
 
     ``X`` and the inverse behind the estimate are the columns of
     ``numpy.linalg.solve(A, [B | I])``.  Where LAPACK finds an exact zero
@@ -27,10 +34,8 @@ def solve(A: np.ndarray, B: np.ndarray | None = None):
     """
     n = len(A)
     k = 0 if B is None else B.shape[1]
-    rhs = np.zeros((n, k + n), dtype=A.dtype if B is None else np.result_type(A, B))
-    if B is not None:
-        rhs[:, :k] = B
-    rhs.flat[k::k + n + 1] = 1  # [B | I]: entry (i, k + i)
+    eye = _IDENTITY[:n, :n]
+    rhs = eye if B is None else np.concatenate((B, eye), axis=1)  # solve casts A, rhs to one type
     try:
         Y = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:  # an exact zero pivot

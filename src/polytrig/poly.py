@@ -13,6 +13,16 @@ MAX_DEGREE = 24
 #: Aberth sweeps after which the root polish gives up
 MAX_SWEEPS = 500
 
+_EPS = float(np.finfo(float).eps)
+
+#: read-only tables sliced by the degree m, so that no call rebuilds them:
+#: the exponents k = 0..MAX_DEGREE (the factors of P' among them), and the
+#: companion matrix's subdiagonal of ones (``[:m, :m]`` is ``np.eye(m, k=-1)``)
+_EXPONENTS = np.arange(MAX_DEGREE + 1)
+_SUBDIAGONAL = np.eye(MAX_DEGREE, k=-1)
+for _table in (_EXPONENTS, _SUBDIAGONAL):
+    _table.setflags(write=False)
+
 
 class PolynomialError(ValueError):
     """Base class for errors raised by this package's polynomial layer."""
@@ -262,7 +272,7 @@ def _with_slope(a: np.ndarray) -> np.ndarray:
     """[a | a']: the ascending coefficients of P and P' as the columns of one matrix."""
     coef = np.zeros((len(a), 2), dtype=complex)
     coef[:, 0] = a
-    coef[:-1, 1] = a[1:] * np.arange(1, len(a))
+    coef[:-1, 1] = a[1:] * _EXPONENTS[1:len(a)]
     return coef
 
 
@@ -331,15 +341,15 @@ def find_roots(p: Polynomial) -> RootSet:
     last_column = -a[:-1]
     if not last_column.imag.any():
         last_column = last_column.real  # conjugate pairs come out exact
-    companion = np.eye(m, k=-1, dtype=last_column.dtype)
+    companion = _SUBDIAGONAL[:m, :m].astype(last_column.dtype)
     companion[:, -1] = last_column
     try:
         z = np.linalg.eigvals(companion).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:  # non-finite companion, or no QR convergence
         raise RootFindingError(f"roots: no companion eigenvalues ({exc})", (), math.inf) from exc
 
-    bound = 4 * m * float(np.finfo(float).eps)
-    half_step = np.inf
+    bound = 4 * m * _EPS
+    half_step = math.inf
     converged = False
     seen = {}  # iterate bytes -> the sweep that measured it above the bound
     # 0 * inf at coincident iterates, 0 / 0 at a zero root, and a' or |z|^m overflowing
@@ -350,7 +360,7 @@ def find_roots(p: Polynomial) -> RootSet:
         diagonal = gap.reshape(-1)[::m + 1]  # a view of gap's diagonal
         z.sort()  # in the returned order: a row's bits in V @ [a | a'] depend on its place
         top = np.maximum.reduce(np.abs(z))
-        if not np.isfinite(top ** m):  # V would hold inf, and no scale bounds |P(z)|
+        if not top ** m < math.inf:  # V would hold inf, and no scale bounds |P(z)|
             raise RootFindingError(f"roots: |z|^{m} overflows at |z| = {top:.3e}",
                                    (z + 0).tolist(), math.inf)
         for sweep in range(1, MAX_SWEEPS + 1):
@@ -358,10 +368,10 @@ def find_roots(p: Polynomial) -> RootSet:
             np.subtract.outer(z, z, out=gap)
             diagonal.fill(np.inf)  # drops k = j from the Aberth sum
             corr = value / (slope - value * np.add.reduce(np.reciprocal(gap, out=gap), 1))
-            step = np.maximum.reduce(np.abs(corr))
+            step = float(np.maximum.reduce(np.abs(corr)))
             if math.isnan(step):  # 0 * inf or 0 / 0: such an iterate stays put
                 corr[np.isnan(corr)] = 0
-                step = np.maximum.reduce(np.abs(corr))
+                step = float(np.maximum.reduce(np.abs(corr)))
             if step > half_step or step == 0:
                 residual, backward = _sizes(V, value, scale)
                 if converged := not backward > bound:  # so is nan (inf / inf): raised below

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .gentrig import (_NUMBER, GenTrigSystem, _check_index, _integer, _scalar, deflation_matrix,
-                      make_system)
-from .poly import MAX_DEGREE, Polynomial
+from . import gentrig, linalg
+from .gentrig import _NUMBER, GenTrigSystem, _check_index, _integer, deflation_matrix, make_system
+from .poly import _EPS, _EXPONENTS, MAX_DEGREE, Polynomial
 
 #: refuse roots closer than this to an integer (the boundary kernel blows up)
 INTEGER_ROOT_TOL = 1e-8
@@ -40,8 +39,6 @@ _MAX_AUTO_HEAD = 2 ** 20
 #: B_2 .. B_14; the last only bounds the Euler-Maclaurin remainder
 _BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])
 
-_EPS = float(np.finfo(float).eps)
-
 #: the Cauchy radii g = 2, 4, ..., 2^12 the oracle tail tries, their
 #: logarithms, and their powers g^i for i = 1..MAX_DEGREE, one row per g
 _RADII = 2.0 ** np.arange(1, 13)
@@ -57,7 +54,7 @@ _ROOT_EXPONENTS = 1 / np.arange(1, MAX_DEGREE + 1)
 
 #: (-1)^k for k = 0..MAX_DEGREE, the signs of the plain and alternating sums,
 #: and the rows that take x, y to x + y and x - y
-_ALTERNATING = (-1.0) ** np.arange(MAX_DEGREE + 1)
+_ALTERNATING = (-1.0) ** _EXPONENTS
 _PLUS_MINUS = np.array([1.0, -1.0])
 _PAIR_MIX = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -67,6 +64,14 @@ _PAIR_MIX = np.array([[1.0, 1.0], [1.0, -1.0]])
 _HEAD_BLOCK = 2 ** 14
 
 TWO_PI_I = 2j * math.pi
+
+#: pi, -pi and 0: the boundary points of the R_l weights and the sums' right-hand
+#: sides, read-only
+_BOUNDARY_POINTS = np.array([math.pi, -math.pi, 0.0])
+_BOUNDARY_POINTS.setflags(write=False)
+
+#: the oracle fields of sums without the oracle: (nan, inf) for each power k
+_NO_ORACLE = ((complex(math.nan, math.nan), math.inf),) * MAX_DEGREE
 
 
 class SeriesError(ValueError):
@@ -137,11 +142,12 @@ def eval_R(sys: GenTrigSystem, l: int, x: complex) -> complex:
     W = sys.__dict__.get("boundary_weights")  # once per system
     if W is None:
         _check_roots(sys)
-        E = sys.exponentials(np.array([math.pi, -math.pi]))
+        E = gentrig._guarded_exp(_BOUNDARY_POINTS[:2], sys)
         W = sys.__dict__.setdefault("boundary_weights", _boundary_weights(sys, E))
-    E = sys.exponentials(x)
+    E = gentrig._guarded_exp(x, sys)
     if not isinstance(x, _NUMBER):
-        return _scalar(E @ W[l])
+        value = E @ W[l]
+        return value if value.ndim else complex(value)
     row = (E @ W.T).tolist()
     sys.__dict__["R_row"] = (x, row)
     return row[l]
@@ -423,14 +429,14 @@ def brute_force_sums(p: Polynomial, n_terms: int = MIN_ORACLE_N):
     head = even[:m, None] + odd[:m, None] * _PLUS_MINUS  # (-1)^n: even - odd
     head[0] += 1 / coeffs[0]  # n = 0; 0**0 == 1
     size[0] += 1 / abs(coeffs[0])
-    k = np.arange(m)
+    k = _EXPONENTS[:m]
     head_error = (3 * m + 31 + math.log2(N) + k) * (_EPS * size)
 
     # Tail.  P(n) = n^m q(sigma/n) with q(t) = sum_i beta_i t^i and
     # sigma = N + 1, so t <= 1 on the tail, and 1/P has the Laurent
     # coefficients d_j = sigma^j c_j for 1/q(t) = sum_j c_j t^j.
     sigma = N + 1.0
-    beta = coeffs[::-1] / sigma ** np.arange(m + 1)
+    beta = coeffs[::-1] / sigma ** _EXPONENTS[:m + 1]
     unit = 2 * sigma ** (k + 1.0 - m)  # the pair's 2 times sigma^j / sigma^(s-1)
     # Cauchy: on |t| = g with q~(g) = 1 - sum_(i>=1) |beta_i| g^i > 0,
     # |1/q| <= 1/q~(g) =: cauchy, so |c_j| <= cauchy g^-j, and past J terms
@@ -500,7 +506,7 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     sys = make_system(p)
     lead = p.coeffs[-1]  # solve against the monic system, then undo the scaling
     C = _cross_checked_C(sys)
-    E = sys.exponentials(np.array([math.pi, -math.pi, 0.0]))  # the weights need pi and -pi
+    E = sys.exponentials(_BOUNDARY_POINTS)  # the weights need pi and -pi
     R = E.dot(_boundary_weights(sys, E).T)
     R[0] += R[1]
     R[0] /= 2  # the boundary average (R(pi) + R(-pi)) / 2
@@ -512,7 +518,5 @@ def evaluate_sums(p: Polynomial, oracle_n: int = MIN_ORACLE_N, run_oracle: bool 
     if run_oracle:
         oracle_a, oracle_b = brute_force_sums(p, oracle_n)
     else:
-        nan = complex(math.nan, math.nan)
-        oracle_a = tuple((nan, math.inf) for _ in range(sys.m))
-        oracle_b = tuple((nan, math.inf) for _ in range(sys.m))
+        oracle_a = oracle_b = _NO_ORACLE[:sys.m]
     return SeriesResult(tuple(map(complex, A)), tuple(map(complex, B)), oracle_a, oracle_b, cond)

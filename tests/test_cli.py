@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,24 @@ class TestExitCodes:
     def test_missing_poly(self, capsys):
         code, _, err = run(capsys, "roots")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["roots", "--coeffs", "1,0,1", "--json"],
+                                      ["eval", "--poly", "x^2-1", "--l", "0", "--x", "0.7"]],
+                             ids=["roots json", "eval text"])
+    def test_closed_pipe_is_141_and_silent(self, argv):
+        # the reader closed stdout before the command wrote: 128 + SIGPIPE,
+        # nothing on stderr, and no exit code of a failed check or a failure
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "polytrig.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"))
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+        assert cli.EXIT_BROKEN_PIPE == 141
 
     def test_numerical_failure(self, capsys):
         code, _, err = run(capsys, "sum", "--poly", "x^2-1")

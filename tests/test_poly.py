@@ -196,8 +196,9 @@ class TestPolynomial:
         m = p.monic()
         assert m.coeffs[-1] == 1 and m.monic() is m
         assert m.coeffs[:-1] == tuple(c / lead for c in p.coeffs[:-1])
-        rs, own = make_system(p).roots, find_roots(p)  # the residuals differ by |lead|
-        assert (rs.roots, rs.backward_error) == (own.roots, own.backward_error)
+        # a system's roots are find_roots of P as given, its residual that of P
+        rs, own = make_system(p).roots, find_roots(p)
+        assert rs == own and rs.residual == find_roots(m).residual * abs(lead)
         # a negative real lead gives 1 + 0i, not 1 - 0i
         assert math.copysign(1, Polynomial((1, -2)).monic().coeffs[-1].imag) == 1
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polytrig import gentrig, linalg, series
+from polytrig import gentrig, linalg, poly, series
 from polytrig.gentrig import ArgumentOverflowError
 from polytrig.poly import MAX_DEGREE, Polynomial, PolynomialError, RootSet, parse_polynomial
 from polytrig.series import (MIN_ORACLE_N, CrossCheckError, DegenerateMatrixError,
@@ -782,6 +782,10 @@ def test_closed_sums_pass_the_bench_gate_or_are_refused(bench_workloads, bench_p
 #: ``np.multiply.accumulate`` and ``.nonzero()[0]`` instead
 NUMPY_WRAPPERS = ("ndim", "max", "argmax", "argmin", "round", "cumprod", "flatnonzero")
 
+#: numpy calls that build a constant of the degree; a per-call path slices a
+#: read-only module table by m instead
+NUMPY_CONSTANTS = ("eye", "finfo", "arange", "ones")
+
 
 @pytest.mark.parametrize("p", [parse_polynomial("x^2+1"),
                                _random_poly(np.random.default_rng(3), 3, real=False),
@@ -810,6 +814,51 @@ def test_per_call_paths_skip_numpy_wrappers(monkeypatch, p):
         gentrig.taylor_coeffs(sys, l, 20)
     evaluate_sums(p)
     assert reached == []
+    # with the degree warm (its gather indices are made once), a new system,
+    # its certificate, the scalar evaluators and the closed sums build no
+    # constant of the degree
+    for name in NUMPY_CONSTANTS:
+        monkeypatch.setattr(np, name, refusing(name))
+    sys = gentrig.make_system(p)
+    cert = gentrig.identity_certificate(sys)
+    gentrig.eval_det_M(cert, sys, x)
+    gentrig.eval_S_vector(sys, x)
+    for l in range(sys.m):
+        gentrig.eval_S(sys, l, x)
+        eval_R(sys, l, x)
+        gentrig.taylor_coeffs(sys, l, 20)
+    evaluate_sums(p, run_oracle=False)
+    assert reached == []
+
+
+def test_degree_tables_are_the_per_call_expressions():
+    # each read-only table, sliced by the degree m (the order n of the solve,
+    # the Taylor order k), is bit for bit the expression a call once built
+    def same(table, expression):
+        return (not table.flags.writeable and table.dtype == expression.dtype
+                and table.shape == expression.shape and table.tobytes() == expression.tobytes())
+
+    for m in range(1, MAX_DEGREE + 1):
+        assert same(poly._SUBDIAGONAL[:m, :m], np.eye(m, k=-1))
+        for dtype in (float, complex):
+            assert poly._SUBDIAGONAL[:m, :m].astype(dtype).tobytes() == np.eye(m, k=-1, dtype=dtype).tobytes()
+        assert same(poly._EXPONENTS[1:m + 1], np.arange(1, m + 1))
+        assert same(poly._EXPONENTS[:m + 1], np.arange(m + 1))
+        if m > 1:  # K exists from degree 2
+            band = np.zeros((m, m), dtype=complex)
+            band.flat[1::m + 1] = 1j
+            band[0, 1] = -1j
+            assert same(gentrig._K_BAND[:m, :m], band)
+        assert same(gentrig._K_SIGNS[:m - 1], (-1.0) ** np.arange(2, m + 1) * 1j)
+        assert same(gentrig._TURNS[:m], 2 * np.pi * np.arange(m))
+        assert same(gentrig._ONES[:m], np.ones(m))
+        assert gentrig._ZERO_PAD[:m - 1] == (0j,) * (m - 1)
+        assert same(linalg._IDENTITY[:m, :m], np.eye(m))
+        assert repr(series._NO_ORACLE[:m]) == repr(tuple((complex(math.nan, math.nan), math.inf)
+                                                         for _ in range(m)))
+    for order in range(171):
+        assert same(gentrig._DIVISORS[:order], np.arange(1.0, order + 1))
+    assert same(series._BOUNDARY_POINTS, np.array([math.pi, -math.pi, 0.0]))
 
 
 def _cross_check_gap(sys):
